@@ -2,36 +2,24 @@
 superpositions of multimode coherent states, with builders for the
 concatenated-GHZ entangled-coherent-state generation protocol, an
 independent truncated-number-basis oracle, a line-oriented circuit
-language, and a sweep-emitting CLI."""
+language, and a sweep-emitting CLI.
+
+The names below are the documented API; everything else stays importable
+from its own module."""
 
 from .analysis import (
-    ErrorReport,
-    SweepDiagnostic,
-    SweepPoint,
     error_report,
     evaluate_point,
     fidelity,
     sweep,
     theoretical_p,
 )
-from .coherent import (
-    CoherentTerm,
-    CsState,
-    NormKind,
-    coherent_overlap,
-    merge_terms,
-    norm_const,
-    normalize,
-    state_inner,
-    state_norm,
-)
-from .dsl import ParseDiagnostic, ParseResult, SourceSpan, parse, serialize
+from .coherent import CsState, normalize, state_inner, state_norm
+from .dsl import parse, serialize
 from .engine import (
     BeamSplitter,
     Circuit,
-    Diagnostic,
     Hadamard,
-    Instruction,
     Prep,
     RunResult,
     SelectVacuum,
@@ -50,56 +38,27 @@ from .errors import (
     ZeroProbabilityError,
     ZeroStateError,
 )
-from .fock import (
-    FockRunResult,
-    FockTensor,
-    bs_fock,
-    coherent_fock,
-    csstate_to_fock,
-    fock_fidelity,
-    fock_inner,
-    hadamard_fock,
-    hadamard_fock_matrix,
-    run_fock,
-    split_fock,
-    vacuum_project_fock,
-)
-from .optics import (
-    SelectionMode,
-    SelectionRecord,
-    apply_bs,
-    apply_hadamard,
-    select_vacuum,
-    split_mode,
-)
-from .protocol import (
-    ProtocolParams,
-    build_cghz_circuit,
-    build_ghz_chain,
-    chain_mode_names,
-    expand_logical,
-    ideal_cghz_state,
-    ideal_ghz_state,
-)
+from .fock import csstate_to_fock, fock_fidelity, run_fock
+from .optics import SelectionMode
+from .protocol import ProtocolParams, build_cghz_circuit, ideal_cghz_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamSplitter", "Circuit", "CircuitValidationError", "CoherentTerm",
-    "CsState", "Diagnostic", "DomainError", "ErrorReport",
-    "FockRunResult", "FockTensor", "FockTruncationError", "GateBasisError",
-    "Hadamard", "Instruction", "ModeShapeError", "NormKind",
-    "ParseDiagnostic", "ParseResult", "Prep", "ProtocolParams", "RunError",
-    "RunResult", "SelectVacuum", "SelectionMode", "SelectionRecord",
-    "SimulationError", "SourceSpan", "Split", "SweepDiagnostic",
-    "SweepPoint", "ZeroProbabilityError", "ZeroStateError",
-    "apply_bs", "apply_hadamard", "bs_fock", "build_cghz_circuit",
-    "build_ghz_chain", "chain_mode_names", "coherent_fock",
-    "coherent_overlap", "csstate_to_fock", "error_report", "evaluate_point",
-    "expand_logical", "fidelity", "fock_fidelity", "fock_inner",
-    "hadamard_fock", "hadamard_fock_matrix", "ideal_cghz_state",
-    "ideal_ghz_state", "merge_terms", "norm_const", "normalize", "parse",
-    "run", "run_fock", "select_vacuum", "serialize", "split_fock",
-    "split_mode", "state_inner", "state_norm", "sweep", "theoretical_p",
-    "vacuum_project_fock", "validate",
+    # the README library example
+    "ProtocolParams", "SelectionMode", "build_cghz_circuit", "fidelity",
+    "ideal_cghz_state", "run",
+    # the number-basis cross-check and the circuit text format
+    "run_fock", "csstate_to_fock", "fock_fidelity", "parse", "serialize",
+    # circuit IR
+    "Circuit", "Prep", "Hadamard", "BeamSplitter", "Split", "SelectVacuum",
+    "validate", "RunResult",
+    # state algebra
+    "CsState", "state_inner", "state_norm", "normalize",
+    # analysis
+    "sweep", "evaluate_point", "theoretical_p", "error_report",
+    # errors
+    "SimulationError", "CircuitValidationError", "DomainError",
+    "FockTruncationError", "GateBasisError", "ModeShapeError", "RunError",
+    "ZeroProbabilityError", "ZeroStateError",
 ]

@@ -1,8 +1,8 @@
 """Command-line surface: build, run, sweep, target, oracle.
 
-Exit codes: 0 success, 1 usage error, 2 runtime/domain error,
-3 circuit validation (or parse) failure.  The N*m size cap honours the
-CGHZ_MAX_NM environment variable.
+Exit codes: 0 success, 1 usage error, 2 runtime/domain error (or an
+oracle disagreement), 3 circuit validation (or parse) failure.  The N*m
+size cap honours the CGHZ_MAX_NM environment variable.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import fock
-from .analysis import evaluate_point, theoretical_p
+from .analysis import sweep, theoretical_p
 from .coherent import CsState
 from .dsl import parse, serialize
 from .engine import RunResult, run
@@ -176,16 +176,11 @@ def _cmd_sweep(args) -> int:
         print(f"cghzsim sweep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sel = _selection_mode(args.mode, args.branch_tol)
-    cap = _nm_cap()
-    points = []
-    diagnostics = []
-    for alpha in alphas:
-        try:
-            points.append(evaluate_point(args.n, args.m, alpha, sel, cap=cap))
-        except SimulationError as exc:
-            diagnostics.append((alpha, str(exc)))
-    for alpha, msg in diagnostics:
-        print(f"sweep point alpha={alpha!r} failed: {msg}", file=sys.stderr)
+    points, diagnostics = sweep(alphas, [(args.n, args.m)], sel,
+                                cap=_nm_cap())
+    for d in diagnostics:
+        print(f"sweep point alpha={d.alpha!r} failed: {d.message}",
+              file=sys.stderr)
 
     if args.format == "json":
         payload = {"version": 1, "points": [p.as_dict() for p in points]}
@@ -238,7 +233,7 @@ def _cmd_oracle(args) -> int:
     print(f"final-state overlap |<fock|analytic>|^2: {_fmt(overlap)}")
     agree = dp <= 1e-6 and (1.0 - overlap) <= 1e-6
     print(f"agreement within 1e-6: {'yes' if agree else 'NO'}")
-    return EXIT_OK
+    return EXIT_OK if agree else EXIT_RUNTIME
 
 
 def main(argv=None) -> int:

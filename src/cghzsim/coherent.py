@@ -20,8 +20,7 @@ All operations are pure; states are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,32 +60,16 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     return complex(val)
 
 
-@dataclass(frozen=True)
-class CoherentTerm:
-    """One superposition branch: a complex weight and one coherent
-    amplitude per mode."""
-
-    coeff: complex
-    amps: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _require_finite(self.coeff, "coeff"))
-        object.__setattr__(
-            self, "amps",
-            tuple(_require_finite(a, "mode amplitude") for a in self.amps))
-
-
 class CsState:
     """Finite coherent superposition over a fixed number of modes.
 
     Term data is held in two read-only arrays: ``coeffs`` with shape (T,)
-    and ``amps`` with shape (T, M).  ``normalized`` records whether the
-    state was produced by an operation guaranteeing unit norm.
+    and ``amps`` with shape (T, M).
     """
 
-    __slots__ = ("coeffs", "amps", "normalized")
+    __slots__ = ("coeffs", "amps")
 
-    def __init__(self, coeffs, amps, normalized: bool = False):
+    def __init__(self, coeffs, amps):
         coeffs = np.array(coeffs, dtype=np.complex128).reshape(-1)
         amps = np.array(amps, dtype=np.complex128)
         if amps.size == 0:
@@ -103,50 +86,11 @@ class CsState:
         amps.setflags(write=False)
         self.coeffs = coeffs
         self.amps = amps
-        self.normalized = bool(normalized)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[CoherentTerm | tuple],
-                   mode_count: int | None = None,
-                   normalized: bool = False) -> "CsState":
-        rows = []
-        coeffs = []
-        for t in terms:
-            if isinstance(t, CoherentTerm):
-                coeffs.append(t.coeff)
-                rows.append(t.amps)
-            else:
-                c, amps = t
-                coeffs.append(c)
-                rows.append(tuple(amps))
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ModeShapeError("terms have differing mode counts")
-            if mode_count is not None and width != mode_count:
-                raise ModeShapeError(
-                    f"terms have {width} modes, expected {mode_count}")
-            mode_count = width
-        elif mode_count is None:
-            raise ModeShapeError("empty state needs an explicit mode_count")
-        return cls(np.asarray(coeffs, dtype=np.complex128),
-                   np.asarray(rows, dtype=np.complex128).reshape(len(rows),
-                                                                 mode_count),
-                   normalized=normalized)
 
     @classmethod
     def single(cls, amps: Sequence[complex]) -> "CsState":
         """The product coherent state |a_1>...|a_M> (unit norm)."""
-        return cls([1.0 + 0.0j], [list(amps)], normalized=True)
-
-    @classmethod
-    def empty(cls, mode_count: int) -> "CsState":
-        return cls(np.zeros(0, dtype=np.complex128),
-                   np.zeros((0, mode_count), dtype=np.complex128))
-
-    # -- basic views ---------------------------------------------------
+        return cls([1.0 + 0.0j], [list(amps)])
 
     @property
     def mode_count(self) -> int:
@@ -156,14 +100,8 @@ class CsState:
     def term_count(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def terms(self) -> list[CoherentTerm]:
-        return [CoherentTerm(complex(c), tuple(complex(a) for a in row))
-                for c, row in zip(self.coeffs, self.amps)]
-
     def __repr__(self):
-        return (f"CsState(modes={self.mode_count}, terms={self.term_count}, "
-                f"normalized={self.normalized})")
+        return f"CsState(modes={self.mode_count}, terms={self.term_count})"
 
 
 def _overlap_matrix(s1: CsState, s2: CsState) -> np.ndarray:
@@ -209,7 +147,7 @@ def normalize(s: CsState) -> CsState:
     n = state_norm(s)
     if n <= 1e-12:
         raise ZeroStateError(f"cannot normalize state with norm {n}")
-    return CsState(s.coeffs / n, s.amps, normalized=True)
+    return CsState(s.coeffs / n, s.amps)
 
 
 def merge_terms(s: CsState, tol: float = DEFAULT_MERGE_TOL) -> CsState:
@@ -257,61 +195,31 @@ def merge_terms(s: CsState, tol: float = DEFAULT_MERGE_TOL) -> CsState:
     mags = np.abs(new_coeffs)
     cutoff = tol * (mags.max() if mags.size else 0.0)
     keep = mags > cutoff
-    return CsState(new_coeffs[keep], new_amps[keep], normalized=s.normalized)
+    return CsState(new_coeffs[keep], new_amps[keep])
 
 
 # -- closed-form normalization constants -------------------------------
 
-@dataclass(frozen=True)
-class NormKind:
-    """Which closed-form normalization constant to evaluate.
-
-    ``cat``/``cat_odd`` are the single-mode even/odd cat constants
-    (1 +- exp(-2 a^2))^(-1/2); ``ghz_plus(k)``/``ghz_minus(k)`` are the
-    k-mode GHZ-type constants [2(1 +- exp(-2 k a^2))]^(-1/2).
-    """
-
-    tag: str          # "cat", "cat_odd", "ghz_plus", "ghz_minus"
-    k: int = 1
-
-    def __post_init__(self):
-        if self.tag not in ("cat", "cat_odd", "ghz_plus", "ghz_minus"):
-            raise DomainError(f"unknown normalization kind {self.tag!r}")
-        if self.k < 1:
-            raise DomainError("mode count k must be >= 1")
-
-    @classmethod
-    def cat(cls) -> "NormKind":
-        return cls("cat")
-
-    @classmethod
-    def cat_odd(cls) -> "NormKind":
-        return cls("cat_odd")
-
-    @classmethod
-    def ghz_plus(cls, k: int) -> "NormKind":
-        return cls("ghz_plus", k)
-
-    @classmethod
-    def ghz_minus(cls, k: int) -> "NormKind":
-        return cls("ghz_minus", k)
+def cat_norm(alpha: float, sign: int) -> float:
+    """Even (sign +1) or odd (sign -1) single-mode cat constant
+    (1 +- exp(-2 alpha^2))^(-1/2) at real alpha > 0."""
+    return _pair_norm(1.0, 1, alpha, sign)
 
 
-def norm_const(kind: NormKind, alpha: float) -> float:
-    """Evaluate a cat / GHZ-type normalization constant at real alpha > 0."""
+def ghz_norm(k: int, alpha: float, sign: int) -> float:
+    """k-mode GHZ-type constant [2(1 +- exp(-2 k alpha^2))]^(-1/2) of
+    |a>^k +- |-a>^k at real alpha > 0."""
+    if k < 1:
+        raise DomainError("mode count k must be >= 1")
+    return _pair_norm(2.0, k, alpha, sign)
+
+
+def _pair_norm(scale: float, k: int, alpha: float, sign: int) -> float:
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    if kind.tag == "cat":
-        return (1.0 + math.exp(-2.0 * alpha * alpha)) ** -0.5
-    if kind.tag == "cat_odd":
-        den = 1.0 - math.exp(-2.0 * alpha * alpha)
-        if den <= 1e-15:
-            raise DomainError("odd-cat constant underflows at this alpha")
-        return den ** -0.5
-    q = math.exp(-2.0 * kind.k * alpha * alpha)
-    if kind.tag == "ghz_plus":
-        return (2.0 * (1.0 + q)) ** -0.5
-    den = 1.0 - q
+    if sign not in (1, -1):
+        raise DomainError("sign must be +1 or -1")
+    den = 1.0 + sign * math.exp(-2.0 * k * alpha * alpha)
     if den <= 1e-15:
-        raise DomainError("odd GHZ constant underflows at this alpha")
-    return (2.0 * den) ** -0.5
+        raise DomainError("odd constant underflows at this alpha")
+    return (scale * den) ** -0.5

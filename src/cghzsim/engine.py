@@ -9,17 +9,12 @@ the generation protocol keeps relabelling surviving spatial modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .coherent import (
-    DEFAULT_MERGE_TOL,
-    CsState,
-    merge_terms,
-    normalize,
-)
+from .coherent import CsState, merge_terms, normalize
 from .errors import (
     CircuitValidationError,
     RunError,
@@ -171,8 +166,90 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
     return out
 
 
-def run(circuit: Circuit, sel: SelectionMode,
-        merge_tol: float = DEFAULT_MERGE_TOL) -> RunResult:
+def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
+    """Apply a circuit's instructions in order to ``backend``; return the
+    final mode order.
+
+    This is the one instruction loop of the package: ``run`` and
+    ``fock.run_fock`` differ only in the backend they pass.  A backend
+    holds the working state and has five methods, which take mode
+    positions, never names: ``prep(amp)`` and ``split(i)`` append a mode,
+    ``hadamard(i, alpha_ref)`` applies the gate and renormalizes,
+    ``bs(i, j)`` applies the beam splitter, and ``select(i, name)``
+    heralds vacuum on mode i and removes it.
+
+    Raises CircuitValidationError if validate() reports anything, and
+    RunError (with the instruction index) for any SimulationError the
+    backend raises.
+    """
+    diags = validate(circuit)
+    if diags:
+        raise CircuitValidationError(diags)
+    order: list[str] = []
+    for idx, ins in enumerate(circuit.instructions):
+        try:
+            if isinstance(ins, Prep):
+                backend.prep(ins.amp)
+                order.append(ins.mode)
+            elif isinstance(ins, Hadamard):
+                ref = circuit.alpha if ins.alpha_ref is None else ins.alpha_ref
+                backend.hadamard(order.index(ins.mode), ref)
+            elif isinstance(ins, BeamSplitter):
+                backend.bs(order.index(ins.mode_a), order.index(ins.mode_b))
+            elif isinstance(ins, Split):
+                backend.split(order.index(ins.mode))
+                order.append(ins.new_mode)
+            elif isinstance(ins, SelectVacuum):
+                i = order.index(ins.mode)
+                backend.select(i, ins.mode)
+                order.pop(i)
+        except SimulationError as exc:
+            raise RunError(idx, str(exc)) from exc
+    return tuple(order)
+
+
+class _Coherent:
+    """Backend of ``run``: the optics primitives on a CsState."""
+
+    def __init__(self, sel: SelectionMode):
+        self.sel = sel
+        # exact selection lets vacuum residue into gate modes
+        self.off_basis = "project" if sel.kind == "exact" else "raise"
+        # the empty tensor product: one term, zero modes, norm one
+        self.state = CsState(np.ones(1), np.zeros((1, 0)))
+        self.selections: list[SelectionRecord] = []
+        self.max_terms = 0
+
+    def _keep(self, state: CsState):
+        self.state = state
+        self.max_terms = max(self.max_terms, state.term_count)
+
+    def prep(self, amp: complex):
+        s = self.state
+        col = np.full((s.term_count, 1), complex(amp))
+        self._keep(CsState(s.coeffs, np.concatenate([s.amps, col], axis=1)))
+
+    def hadamard(self, i: int, alpha_ref: float):
+        self._keep(normalize(apply_hadamard(self.state, i, alpha_ref,
+                                            off_basis=self.off_basis)))
+
+    def bs(self, i: int, j: int):
+        self._keep(apply_bs(self.state, i, j))
+
+    def split(self, i: int):
+        self._keep(split_mode(self.state, i))
+
+    def select(self, i: int, name: str):
+        state, record = select_vacuum(self.state, i, self.sel)
+        if self.sel.kind == "branch":
+            state = normalize(state)
+        self.selections.append(replace(record, mode_name=name))
+        # Only selection can make labels coincide: prep, bs and split map
+        # label vectors one to one, and apply_hadamard merges its output.
+        self._keep(merge_terms(state))
+
+
+def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     """Execute a circuit and return the final state with probabilities.
 
     Instructions are applied strictly in order.  The working state is kept
@@ -187,63 +264,14 @@ def run(circuit: Circuit, sel: SelectionMode,
     Raises CircuitValidationError if validate() reports anything, and
     RunError (with the instruction index) if a branch dies at runtime.
     """
-    diags = validate(circuit)
-    if diags:
-        raise CircuitValidationError(diags)
-
-    off_basis = "project" if sel.kind == "exact" else "raise"
-    # the empty tensor product: one term, zero modes, norm one
-    state = CsState(np.ones(1, dtype=np.complex128),
-                    np.zeros((1, 0), dtype=np.complex128), normalized=True)
-    order: list[str] = []
-    selections: list[SelectionRecord] = []
-    p_success = 1.0
-    total_false = 0.0
-    max_terms = 0
-
-    for idx, ins in enumerate(circuit.instructions):
-        try:
-            if isinstance(ins, Prep):
-                col = np.full((state.term_count, 1), complex(ins.amp))
-                state = CsState(state.coeffs,
-                                np.concatenate([state.amps, col], axis=1),
-                                normalized=state.normalized)
-                order.append(ins.mode)
-            elif isinstance(ins, Hadamard):
-                ref = circuit.alpha if ins.alpha_ref is None else ins.alpha_ref
-                state = apply_hadamard(state, order.index(ins.mode), ref,
-                                       off_basis=off_basis,
-                                       merge_tol=merge_tol)
-                state = normalize(state)
-            elif isinstance(ins, BeamSplitter):
-                state = apply_bs(state, order.index(ins.mode_a),
-                                 order.index(ins.mode_b))
-            elif isinstance(ins, Split):
-                state = split_mode(state, order.index(ins.mode))
-                order.append(ins.new_mode)
-            elif isinstance(ins, SelectVacuum):
-                i = order.index(ins.mode)
-                state, record = select_vacuum(state, i, sel)
-                record = SelectionRecord(
-                    mode=record.mode,
-                    kept_prob=record.kept_prob,
-                    discarded_weight=record.discarded_weight,
-                    false_vacuum_prob=record.false_vacuum_prob,
-                    mode_name=ins.mode)
-                if sel.kind == "branch":
-                    state = normalize(state)
-                selections.append(record)
-                p_success *= record.kept_prob
-                total_false += record.false_vacuum_prob
-                order.pop(i)
-        except SimulationError as exc:
-            raise RunError(idx, str(exc)) from exc
-        state = merge_terms(state, merge_tol)
-        max_terms = max(max_terms, state.term_count)
-
-    return RunResult(final_state=normalize(state),
-                     mode_order=tuple(order),
-                     selections=tuple(selections),
-                     p_success=p_success,
-                     total_false_vacuum=total_false,
-                     max_term_count=max_terms)
+    backend = _Coherent(sel)
+    order = _execute(circuit, backend)
+    records = tuple(backend.selections)
+    return RunResult(final_state=normalize(backend.state),
+                     mode_order=order,
+                     selections=records,
+                     p_success=math.prod((r.kept_prob for r in records),
+                                         start=1.0),
+                     total_false_vacuum=sum((r.false_vacuum_prob
+                                             for r in records), 0.0),
+                     max_term_count=backend.max_terms)

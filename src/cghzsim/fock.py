@@ -7,11 +7,14 @@ rotations, the coherent-qubit Hadamard matrix is assembled from the
 truncated vectors and their numerically inverted Gram matrix, and vacuum
 heralding slices the tensor at photon number zero.  Agreement between
 this pipeline and the analytic engine is the package's strongest
-correctness evidence.
+correctness evidence.  Only the instruction loop, ``engine._execute``, is
+shared with the analytic engine; the kernels it drives here share no
+arithmetic with it.
 
 The representation is dense, (n_max+1)^modes complex amplitudes, so the
-mode count is capped at 4: enough for every primitive and for the full
-(2, 2) generation circuit, which is all the oracle is for.
+mode count is capped at 4: enough for every primitive and for every
+generation circuit whose live modes stay within 4, i.e. the (2, 2),
+(3, 1), (4, 1) and (1, 4) builds.
 """
 
 from __future__ import annotations
@@ -23,17 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coherent import CsState
-from .engine import (
-    BeamSplitter,
-    Circuit,
-    Hadamard,
-    Prep,
-    SelectVacuum,
-    Split,
-    validate,
-)
+from .engine import Circuit, Prep, SelectVacuum, Split, _execute, validate
 from .errors import (
-    CircuitValidationError,
     DomainError,
     FockTruncationError,
     ModeShapeError,
@@ -147,6 +141,37 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int) -> np.ndarray:
     return np.moveaxis(out.reshape(lead + (d, d)), (-2, -1), (i, j))
 
 
+def _split(amps: np.ndarray, i: int, n_max: int) -> np.ndarray:
+    """Append a vacuum axis and beam-split axis i against it."""
+    grown = np.zeros(amps.shape + (n_max + 1,), dtype=np.complex128)
+    grown[..., 0] = amps
+    return _apply_two_mode(grown, i, amps.ndim, n_max)
+
+
+def _hadamard(amps: np.ndarray, i: int, mat: np.ndarray) -> np.ndarray:
+    """Apply a single-mode matrix on axis i and renormalize."""
+    out = np.moveaxis(np.tensordot(mat, amps, axes=([1], [i])), 0, i)
+    n = np.linalg.norm(out.ravel())
+    if n <= 1e-12:
+        raise ZeroProbabilityError("hadamard annihilated the state")
+    return out / n
+
+
+def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
+    """Slice axis i at photon number zero; returns the renormalized slice
+    and the heralding probability relative to the input norm."""
+    if amps.ndim == 1:
+        raise ModeShapeError("cannot remove the last fock mode")
+    total = float(np.sum(np.abs(amps) ** 2))
+    sliced = np.take(amps, 0, axis=i)
+    kept = float(np.sum(np.abs(sliced) ** 2))
+    prob = kept / total if total > 0 else 0.0
+    if prob <= 1e-14:
+        raise ZeroProbabilityError(
+            f"vacuum heralding on mode {i} has vanishing probability")
+    return sliced / math.sqrt(kept), prob
+
+
 def bs_fock(t: FockTensor, i: int, j: int) -> FockTensor:
     """50:50 beam splitter on modes (i, j) in the number basis."""
     if not (0 <= i < t.mode_count and 0 <= j < t.mode_count) or i == j:
@@ -160,14 +185,12 @@ def split_fock(t: FockTensor, i: int) -> FockTensor:
         raise ModeShapeError(f"mode index {i} out of range")
     if t.mode_count + 1 > MAX_FOCK_MODES:
         raise ModeShapeError("mode cap exceeded by split")
-    d = t.n_max + 1
-    amps = np.zeros(t.amps.shape + (d,), dtype=np.complex128)
-    amps[..., 0] = t.amps
-    return bs_fock(FockTensor(t.n_max, amps), i, t.mode_count)
+    return FockTensor(t.n_max, _split(t.amps, i, t.n_max))
 
 
+@lru_cache(maxsize=8)
 def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
-    """Coherent-qubit Hadamard as an (n_max+1)^2 matrix.
+    """Coherent-qubit Hadamard as a read-only (n_max+1)^2 matrix.
 
     Built purely from truncated coherent vectors: the even/odd cat
     outputs are normalized numerically, and the input frame dual to
@@ -184,7 +207,9 @@ def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
     even = even / np.linalg.norm(even)
     odd = va - vm
     odd = odd / np.linalg.norm(odd)
-    return np.outer(even, duals[0]) + np.outer(odd, duals[1])
+    mat = np.outer(even, duals[0]) + np.outer(odd, duals[1])
+    mat.setflags(write=False)
+    return mat
 
 
 def hadamard_fock(t: FockTensor, i: int, alpha_ref: float) -> FockTensor:
@@ -196,13 +221,8 @@ def hadamard_fock(t: FockTensor, i: int, alpha_ref: float) -> FockTensor:
     """
     if not 0 <= i < t.mode_count:
         raise ModeShapeError(f"mode index {i} out of range")
-    mat = hadamard_fock_matrix(alpha_ref, t.n_max)
-    out = np.tensordot(mat, t.amps, axes=([1], [i]))
-    out = np.moveaxis(out, 0, i)
-    n = np.linalg.norm(out.ravel())
-    if n <= 1e-12:
-        raise ZeroProbabilityError("hadamard annihilated the state")
-    return FockTensor(t.n_max, out / n)
+    return FockTensor(t.n_max, _hadamard(
+        t.amps, i, hadamard_fock_matrix(alpha_ref, t.n_max)))
 
 
 def vacuum_project_fock(t: FockTensor, i: int) -> tuple[FockTensor, float]:
@@ -213,16 +233,8 @@ def vacuum_project_fock(t: FockTensor, i: int) -> tuple[FockTensor, float]:
     """
     if not 0 <= i < t.mode_count:
         raise ModeShapeError(f"mode index {i} out of range")
-    if t.mode_count == 1:
-        raise ModeShapeError("cannot remove the last fock mode")
-    total = t.squared_norm()
-    sliced = np.take(t.amps, 0, axis=i)
-    kept = float(np.sum(np.abs(sliced) ** 2))
-    prob = kept / total if total > 0 else 0.0
-    if prob <= 1e-14:
-        raise ZeroProbabilityError(
-            f"vacuum heralding on mode {i} has vanishing probability")
-    return FockTensor(t.n_max, sliced / math.sqrt(kept)), prob
+    amps, prob = _vacuum_project(t.amps, i)
+    return FockTensor(t.n_max, amps), prob
 
 
 def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
@@ -270,80 +282,70 @@ class FockRunResult:
     p_success: float
 
 
+# Live-mode change of each instruction kind, for the static width check.
+_MODE_DELTA = {Prep: 1, Split: 1, SelectVacuum: -1}
+
+
+def _check_fits(circuit: Circuit):
+    """Reject, before any tensor is allocated, a valid circuit the oracle
+    cannot hold: one with no instructions, or one that needs more than
+    MAX_FOCK_MODES live modes at some point.  Invalid circuits pass
+    through, so that ``_execute`` reports their diagnostics."""
+    if validate(circuit):
+        return
+    if not circuit.instructions:
+        raise DomainError("cannot run an empty circuit through the oracle")
+    live = 0
+    for ins in circuit.instructions:
+        live += _MODE_DELTA.get(type(ins), 0)
+        if live > MAX_FOCK_MODES:
+            raise ModeShapeError(
+                f"circuit needs more than {MAX_FOCK_MODES} live modes")
+
+
+class _Fock:
+    """Backend of ``run_fock``: the number-basis kernels on a dense tensor."""
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        # the empty tensor product: a zero-mode tensor of norm one
+        self.amps = np.ones((), dtype=np.complex128)
+        self.probs: list[float] = []
+
+    def prep(self, amp: complex):
+        self.amps = np.multiply.outer(self.amps,
+                                      coherent_fock(amp, self.n_max))
+
+    def hadamard(self, i: int, alpha_ref: float):
+        self.amps = _hadamard(self.amps, i,
+                              hadamard_fock_matrix(alpha_ref, self.n_max))
+
+    def bs(self, i: int, j: int):
+        self.amps = _apply_two_mode(self.amps, i, j, self.n_max)
+
+    def split(self, i: int):
+        self.amps = _split(self.amps, i, self.n_max)
+
+    def select(self, i: int, name: str):
+        self.amps, prob = _vacuum_project(self.amps, i)
+        self.probs.append(prob)
+
+
 def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     """Execute a circuit in the truncated number basis.
 
-    Mirrors the analytic executor's mode bookkeeping exactly (same
+    Runs through the analytic executor's instruction loop (same
     instruction semantics, probabilities relative to the pre-selection
     norm, state renormalized after Hadamards and selections) so the two
     pipelines are comparable point by point.  Only circuits whose live
-    mode count stays within the cap can run.
+    mode count stays within the cap can run; wider or empty circuits
+    raise before anything is allocated.
     """
-    diags = validate(circuit)
-    if diags:
-        raise CircuitValidationError(diags)
-    d = n_max + 1
-    amps: np.ndarray | None = None
-    order: list[str] = []
-    probs: list[float] = []
-    had_cache: dict[float, np.ndarray] = {}
-
-    for ins in circuit.instructions:
-        if isinstance(ins, Prep):
-            vec = coherent_fock(ins.amp, n_max)
-            if amps is None:
-                amps = vec
-            else:
-                if amps.ndim + 1 > MAX_FOCK_MODES:
-                    raise ModeShapeError(
-                        f"circuit needs more than {MAX_FOCK_MODES} live modes")
-                amps = np.multiply.outer(amps, vec)
-            order.append(ins.mode)
-        elif isinstance(ins, Hadamard):
-            ref = circuit.alpha if ins.alpha_ref is None else ins.alpha_ref
-            mat = had_cache.get(ref)
-            if mat is None:
-                mat = hadamard_fock_matrix(ref, n_max)
-                had_cache[ref] = mat
-            i = order.index(ins.mode)
-            out = np.tensordot(mat, amps, axes=([1], [i]))
-            amps = np.moveaxis(out, 0, i)
-            amps = amps / np.linalg.norm(amps.ravel())
-        elif isinstance(ins, BeamSplitter):
-            amps = _apply_two_mode(amps, order.index(ins.mode_a),
-                                   order.index(ins.mode_b), n_max)
-        elif isinstance(ins, Split):
-            if amps.ndim + 1 > MAX_FOCK_MODES:
-                raise ModeShapeError(
-                    f"circuit needs more than {MAX_FOCK_MODES} live modes")
-            i = order.index(ins.mode)
-            grown = np.zeros(amps.shape + (d,), dtype=np.complex128)
-            grown[..., 0] = amps
-            amps = _apply_two_mode(grown, i, amps.ndim, n_max)
-            order.append(ins.new_mode)
-        elif isinstance(ins, SelectVacuum):
-            if amps.ndim == 1:
-                raise ModeShapeError("cannot herald away the last mode")
-            i = order.index(ins.mode)
-            total = float(np.sum(np.abs(amps) ** 2))
-            sliced = np.take(amps, 0, axis=i)
-            kept = float(np.sum(np.abs(sliced) ** 2))
-            prob = kept / total if total > 0 else 0.0
-            if prob <= 1e-14:
-                raise ZeroProbabilityError(
-                    f"vacuum heralding on '{ins.mode}' has vanishing "
-                    f"probability")
-            amps = sliced / math.sqrt(kept)
-            probs.append(prob)
-            order.pop(i)
-
-    if amps is None:
-        raise DomainError("cannot run an empty circuit through the oracle")
-    amps = amps / np.linalg.norm(amps.ravel())
-    p = 1.0
-    for pr in probs:
-        p *= pr
+    _check_fits(circuit)
+    backend = _Fock(n_max)
+    order = _execute(circuit, backend)
+    amps = backend.amps / np.linalg.norm(backend.amps.ravel())
     return FockRunResult(final=FockTensor(n_max, amps),
-                         mode_order=tuple(order),
-                         probabilities=tuple(probs),
-                         p_success=p)
+                         mode_order=order,
+                         probabilities=tuple(backend.probs),
+                         p_success=math.prod(backend.probs, start=1.0))

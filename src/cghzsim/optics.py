@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (
-    DEFAULT_MERGE_TOL,
     CsState,
+    cat_norm,
     merge_terms,
     normalize,
     state_norm,
@@ -113,7 +113,7 @@ def apply_bs(s: CsState, i: int, j: int) -> CsState:
     inv = 1.0 / math.sqrt(2.0)
     amps[:, i] = (ai + aj) * inv
     amps[:, j] = (ai - aj) * inv
-    return CsState(s.coeffs, amps, normalized=s.normalized)
+    return CsState(s.coeffs, amps)
 
 
 def split_mode(s: CsState, i: int) -> CsState:
@@ -124,13 +124,11 @@ def split_mode(s: CsState, i: int) -> CsState:
     _check_mode_index(s, i)
     amps = np.concatenate(
         [s.amps, np.zeros((s.term_count, 1), dtype=np.complex128)], axis=1)
-    out = CsState(s.coeffs, amps, normalized=s.normalized)
-    return apply_bs(out, i, s.mode_count)
+    return apply_bs(CsState(s.coeffs, amps), i, s.mode_count)
 
 
 def apply_hadamard(s: CsState, i: int, alpha_ref: float,
-                   off_basis: str = "raise",
-                   merge_tol: float = DEFAULT_MERGE_TOL) -> CsState:
+                   off_basis: str = "raise") -> CsState:
     """Coherent-qubit Hadamard on mode i with qubit basis {|a>, |-a>}.
 
     The gate is the rank-2 linear map |a> -> |even cat>, |-a> -> |odd cat>
@@ -146,8 +144,8 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     vacuum residue into gate modes, which the linear map handles).
     """
     _check_mode_index(s, i)
-    if not (math.isfinite(alpha_ref) and alpha_ref > 0):
-        raise DomainError(f"alpha_ref must be positive, got {alpha_ref}")
+    n_even = cat_norm(alpha_ref, 1)
+    n_odd = cat_norm(alpha_ref, -1)
     if off_basis not in ("raise", "project"):
         raise DomainError(f"unknown off-basis policy {off_basis!r}")
     if s.term_count == 0:
@@ -164,10 +162,6 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
 
     a2 = alpha_ref * alpha_ref
     q = math.exp(-2.0 * a2)
-    n_even = (1.0 + q) ** -0.5
-    n_odd = (1.0 - q) ** -0.5 if q < 1.0 else math.inf
-    if not math.isfinite(n_odd):
-        raise DomainError("qubit basis degenerate: exp(-2 a^2) ~ 1")
 
     # biorthogonal coordinates of each label's in-span component
     babs2 = beta.real**2 + beta.imag**2
@@ -187,7 +181,7 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     amps_minus[:, i] = -alpha_ref
     out = CsState(np.concatenate([c_plus, c_minus]),
                   np.concatenate([amps_plus, amps_minus], axis=0))
-    return merge_terms(out, merge_tol)
+    return merge_terms(out)
 
 
 def select_vacuum(s: CsState, i: int,

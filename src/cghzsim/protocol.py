@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .coherent import CsState, NormKind, norm_const, normalize
+from .coherent import CsState, ghz_norm, normalize
 from .engine import (
     BeamSplitter,
     Circuit,
@@ -40,8 +40,11 @@ DEFAULT_NM_CAP = 16
 class ProtocolParams:
     """Logical width, physical depth, and base amplitude of one build.
 
-    The n*m product is capped (default 16) to bound worst-case
-    intermediate term growth, which is exponential in n*m before merges.
+    The n*m product is capped (default 16).  The cap bounds intermediate
+    term growth only under ``branch`` selection.  ``exact`` selection
+    keeps every false-vacuum term, so its term count still grows
+    exponentially in n*m inside the cap: exact (4, 4) does not fit in
+    memory.
     """
 
     n_logical: int
@@ -67,16 +70,10 @@ def ideal_ghz_state(k: int, alpha: float, sign: int) -> CsState:
     The minus state degenerates as the two branches become parallel at
     small alpha, which raises a DomainError.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    kind = NormKind.ghz_plus(k) if sign == 1 else NormKind.ghz_minus(k)
-    c = norm_const(kind, alpha)
+    c = ghz_norm(k, alpha, sign)
     return CsState(
         np.array([c, sign * c], dtype=np.complex128),
-        np.array([[alpha] * k, [-alpha] * k], dtype=np.complex128),
-        normalized=True)
+        np.array([[alpha] * k, [-alpha] * k], dtype=np.complex128))
 
 
 def ideal_cghz_state(params: ProtocolParams) -> CsState:

@@ -10,30 +10,30 @@ import time
 import numpy as np
 from cghzsim import (
     CsState,
-    NormKind,
     ProtocolParams,
     SelectionMode,
-    apply_bs,
-    apply_hadamard,
     build_cghz_circuit,
-    coherent_overlap,
     csstate_to_fock,
     error_report,
     fidelity,
     fock_fidelity,
     ideal_cghz_state,
-    merge_terms,
-    norm_const,
     normalize,
     parse,
     run,
     run_fock,
     serialize,
-    split_mode,
     state_inner,
     state_norm,
     theoretical_p,
 )
+from cghzsim.coherent import (
+    cat_norm,
+    coherent_overlap,
+    ghz_norm,
+    merge_terms,
+)
+from cghzsim.optics import apply_bs, apply_hadamard, split_mode
 from conftest import random_complex, random_state
 
 BRANCH = SelectionMode.branch()
@@ -56,14 +56,14 @@ def test_normalization_constants():
     for alpha in (0.5, 1.0, 2.0, 5.0, 10.0):
         q = math.exp(-2.0 * alpha * alpha)
         pairs = [
-            (norm_const(NormKind.cat(), alpha), (1 + q) ** -0.5),
-            (norm_const(NormKind.cat_odd(), alpha), (1 - q) ** -0.5),
+            (cat_norm(alpha, 1), (1 + q) ** -0.5),
+            (cat_norm(alpha, -1), (1 - q) ** -0.5),
         ]
         for k in range(1, 9):
             qk = math.exp(-2.0 * k * alpha * alpha)
-            pairs.append((norm_const(NormKind.ghz_plus(k), alpha),
+            pairs.append((ghz_norm(k, alpha, 1),
                           (2 * (1 + qk)) ** -0.5))
-            pairs.append((norm_const(NormKind.ghz_minus(k), alpha),
+            pairs.append((ghz_norm(k, alpha, -1),
                           (2 * (1 - qk)) ** -0.5))
         worst = max(worst, max(abs(a - b) for a, b in pairs))
     report("normalization-constants", worst <= 1e-12,

@@ -7,24 +7,20 @@ from cghzsim import (
     CsState,
     DomainError,
     ModeShapeError,
-    NormKind,
     ProtocolParams,
     SelectionMode,
-    apply_bs,
-    apply_hadamard,
     build_cghz_circuit,
     error_report,
     evaluate_point,
     fidelity,
     ideal_cghz_state,
-    merge_terms,
-    norm_const,
     normalize,
     run,
-    split_mode,
     sweep,
     theoretical_p,
 )
+from cghzsim.coherent import cat_norm, merge_terms
+from cghzsim.optics import apply_bs, apply_hadamard, split_mode
 
 BRANCH = SelectionMode.branch()
 EXACT = SelectionMode.exact()
@@ -33,7 +29,7 @@ EXACT = SelectionMode.exact()
 # ---------------------------------------------------------------- fidelity
 
 def test_fidelity_self_is_one():
-    s = normalize(CsState.from_terms([(1, [1.0, 2.0]), (1j, [-1.0, 0.5])]))
+    s = normalize(CsState([1, 1j], [[1.0, 2.0], [-1.0, 0.5]]))
     assert fidelity(s, s) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -51,8 +47,8 @@ def test_fidelity_symmetry(rng):
 def test_fidelity_vacuum_against_cat_closed_form():
     # |<0|cat>|^2 = 2 N0^2 exp(-a^2) for the even cat at amplitude a
     for alpha in (0.5, 1.0, 2.0):
-        cat = normalize(CsState.from_terms([(1, [alpha]), (1, [-alpha])]))
-        n0 = norm_const(NormKind.cat(), alpha)
+        cat = normalize(CsState([1, 1], [[alpha], [-alpha]]))
+        n0 = cat_norm(alpha, 1)
         expect = 2 * n0 ** 2 * math.exp(-alpha ** 2)
         assert fidelity(CsState.single([0.0]), cat) == pytest.approx(
             expect, abs=1e-12)

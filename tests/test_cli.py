@@ -141,6 +141,15 @@ def test_oracle_reports_agreement(tmp_path, capsys):
     assert "agreement within 1e-6: yes" in out
 
 
+def test_oracle_disagreement_exits_two(tmp_path, capsys):
+    # |4 sqrt2> after the first splitter does not fit below 40 photons
+    path = tmp_path / "lossy.cir"
+    path.write_text("alpha 4.0\nprep a +\nprep b +\nbs a b\nbs a b\n")
+    code, out, _ = run_cli(["oracle", str(path), "--nmax", "40"], capsys)
+    assert code == 2
+    assert "agreement within 1e-6: NO" in out
+
+
 def test_oracle_rejects_wide_circuit(tmp_path, capsys):
     path = tmp_path / "wide.cir"
     run_cli(["build", "--n", "5", "--m", "1", "--alpha", "1", "-o",

@@ -6,20 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cghzsim import (
-    CoherentTerm,
     CsState,
     DomainError,
     ModeShapeError,
-    NormKind,
     ZeroStateError,
-    coherent_fock,
-    coherent_overlap,
-    merge_terms,
-    norm_const,
     normalize,
     state_inner,
     state_norm,
 )
+from cghzsim.coherent import (
+    cat_norm,
+    coherent_overlap,
+    ghz_norm,
+    merge_terms,
+)
+from cghzsim.fock import coherent_fock
 from conftest import random_complex, random_state
 
 E2 = math.exp(-2.0)
@@ -91,12 +92,12 @@ def test_inner_single_normalized_term():
 
 
 def test_inner_unnormalized_cat():
-    s = CsState.from_terms([(1, [1.0]), (1, [-1.0])])
+    s = CsState([1, 1], [[1.0], [-1.0]])
     assert state_inner(s, s).real == pytest.approx(2 * (1 + E2), abs=1e-13)
 
 
 def test_inner_two_mode_even_superposition():
-    s = CsState.from_terms([(1, [1.0, 1.0]), (1, [-1.0, -1.0])])
+    s = CsState([1, 1], [[1.0, 1.0], [-1.0, -1.0]])
     assert state_inner(s, s).real == pytest.approx(
         2 * (1 + math.exp(-4.0)), abs=1e-13)
 
@@ -108,8 +109,8 @@ def test_inner_mode_mismatch():
 
 def test_norm_trivial_cases():
     assert state_norm(CsState.single([2.0])) == pytest.approx(1.0)
-    assert state_norm(CsState.empty(3)) == 0.0
-    cat = CsState.from_terms([(1, [1.0]), (1, [-1.0])])
+    assert state_norm(CsState([], np.zeros((0, 3)))) == 0.0
+    cat = CsState([1, 1], [[1.0], [-1.0]])
     assert state_norm(cat) == pytest.approx(math.sqrt(2 * (1 + E2)),
                                             abs=1e-13)
 
@@ -128,18 +129,18 @@ def test_cauchy_schwarz_and_gram_positivity(rng):
 
 
 def test_normalize_fixed_point_and_zero_state():
-    s = normalize(CsState.from_terms([(1, [1.0]), (1, [-1.0])]))
+    s = normalize(CsState([1, 1], [[1.0], [-1.0]]))
     again = normalize(s)
     assert abs(state_norm(again) - 1.0) < 1e-12
     np.testing.assert_allclose(again.coeffs, s.coeffs, atol=1e-12)
     with pytest.raises(ZeroStateError):
-        normalize(CsState.empty(1))
+        normalize(CsState([], np.zeros((0, 1))))
 
 
 def test_normalize_reproduces_cat_constant():
     # (|a> + |-a>)/norm has coefficients N0/sqrt(2)
-    s = normalize(CsState.from_terms([(1, [1.0]), (1, [-1.0])]))
-    n0 = norm_const(NormKind.cat(), 1.0)
+    s = normalize(CsState([1, 1], [[1.0], [-1.0]]))
+    n0 = cat_norm(1.0, 1)
     np.testing.assert_allclose(s.coeffs,
                                [n0 / math.sqrt(2), n0 / math.sqrt(2)],
                                atol=1e-14)
@@ -148,14 +149,14 @@ def test_normalize_reproduces_cat_constant():
 # ------------------------------------------------------------------ merge
 
 def test_merge_combines_identical_labels():
-    s = CsState.from_terms([(0.5, [1.0, -1.0]), (0.5, [1.0, -1.0])])
+    s = CsState([0.5, 0.5], [[1.0, -1.0], [1.0, -1.0]])
     merged = merge_terms(s)
     assert merged.term_count == 1
     assert merged.coeffs[0] == pytest.approx(1.0)
 
 
 def test_merge_drops_zero_coefficient():
-    s = CsState.from_terms([(1.0, [1.0]), (0.0, [2.0])])
+    s = CsState([1.0, 0.0], [[1.0], [2.0]])
     merged = merge_terms(s)
     assert merged.term_count == 1
     assert merged.amps[0, 0] == 1.0
@@ -163,7 +164,7 @@ def test_merge_drops_zero_coefficient():
 
 def test_merge_tolerates_label_round_off():
     a = math.sqrt(2.0) * 1.3 / math.sqrt(2.0)  # 1.3 up to one ulp
-    s = CsState.from_terms([(0.25, [a]), (0.25, [1.3])])
+    s = CsState([0.25, 0.25], [[a], [1.3]])
     assert merge_terms(s, 1e-12).term_count == 1
 
 
@@ -190,53 +191,48 @@ def test_merge_probe_invariance(rng):
             assert abs(before - after) <= 10 * tol * doubled.term_count
 
 
-def test_coherent_term_validation():
-    with pytest.raises(DomainError):
-        CoherentTerm(float("inf"), (1.0,))
-
-
 # -------------------------------------------------- normalization constants
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
 def test_norm_const_self_consistency(alpha):
     q = math.exp(-2 * alpha * alpha)
-    assert norm_const(NormKind.cat(), alpha) ** 2 * (1 + q) == pytest.approx(
+    assert cat_norm(alpha, 1) ** 2 * (1 + q) == pytest.approx(
         1.0, abs=1e-12)
     if q < 1 - 1e-15:
-        assert norm_const(NormKind.cat_odd(), alpha) ** 2 * (1 - q) == (
+        assert cat_norm(alpha, -1) ** 2 * (1 - q) == (
             pytest.approx(1.0, abs=1e-12))
     for k in range(1, 9):
         qk = math.exp(-2 * k * alpha * alpha)
-        assert norm_const(NormKind.ghz_plus(k), alpha) ** 2 * 2 * (
+        assert ghz_norm(k, alpha, 1) ** 2 * 2 * (
             1 + qk) == pytest.approx(1.0, abs=1e-12)
-        assert norm_const(NormKind.ghz_minus(k), alpha) ** 2 * 2 * (
+        assert ghz_norm(k, alpha, -1) ** 2 * 2 * (
             1 - qk) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_const_reference_points():
-    assert norm_const(NormKind.cat(), 1.0) == pytest.approx(
+    assert cat_norm(1.0, 1) == pytest.approx(
         (1 + E2) ** -0.5, abs=1e-15)
-    assert norm_const(NormKind.ghz_plus(2), 1.0) == pytest.approx(
+    assert ghz_norm(2, 1.0, 1) == pytest.approx(
         (2 * (1 + math.exp(-4.0))) ** -0.5, abs=1e-15)
 
 
 def test_norm_const_odd_cat_limit():
     # exp(-200) underflows: the odd constant coincides with 1
-    assert norm_const(NormKind.cat_odd(), 10.0) == pytest.approx(
+    assert cat_norm(10.0, -1) == pytest.approx(
         1.0, abs=1e-15)
 
 
 def test_norm_const_domain_errors():
     with pytest.raises(DomainError):
-        norm_const(NormKind.cat(), 0.0)
+        cat_norm(0.0, 1)
     with pytest.raises(DomainError):
-        norm_const(NormKind.cat(), -1.0)
+        cat_norm(-1.0, 1)
     with pytest.raises(DomainError):
-        norm_const(NormKind.ghz_minus(1), 1e-9)
+        ghz_norm(1, 1e-9, -1)
     with pytest.raises(DomainError):
-        NormKind("bogus")
+        cat_norm(1.0, 0)
     with pytest.raises(DomainError):
-        NormKind.ghz_plus(0)
+        ghz_norm(0, 1.0, 1)
 
 
 # ------------------------------------------------------------ state checks
@@ -254,10 +250,3 @@ def test_state_arrays_are_read_only():
         s.coeffs[0] = 2.0
     with pytest.raises(ValueError):
         s.amps[0, 0] = 2.0
-
-
-def test_terms_round_trip():
-    s = CsState.from_terms([(0.5, [1.0, 2.0]), (0.5j, [-1.0, 0.0])])
-    back = CsState.from_terms(s.terms)
-    np.testing.assert_allclose(back.coeffs, s.coeffs)
-    np.testing.assert_allclose(back.amps, s.amps)

@@ -4,33 +4,33 @@ import numpy as np
 import pytest
 
 from cghzsim import (
+    Circuit,
     CsState,
     DomainError,
-    FockTensor,
     FockTruncationError,
     ModeShapeError,
-    NormKind,
     ProtocolParams,
     SelectionMode,
     ZeroProbabilityError,
-    apply_bs,
-    apply_hadamard,
-    bs_fock,
     build_cghz_circuit,
-    coherent_fock,
     csstate_to_fock,
     fock_fidelity,
-    fock_inner,
-    hadamard_fock,
     ideal_cghz_state,
-    norm_const,
     normalize,
     run,
     run_fock,
-    select_vacuum,
+)
+from cghzsim.fock import (
+    FockTensor,
+    bs_fock,
+    coherent_fock,
+    fock_inner,
+    hadamard_fock,
     split_fock,
     vacuum_project_fock,
 )
+from cghzsim.coherent import cat_norm
+from cghzsim.optics import apply_bs, apply_hadamard, select_vacuum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,7 +154,7 @@ def test_csstate_to_fock_single_term():
 
 
 def test_csstate_to_fock_cat_norm():
-    cat = normalize(CsState.from_terms([(1, [1.0]), (1, [-1.0])]))
+    cat = normalize(CsState([1, 1], [[1.0], [-1.0]]))
     t = csstate_to_fock(cat, 40)
     assert t.squared_norm() == pytest.approx(1.0, abs=1e-8)
 
@@ -175,8 +175,8 @@ def test_csstate_to_fock_mode_cap():
 def test_inner_matches_gram_inner():
     from cghzsim import state_inner
 
-    s1 = normalize(CsState.from_terms([(1, [1.0, -0.5]), (0.5j, [-1.0, 0.5])]))
-    s2 = normalize(CsState.from_terms([(1, [0.5, 0.5]), (-0.25, [1.0, -1.0])]))
+    s1 = normalize(CsState([1, 0.5j], [[1.0, -0.5], [-1.0, 0.5]]))
+    s2 = normalize(CsState([1, -0.25], [[0.5, 0.5], [1.0, -1.0]]))
     lhs = state_inner(s1, s2)
     rhs = fock_inner(csstate_to_fock(s1, 50), csstate_to_fock(s2, 50))
     assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -189,7 +189,7 @@ def test_hadamard_fock_reproduces_defining_map():
     alpha = 1.0
     t = FockTensor(n_max, coherent_fock(alpha, n_max))
     out = hadamard_fock(t, 0, alpha)
-    n0 = norm_const(NormKind.cat(), alpha)
+    n0 = cat_norm(alpha, 1)
     expect = (n0 / SQRT2) * (coherent_fock(alpha, n_max)
                              + coherent_fock(-alpha, n_max))
     assert np.max(np.abs(out.amps - expect)) <= 1e-9
@@ -197,7 +197,7 @@ def test_hadamard_fock_reproduces_defining_map():
 
 def test_hadamard_fock_matches_analytic_gate_on_entangled_state():
     n_max = 50
-    pair = CsState.from_terms([(0.6, [1.0, 1.0]), (0.8, [-1.0, -1.0])])
+    pair = CsState([0.6, 0.8], [[1.0, 1.0], [-1.0, -1.0]])
     pair = normalize(pair)
     analytic = normalize(apply_hadamard(pair, 0, 1.0))
     numeric = hadamard_fock(csstate_to_fock(pair, n_max), 0, 1.0)
@@ -239,13 +239,20 @@ def test_selection_probability_matches_analytic_exact_mode():
     assert rec.kept_prob == pytest.approx(prob, abs=1e-8)
 
 
-def test_full_pipeline_agreement_on_small_build():
-    circuit = build_cghz_circuit(ProtocolParams(2, 2, 1.0))
+# Every build whose live modes stay within the oracle's four.  The
+# cutoff keeps the eight points near 2 s; they agree to 1e-13 even here.
+NMAX = 30
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (4, 1), (1, 4)])
+def test_full_pipeline_agreement_on_small_build(n, m, alpha):
+    circuit = build_cghz_circuit(ProtocolParams(n, m, alpha))
     analytic = run(circuit, SelectionMode.exact())
-    numeric = run_fock(circuit, n_max=40)
+    numeric = run_fock(circuit, n_max=NMAX)
     assert numeric.mode_order == analytic.mode_order
     assert abs(numeric.p_success - analytic.p_success) <= 1e-8
-    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, 40),
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, NMAX),
                             numeric.final)
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
@@ -254,3 +261,6 @@ def test_run_fock_rejects_wide_circuits():
     circuit = build_cghz_circuit(ProtocolParams(5, 1, 1.0))
     with pytest.raises(ModeShapeError):
         run_fock(circuit, n_max=10)
+    # the same static pass rejects an empty circuit
+    with pytest.raises(DomainError):
+        run_fock(Circuit(alpha=1.0), n_max=10)

@@ -7,21 +7,21 @@ from cghzsim import (
     CsState,
     GateBasisError,
     ModeShapeError,
-    NormKind,
     SelectionMode,
     ZeroProbabilityError,
-    apply_bs,
-    apply_hadamard,
     csstate_to_fock,
     fock_fidelity,
-    norm_const,
     normalize,
-    select_vacuum,
-    split_mode,
     state_inner,
     state_norm,
+)
+from cghzsim.coherent import cat_norm, ghz_norm, merge_terms
+from cghzsim.fock import (
+    coherent_fock,
+    hadamard_fock_matrix,
     vacuum_project_fock,
 )
+from cghzsim.optics import apply_bs, apply_hadamard, select_vacuum, split_mode
 from conftest import random_state
 
 SQRT2 = math.sqrt(2.0)
@@ -78,7 +78,7 @@ def test_split_halves_doubled_amplitude():
 
 
 def test_split_cat_gives_two_mode_entangled_shape():
-    s = CsState.from_terms([(1, [SQRT2]), (1, [-SQRT2])])
+    s = CsState([1, 1], [[SQRT2], [-SQRT2]])
     out = split_mode(s, 0)
     np.testing.assert_allclose(out.amps, [[1.0, 1.0], [-1.0, -1.0]],
                                atol=1e-15)
@@ -93,7 +93,7 @@ def test_split_vacuum_stays_vacuum():
 
 def test_hadamard_on_plus_alpha():
     out = apply_hadamard(CsState.single([1.0]), 0, 1.0)
-    n0 = norm_const(NormKind.cat(), 1.0)
+    n0 = cat_norm(1.0, 1)
     assert out.term_count == 2
     np.testing.assert_allclose(sorted(out.amps[:, 0].real), [-1.0, 1.0])
     np.testing.assert_allclose(out.coeffs.real,
@@ -103,7 +103,7 @@ def test_hadamard_on_plus_alpha():
 
 def test_hadamard_on_minus_alpha():
     out = apply_hadamard(CsState.single([-1.0]), 0, 1.0)
-    n0p = norm_const(NormKind.cat_odd(), 1.0)
+    n0p = cat_norm(1.0, -1)
     coeff = {round(a.real, 6): c for a, c in zip(out.amps[:, 0], out.coeffs)}
     assert coeff[1.0] == pytest.approx(n0p / SQRT2, abs=1e-14)
     assert coeff[-1.0] == pytest.approx(-n0p / SQRT2, abs=1e-14)
@@ -133,14 +133,11 @@ def test_hadamard_accepts_round_off_drift():
 
 def test_hadamard_projection_mode_matches_number_basis_matrix(rng):
     # the off-basis rule is the same rank-2 operator the oracle applies
-    from cghzsim import hadamard_fock_matrix
-
     mat = hadamard_fock_matrix(1.2, 60)
     for _ in range(25):
         beta = complex(*rng.uniform(-1.4, 1.4, 2))
         s = CsState.single([beta])
         out = apply_hadamard(s, 0, 1.2, off_basis="project")
-        from cghzsim import coherent_fock
         expect = mat @ coherent_fock(beta, 60)
         got = np.zeros(61, dtype=complex)
         for c, row in zip(out.coeffs, out.amps):
@@ -169,7 +166,7 @@ def test_select_branch_keeps_antisymmetric_branches():
     out = normalize(out)
     # survivors form the +-sqrt2*alpha superposition with the two-mode
     # entangled normalization constant
-    n1 = norm_const(NormKind.ghz_plus(2), alpha)
+    n1 = ghz_norm(2, alpha, 1)
     got = {round(a.real, 9): c for a, c in zip(out.amps[:, 0], out.coeffs)}
     assert got[round(SQRT2 * alpha, 9)] == pytest.approx(n1, abs=1e-12)
     assert got[round(-SQRT2 * alpha, 9)] == pytest.approx(n1, abs=1e-12)
@@ -198,8 +195,6 @@ def test_select_exact_agrees_with_number_basis_at_alpha_one():
 
 
 def test_select_exact_keeps_false_vacuum_amplitudes():
-    from cghzsim import merge_terms
-
     s = post_first_splitter_state(1.0)
     out, rec = select_vacuum(s, 0, SelectionMode.exact())
     # the two suppressed branches survive as a merged vacuum label
@@ -212,7 +207,7 @@ def test_select_exact_keeps_false_vacuum_amplitudes():
 
 def test_split_then_select_round_trips_vacuum_mode():
     s = normalize(
-        CsState.from_terms([(0.6, [0.0, 1.0]), (0.8, [0.0, -1.0])]))
+        CsState([0.6, 0.8], [[0.0, 1.0], [0.0, -1.0]]))
     grown = split_mode(s, 0)
     out, rec = select_vacuum(grown, 2, SelectionMode.exact())
     assert rec.kept_prob == pytest.approx(1.0, abs=1e-12)

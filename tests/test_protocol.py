@@ -9,26 +9,26 @@ from cghzsim import (
     CsState,
     DomainError,
     Hadamard,
-    NormKind,
     Prep,
     ProtocolParams,
     SelectVacuum,
     SelectionMode,
     Split,
     build_cghz_circuit,
-    build_ghz_chain,
-    chain_mode_names,
-    coherent_overlap,
-    expand_logical,
     fidelity,
     ideal_cghz_state,
-    ideal_ghz_state,
-    norm_const,
     normalize,
     run,
     state_inner,
     state_norm,
     validate,
+)
+from cghzsim.coherent import coherent_overlap, ghz_norm
+from cghzsim.protocol import (
+    build_ghz_chain,
+    chain_mode_names,
+    expand_logical,
+    ideal_ghz_state,
 )
 
 BRANCH = SelectionMode.branch()
@@ -39,7 +39,7 @@ BRANCH = SelectionMode.branch()
 def test_ideal_ghz_single_mode_is_cat():
     s = ideal_ghz_state(1, 1.0, +1)
     np.testing.assert_allclose(
-        s.coeffs.real, [norm_const(NormKind.ghz_plus(1), 1.0)] * 2)
+        s.coeffs.real, [ghz_norm(1, 1.0, 1)] * 2)
     assert state_norm(s) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -99,15 +99,16 @@ def test_ideal_cghz_1x1_collapses_toward_coherent_state():
 def test_ideal_cghz_2x3_matches_manual_branch_sum():
     alpha = 2.0
     target = ideal_cghz_state(ProtocolParams(2, 3, alpha))
-    terms = []
+    coeffs, rows = [], []
     for sign in (1, -1):
         block = ideal_ghz_state(3, alpha, sign)
         for i in range(2):
             for j in range(2):
                 c = block.coeffs[i] * block.coeffs[j]
                 row = list(block.amps[i]) + list(block.amps[j])
-                terms.append((c / math.sqrt(2.0), row))
-    manual = CsState.from_terms(terms)
+                coeffs.append(c / math.sqrt(2.0))
+                rows.append(row)
+    manual = CsState(coeffs, rows)
     assert abs(state_inner(manual, target)) == pytest.approx(1.0, abs=1e-10)
 
 
