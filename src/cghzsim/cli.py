@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import os
 import sys
 
 from . import fock
-from .analysis import sweep, theoretical_p
+from .analysis import SweepPoint, sweep, theoretical_p
 from .coherent import CsState
 from .dsl import parse, serialize
 from .engine import RunResult, run
@@ -157,15 +158,13 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_rows(points):
-    header = ["alpha", "n", "m", "mode", "fidelity", "p_success_sim",
-              "p_success_theory", "false_vacuum_total", "term_count"]
-    rows = []
-    for p in points:
-        d = p.as_dict()
-        rows.append([_fmt(d["alpha"]), str(d["n"]), str(d["m"]), d["mode"],
-                     _fmt(d["fidelity"]), _fmt(d["p_success_sim"]),
-                     _fmt(d["p_success_theory"]),
-                     _fmt(d["false_vacuum_total"]), str(d["term_count"])])
+    """CSV header and rows: the ``SweepPoint.as_dict`` keys, then each
+    point's values, floats as ``repr`` and everything else as ``str``."""
+    # a blank point names the columns even when every point failed
+    fields = dataclasses.fields(SweepPoint)
+    header = list(SweepPoint(**{f.name: None for f in fields}).as_dict())
+    rows = [[_fmt(v) if isinstance(v, float) else str(v)
+             for v in p.as_dict().values()] for p in points]
     return header, rows
 
 

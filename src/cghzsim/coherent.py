@@ -151,51 +151,54 @@ def normalize(s: CsState) -> CsState:
 
 
 def merge_terms(s: CsState, tol: float = DEFAULT_MERGE_TOL) -> CsState:
-    """Combine terms with (per-mode) coinciding amplitude labels.
+    """Combine terms with coinciding amplitude labels.
 
-    Terms whose amplitude vectors agree within ``tol`` in max-norm on each
-    mode are summed into the earliest representative; afterwards terms with
-    |coeff| <= tol * max|coeff| are dropped.  Protocol circuits produce
-    exactly coinciding labels, so the default tolerance is lossless.
+    Each real and imaginary component of the labels is sorted on its own
+    and cut into clusters wherever two neighbouring values differ by more
+    than ``tol``, so the tolerance chains within a component.  Terms whose
+    components all fall in the same clusters are summed into the earliest
+    of them, and the merged terms keep the order of their earliest rows;
+    afterwards terms with |coeff| <= tol * max|coeff| are dropped.
+    Protocol circuits produce exactly coinciding labels, so the default
+    tolerance is lossless.  Cost: one sort per component, O(M T log T)
+    for T terms on M modes.
     """
     if tol < 0:
         raise DomainError("merge tolerance must be >= 0")
     t = s.term_count
     if t == 0:
         return s
-    coeffs = s.coeffs
-    amps = s.amps
-    rep_rows: list[int] = []
-    rep_coeffs: list[complex] = []
-    assigned = np.zeros(t, dtype=bool)
-    for i in range(t):
-        if assigned[i]:
-            continue
-        # distance of every later term to this representative
-        if i + 1 < t:
-            rest = slice(i + 1, t)
-            d = np.abs(amps[rest] - amps[i])
-            if d.shape[1] == 0:
-                dmax = np.zeros(d.shape[0])
-            else:
-                dmax = d.max(axis=1)
-            close = (dmax <= tol) & ~assigned[rest]
-        else:
-            close = np.zeros(0, bool)
-        total = coeffs[i]
-        if close.any():
-            idx = np.nonzero(close)[0] + i + 1
-            total = total + coeffs[idx].sum()
-            assigned[idx] = True
-        assigned[i] = True
-        rep_rows.append(i)
-        rep_coeffs.append(total)
-    new_coeffs = np.asarray(rep_coeffs, dtype=np.complex128)
-    new_amps = amps[rep_rows]
-    mags = np.abs(new_coeffs)
-    cutoff = tol * (mags.max() if mags.size else 0.0)
-    keep = mags > cutoff
-    return CsState(new_coeffs[keep], new_amps[keep])
+    comps = np.ascontiguousarray(s.amps).view(np.float64)  # re, im columns
+    starts = np.zeros(t, dtype=bool)         # first row of a group in rows
+    starts[0] = True
+    if comps.shape[1]:
+        # cluster id of every component: sort, cut at gaps above tol
+        order = np.argsort(comps, axis=0)
+        cols = np.arange(comps.shape[1])
+        ids = np.zeros(comps.shape, dtype=np.intp)
+        np.cumsum(np.diff(comps[order, cols], axis=0) > tol, axis=0,
+                  out=ids[1:])
+        ids[order, cols] = ids.copy()
+        # rows with equal id vectors are adjacent after a stable lexsort,
+        # the earliest row first
+        rows = np.lexsort(ids.T)
+        srt = ids[rows]
+        np.any(srt[1:] != srt[:-1], axis=1, out=starts[1:])
+    else:
+        rows = np.arange(t)
+    lex_group = np.empty(t, dtype=np.intp)
+    lex_group[rows] = np.cumsum(starts) - 1
+    first = rows[starts]
+    is_rep = np.zeros(t, dtype=bool)
+    is_rep[first] = True
+    # renumber the groups in order of their earliest rows
+    group = (np.cumsum(is_rep) - 1)[first][lex_group]
+    g = first.size
+    coeffs = (np.bincount(group, s.coeffs.real, g)
+              + 1j * np.bincount(group, s.coeffs.imag, g))
+    mags = np.abs(coeffs)
+    keep = mags > tol * mags.max()
+    return CsState(coeffs[keep], s.amps[is_rep][keep])
 
 
 # -- closed-form normalization constants -------------------------------

@@ -14,15 +14,18 @@ from typing import Union
 
 import numpy as np
 
-from .coherent import CsState, merge_terms, normalize
+from .coherent import DEFAULT_MERGE_TOL, CsState, merge_terms, normalize
 from .errors import (
     CircuitValidationError,
     RunError,
     SimulationError,
+    ZeroStateError,
 )
 from .optics import (
     SelectionMode,
     SelectionRecord,
+    _cat_coords,
+    _kept_rows,
     apply_bs,
     apply_hadamard,
     select_vacuum,
@@ -230,8 +233,20 @@ class _Coherent:
         self._keep(CsState(s.coeffs, np.concatenate([s.amps, col], axis=1)))
 
     def hadamard(self, i: int, alpha_ref: float):
-        self._keep(normalize(apply_hadamard(self.state, i, alpha_ref,
-                                            off_basis=self.off_basis)))
+        s = self.state
+        out = apply_hadamard(s, i, alpha_ref, off_basis=self.off_basis)
+        labels = s.amps[:, i]
+        if (labels == labels[:1]).all():
+            # s = s' (x) |b> with s' at unit norm, so the output norm is
+            # that of H|b> = u |even cat> + v |odd cat>
+            u, v = _cat_coords(labels[:1], alpha_ref)
+            n = math.sqrt(float(np.sum(np.abs(u) ** 2 + np.abs(v) ** 2)))
+            if n <= 1e-12:
+                raise ZeroStateError(f"cannot normalize state with norm {n}")
+            out = CsState(out.coeffs / n, out.amps)
+        else:
+            out = normalize(out)
+        self._keep(out)
 
     def bs(self, i: int, j: int):
         self._keep(apply_bs(self.state, i, j))
@@ -240,26 +255,31 @@ class _Coherent:
         self._keep(split_mode(self.state, i))
 
     def select(self, i: int, name: str):
-        state, record = select_vacuum(self.state, i, self.sel)
-        if self.sel.kind == "branch":
-            state = normalize(state)
+        s = self.state
+        state, record = select_vacuum(s, i, self.sel)
         self.selections.append(replace(record, mode_name=name))
         # Only selection can make labels coincide: prep, bs and split map
         # label vectors one to one, and apply_hadamard merges its output.
-        self._keep(merge_terms(state))
+        # It can only if the dropped column told surviving rows apart.
+        kept = s.amps[_kept_rows(s.amps[:, i], self.sel), i]
+        if max(np.ptp(kept.real), np.ptp(kept.imag)) > DEFAULT_MERGE_TOL:
+            state = merge_terms(state)
+        self._keep(state)
 
 
 def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     """Execute a circuit and return the final state with probabilities.
 
-    Instructions are applied strictly in order.  The working state is kept
-    normalized (re-normalizing after Hadamards, which are not isometries
-    on entangled inputs, and after selections), so each recorded
-    ``kept_prob`` is the conditional heralding probability of that
-    selection and ``p_success`` is their product.  Exact selection lets
-    vacuum residue into gate modes, so Hadamards then run with the
-    off-basis projection rule; under branch selection an off-basis
-    amplitude aborts the run.
+    Instructions are applied strictly in order.  The working state has
+    unit norm after every instruction: prep, beam splitter and split are
+    unitary, each Hadamard (not an isometry on entangled inputs) is
+    followed by a renormalization, and select_vacuum returns a unit-norm
+    state.  So the final state is returned as the executor leaves it,
+    each recorded ``kept_prob`` is the conditional heralding probability
+    of that selection, and ``p_success`` is their product.  Exact
+    selection lets vacuum residue into gate modes, so Hadamards then run
+    with the off-basis projection rule; under branch selection an
+    off-basis amplitude aborts the run.
 
     Raises CircuitValidationError if validate() reports anything, and
     RunError (with the instruction index) if a branch dies at runtime.
@@ -267,7 +287,7 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     backend = _Coherent(sel)
     order = _execute(circuit, backend)
     records = tuple(backend.selections)
-    return RunResult(final_state=normalize(backend.state),
+    return RunResult(final_state=backend.state,
                      mode_order=order,
                      selections=records,
                      p_success=math.prod((r.kept_prob for r in records),

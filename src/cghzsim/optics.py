@@ -26,7 +26,6 @@ from .coherent import (
     CsState,
     cat_norm,
     merge_terms,
-    normalize,
     state_norm,
 )
 from .errors import (
@@ -127,6 +126,19 @@ def split_mode(s: CsState, i: int) -> CsState:
     return apply_bs(CsState(s.coeffs, amps), i, s.mode_count)
 
 
+def _cat_coords(beta, alpha_ref: float):
+    """Biorthogonal coordinates (u, v) of the in-span component of |beta>
+    in the frame of {|a>, |-a>}, a = alpha_ref: the Hadamard maps |beta>
+    to u |even cat> + v |odd cat>, whose norm is sqrt(|u|^2 + |v|^2)."""
+    a2 = alpha_ref * alpha_ref
+    q = math.exp(-2.0 * a2)
+    babs2 = beta.real**2 + beta.imag**2
+    ov_p = np.exp(-0.5 * (a2 + babs2) + alpha_ref * beta)      # <a|b>
+    ov_m = np.exp(-0.5 * (a2 + babs2) - alpha_ref * beta)      # <-a|b>
+    det = 1.0 - q * q
+    return (ov_p - q * ov_m) / det, (ov_m - q * ov_p) / det
+
+
 def apply_hadamard(s: CsState, i: int, alpha_ref: float,
                    off_basis: str = "raise") -> CsState:
     """Coherent-qubit Hadamard on mode i with qubit basis {|a>, |-a>}.
@@ -160,16 +172,7 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
                 f"mode {i} amplitude {complex(beta[bad[0]])} is not "
                 f"+-{alpha_ref} (off by {dist[bad[0]]:.3g})")
 
-    a2 = alpha_ref * alpha_ref
-    q = math.exp(-2.0 * a2)
-
-    # biorthogonal coordinates of each label's in-span component
-    babs2 = beta.real**2 + beta.imag**2
-    ov_p = np.exp(-0.5 * (a2 + babs2) + alpha_ref * beta)      # <a|b>
-    ov_m = np.exp(-0.5 * (a2 + babs2) - alpha_ref * beta)      # <-a|b>
-    det = 1.0 - q * q
-    u = (ov_p - q * ov_m) / det
-    v = (ov_m - q * ov_p) / det
+    u, v = _cat_coords(beta, alpha_ref)
 
     inv = 1.0 / math.sqrt(2.0)
     c_plus = s.coeffs * (u * n_even + v * n_odd) * inv
@@ -184,21 +187,29 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     return merge_terms(out)
 
 
+def _kept_rows(labels, mode: SelectionMode):
+    """Rows that a selection with these mode labels keeps: all of them
+    under exact, those with |label| <= tol under branch."""
+    if mode.kind == "exact":
+        return np.ones(labels.shape, dtype=bool)
+    return np.abs(labels) <= mode.tol
+
+
 def select_vacuum(s: CsState, i: int,
                   mode: SelectionMode) -> tuple[CsState, SelectionRecord]:
     """Post-select "no photon" on mode i and remove that mode.
 
     exact:  every coefficient is scaled by <0|a_i> = exp(-|a_i|^2/2);
-            kept_prob is the heralding probability of the projected state
-            and the result is renormalized.
+            kept_prob is the heralding probability of the projected state.
     branch: terms with |a_i| <= tol survive with coefficients unchanged;
             the rest are discarded.  kept_prob / discarded_weight are the
             squared norms of the two portions, and false_vacuum_prob is
             the probability the discarded branches would have heralded
             silently anyway (the selection error of a no-click detector).
 
-    Probabilities are relative to the incoming squared norm, so callers
-    need not renormalize between selections.
+    In both modes the returned state is the kept portion divided by its
+    norm, so it has unit norm.  Probabilities are relative to the incoming
+    squared norm, so callers need not renormalize between selections.
     """
     _check_mode_index(s, i)
     in_sq = state_norm(s) ** 2
@@ -208,34 +219,26 @@ def select_vacuum(s: CsState, i: int,
     keep_cols = [k for k in range(s.mode_count) if k != i]
     labels = s.amps[:, i]
     vac_overlap = np.exp(-0.5 * (labels.real**2 + labels.imag**2))
-    nonvac = np.abs(labels) > VACUUM_LABEL_TOL
 
     if mode.kind == "exact":
-        projected = CsState(s.coeffs * vac_overlap, s.amps[:, keep_cols])
-        kept_sq = state_norm(projected) ** 2
-        kept_prob = min(max(kept_sq / in_sq, 0.0), 1.0)
-        false_prob = float(
-            np.sum(np.abs(s.coeffs[nonvac] * vac_overlap[nonvac]) ** 2)
-        ) / in_sq
-        if math.sqrt(kept_sq) <= 1e-12:
-            raise ZeroProbabilityError(
-                f"vacuum projection on mode {i} has vanishing probability")
-        out = normalize(projected)
-        return out, SelectionRecord(mode=i, kept_prob=kept_prob,
-                                    discarded_weight=0.0,
-                                    false_vacuum_prob=false_prob)
-
-    vac = np.abs(labels) <= mode.tol
-    kept = CsState(s.coeffs[vac], s.amps[vac][:, keep_cols])
-    discarded = CsState(s.coeffs[~vac], s.amps[~vac])
-    kept_sq = state_norm(kept) ** 2
-    kept_prob = min(max(kept_sq / in_sq, 0.0), 1.0)
-    discarded_weight = state_norm(discarded) ** 2 / in_sq
+        kept = CsState(s.coeffs * vac_overlap, s.amps[:, keep_cols])
+        silent = np.abs(labels) > VACUUM_LABEL_TOL
+        discarded_weight = 0.0
+        dead = f"vacuum projection on mode {i} has vanishing probability"
+    else:
+        vac = _kept_rows(labels, mode)
+        kept = CsState(s.coeffs[vac], s.amps[vac][:, keep_cols])
+        silent = ~vac
+        discarded = CsState(s.coeffs[silent], s.amps[silent])
+        discarded_weight = state_norm(discarded) ** 2 / in_sq
+        dead = f"no surviving vacuum branch on mode {i}"
+    kept_norm = state_norm(kept)
+    kept_prob = min(max(kept_norm ** 2 / in_sq, 0.0), 1.0)
     false_prob = float(
-        np.sum(np.abs(s.coeffs[~vac] * vac_overlap[~vac]) ** 2)) / in_sq
-    if math.sqrt(kept_sq) <= 1e-12:
-        raise ZeroProbabilityError(
-            f"no surviving vacuum branch on mode {i}")
-    return kept, SelectionRecord(mode=i, kept_prob=kept_prob,
-                                 discarded_weight=discarded_weight,
-                                 false_vacuum_prob=false_prob)
+        np.sum(np.abs(s.coeffs[silent] * vac_overlap[silent]) ** 2)) / in_sq
+    if kept_norm <= 1e-12:
+        raise ZeroProbabilityError(dead)
+    return (CsState(kept.coeffs / kept_norm, kept.amps),
+            SelectionRecord(mode=i, kept_prob=kept_prob,
+                            discarded_weight=discarded_weight,
+                            false_vacuum_prob=false_prob))

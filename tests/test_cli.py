@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cghzsim import parse
+from cghzsim.analysis import SweepPoint
 from cghzsim.cli import main
 
 
@@ -78,6 +79,18 @@ def test_sweep_csv_grid(capsys):
     assert len(rows) == 1 + 7
     assert [r[0] for r in rows[1:]] == ["1.0", "1.5", "2.0", "2.5", "3.0",
                                         "3.5", "4.0"]
+
+
+def test_sweep_csv_header_is_the_point_dict_keys(capsys):
+    # every point fails the size cap, so only the header is written
+    code, out, _ = run_cli(["sweep", "--n", "5", "--m", "5",
+                            "--alpha", "2", "--format", "csv"], capsys)
+    assert code == 2
+    point = SweepPoint(alpha=2.0, n_logical=2, m_physical=2, fidelity=1.0,
+                       p_success_sim=0.125, p_success_theory=0.125,
+                       false_vacuum_total=0.0, term_count=4,
+                       selection_mode="branch")
+    assert list(csv.reader(io.StringIO(out))) == [list(point.as_dict())]
 
 
 def test_sweep_json_matches_csv_numbers(capsys):

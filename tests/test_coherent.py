@@ -191,6 +191,117 @@ def test_merge_probe_invariance(rng):
             assert abs(before - after) <= 10 * tol * doubled.term_count
 
 
+def _greedy_merge(s, tol=1e-12):
+    """The O(T^2) greedy merge that merge_terms replaced: the reference
+    for its parity tests.  Each unassigned term in order becomes a
+    representative and absorbs every later term within tol in max-norm."""
+    t = s.term_count
+    if t == 0:
+        return s
+    coeffs, amps = s.coeffs, s.amps
+    rep_rows, rep_coeffs = [], []
+    assigned = np.zeros(t, dtype=bool)
+    for i in range(t):
+        if assigned[i]:
+            continue
+        if i + 1 < t:
+            rest = slice(i + 1, t)
+            d = np.abs(amps[rest] - amps[i])
+            dmax = d.max(axis=1) if d.shape[1] else np.zeros(d.shape[0])
+            close = (dmax <= tol) & ~assigned[rest]
+        else:
+            close = np.zeros(0, bool)
+        total = coeffs[i]
+        if close.any():
+            idx = np.nonzero(close)[0] + i + 1
+            total = total + coeffs[idx].sum()
+            assigned[idx] = True
+        assigned[i] = True
+        rep_rows.append(i)
+        rep_coeffs.append(total)
+    new_coeffs = np.asarray(rep_coeffs, dtype=np.complex128)
+    mags = np.abs(new_coeffs)
+    keep = mags > tol * (mags.max() if mags.size else 0.0)
+    return CsState(new_coeffs[keep], amps[rep_rows][keep])
+
+
+def _planted_state(seed):
+    """Random state whose distinct labels sit on a lattice of spacing
+    0.37 (far above the merge tolerance), with some rows repeated under
+    a jitter of at most 1e-15 per component."""
+    rng = np.random.default_rng(seed)
+    t, m = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+    amps = 0.37 * (rng.integers(-3, 4, (t, m))
+                   + 1j * rng.integers(-1, 2, (t, m)))
+    coeffs = random_complex(rng, t, 1.0)
+    dup = rng.integers(0, t, int(rng.integers(0, 2 * t)))
+    jitter = rng.uniform(-1e-15, 1e-15, (dup.size, m, 2)) @ [1, 1j]
+    rows = rng.permutation(t + dup.size)
+    return CsState(np.concatenate([coeffs, random_complex(rng, dup.size,
+                                                          1.0)])[rows],
+                   np.concatenate([amps, amps[dup] + jitter])[rows])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_merge_matches_greedy_reference(seed):
+    s = _planted_state(seed)
+    got, ref = merge_terms(s), _greedy_merge(s)
+    assert got.term_count == ref.term_count
+    assert np.array_equal(got.amps, ref.amps)   # same rows, same order
+    assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-14
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_merge_is_idempotent(seed):
+    once = merge_terms(_planted_state(seed))
+    twice = merge_terms(once)
+    assert np.array_equal(twice.amps, once.amps)
+    assert np.array_equal(twice.coeffs, once.coeffs)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_merge_commutes_with_row_permutation(seed):
+    s = _planted_state(seed)
+    perm = np.random.default_rng(seed + 1).permutation(s.term_count)
+    a = merge_terms(s)
+    b = merge_terms(CsState(s.coeffs[perm], s.amps[perm]))
+
+    def by_label(x):
+        key = np.round(x.amps, 6)
+        order = np.lexsort(np.concatenate([key.real, key.imag], axis=1).T)
+        return x.coeffs[order], x.amps[order]
+
+    (ca, aa), (cb, ab) = by_label(a), by_label(b)
+    assert a.term_count == b.term_count
+    assert np.max(np.abs(aa - ab), initial=0.0) <= 1e-14
+    assert np.max(np.abs(ca - cb), initial=0.0) <= 1e-14
+
+
+def test_merge_zero_mode_state_sums_to_one_term():
+    s = CsState([0.5, 0.25, 0.25j], np.zeros((3, 0)))
+    merged = merge_terms(s)
+    assert merged.term_count == 1
+    assert merged.mode_count == 0
+    assert merged.coeffs[0] == pytest.approx(0.75 + 0.25j, abs=1e-15)
+
+
+def test_merge_drops_single_zero_coefficient_term():
+    merged = merge_terms(CsState([0.0], [[1.0, -1.0]]))
+    assert merged.term_count == 0
+    assert merged.mode_count == 2
+
+
+def test_merge_tolerance_chains_within_a_component():
+    # 0 and 1.6e-12 are farther apart than tol, but 0.8e-12 bridges them
+    s = CsState([1.0, 1.0, 1.0], [[0.0], [1.6e-12], [0.8e-12]])
+    assert merge_terms(s, 1e-12).term_count == 1
+    assert merge_terms(CsState([1.0, 1.0], [[0.0], [1.6e-12]]),
+                       1e-12).term_count == 2
+
+
 # -------------------------------------------------- normalization constants
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])

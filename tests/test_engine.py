@@ -7,6 +7,7 @@ from cghzsim import (
     BeamSplitter,
     Circuit,
     CircuitValidationError,
+    CsState,
     Hadamard,
     Prep,
     ProtocolParams,
@@ -17,11 +18,16 @@ from cghzsim import (
     build_cghz_circuit,
     fidelity,
     ideal_cghz_state,
+    normalize,
     run,
     run_fock,
     state_norm,
     validate,
 )
+from cghzsim.coherent import merge_terms
+from cghzsim.engine import _Coherent
+from cghzsim.optics import apply_hadamard
+from conftest import random_complex, random_state
 
 BRANCH = SelectionMode.branch()
 EXACT = SelectionMode.exact()
@@ -187,3 +193,35 @@ def test_empty_circuit_runs_to_scalar_state():
     assert r.mode_order == ()
     assert r.final_state.mode_count == 0
     assert abs(state_norm(r.final_state) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["raise", "project"])
+def test_product_mode_hadamard_norm_matches_gram_norm(sel, rng):
+    # a constant column makes the state s' (x) |b>; the executor then
+    # renormalizes by ||H|b>|| instead of a Gram sum
+    alpha = 1.3
+    backend = _Coherent(sel)
+    for _ in range(50):
+        s = random_state(rng, max_terms=16, modes=3, max_amp=2.0)
+        if sel is BRANCH:
+            b = alpha * rng.choice([-1.0, 1.0])
+        else:
+            b = random_complex(rng, 1, 2.0)[0]
+        i = int(rng.integers(0, 4))
+        s = normalize(CsState(s.coeffs, np.insert(s.amps, i, b, axis=1)))
+        backend.state = s
+        backend.hadamard(i, alpha)
+        ref = normalize(apply_hadamard(s, i, alpha,
+                                       off_basis=backend.off_basis))
+        assert np.array_equal(backend.state.amps, ref.amps)
+        assert np.max(np.abs(backend.state.coeffs - ref.coeffs)) <= 1e-13
+
+
+@pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["branch", "exact"])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 4), (4, 2)])
+def test_run_final_state_has_unit_norm_and_is_merged(n, m, sel):
+    # run returns the working state without a final renormalization, and
+    # merges after a selection only when the dropped column varies
+    final = run(build_cghz_circuit(ProtocolParams(n, m, 2.0)), sel).final_state
+    assert abs(state_norm(final) - 1.0) <= 1e-12
+    assert merge_terms(final).term_count == final.term_count

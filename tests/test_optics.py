@@ -225,6 +225,20 @@ def test_select_exact_kept_prob_in_unit_interval(rng):
         assert -1e-12 <= rec.kept_prob <= 1 + 1e-12
 
 
+@pytest.mark.parametrize("sel", [SelectionMode.branch(1e-9),
+                                 SelectionMode.exact()],
+                         ids=["branch", "exact"])
+def test_select_returns_unit_norm_state(sel, rng):
+    for _ in range(50):
+        s = random_state(rng, max_terms=16, modes=3, max_amp=2.0)
+        amps = s.amps.copy()
+        amps[rng.uniform(size=s.term_count) < 0.5, 0] = 0.0
+        amps[0, 0] = 0.0                    # at least one vacuum branch
+        s = normalize(CsState(s.coeffs, amps))
+        out, _ = select_vacuum(s, 0, sel)
+        assert abs(state_norm(out) - 1.0) <= 1e-12
+
+
 def test_select_branch_zero_survivors():
     s = CsState.single([2.0, 2.0])
     with pytest.raises(ZeroProbabilityError):
