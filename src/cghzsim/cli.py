@@ -117,11 +117,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _print_diagnostics(diags):
-    for d in diags:
-        print(str(d), file=sys.stderr)
-
-
 def _cmd_build(args) -> int:
     params = ProtocolParams(args.n, args.m, args.alpha, cap=_nm_cap())
     circuit = build_cghz_circuit(params)
@@ -130,17 +125,30 @@ def _cmd_build(args) -> int:
 
 
 def _read_circuit(path: str):
+    """The circuit in a file, or None after printing its diagnostics to
+    stderr if it does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        result = parse(fh.read())
+    if result.ok:
+        return result.circuit
+    for d in result.diagnostics:
+        print(str(d), file=sys.stderr)
+    return None
+
+
+def _print_terms(state: CsState, digits: int):
+    """One line per term: coefficient to ``digits`` digits, then labels."""
+    for c, row in zip(state.coeffs, state.amps):
+        amps = " ".join(f"({a.real:+.6g}{a.imag:+.6g}i)" for a in row)
+        print(f"  {c.real:+.{digits}g}{c.imag:+.{digits}g}i  | {amps}")
 
 
 def _cmd_run(args) -> int:
-    result = _read_circuit(args.file)
-    if not result.ok:
-        _print_diagnostics(result.diagnostics)
+    circuit = _read_circuit(args.file)
+    if circuit is None:
         return EXIT_VALIDATION
     sel = _selection_mode(args.mode, args.branch_tol)
-    outcome = run(result.circuit, sel)
+    outcome = run(circuit, sel)
     if args.json:
         print(json.dumps(_run_payload(outcome), indent=2))
         return EXIT_OK
@@ -151,9 +159,7 @@ def _cmd_run(args) -> int:
         print(f"select0 {rec.mode_name}: kept_prob={_fmt(rec.kept_prob)} "
               f"false_vacuum={_fmt(rec.false_vacuum_prob)}")
     print(f"final state: {outcome.final_state.term_count} terms")
-    for c, row in zip(outcome.final_state.coeffs, outcome.final_state.amps):
-        amps = " ".join(f"({a.real:+.6g}{a.imag:+.6g}i)" for a in row)
-        print(f"  {c.real:+.9g}{c.imag:+.9g}i  | {amps}")
+    _print_terms(outcome.final_state, 9)
     return EXIT_OK
 
 
@@ -204,18 +210,14 @@ def _cmd_target(args) -> int:
           f"{state.term_count} terms on {state.mode_count} modes")
     print(f"asymptotic heralding probability: "
           f"{_fmt(theoretical_p(args.n, args.m))}")
-    for c, row in zip(state.coeffs, state.amps):
-        amps = " ".join(f"({a.real:+.6g}{a.imag:+.6g}i)" for a in row)
-        print(f"  {c.real:+.12g}{c.imag:+.12g}i  | {amps}")
+    _print_terms(state, 12)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    result = _read_circuit(args.file)
-    if not result.ok:
-        _print_diagnostics(result.diagnostics)
+    circuit = _read_circuit(args.file)
+    if circuit is None:
         return EXIT_VALIDATION
-    circuit = result.circuit
     analytic = run(circuit, SelectionMode.exact())
     reference = run_fock(circuit, n_max=args.nmax)
     converted = csstate_to_fock(analytic.final_state, n_max=args.nmax)

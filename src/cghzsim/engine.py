@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .coherent import DEFAULT_MERGE_TOL, CsState, merge_terms, normalize
+from .coherent import CsState, normalize
 from .errors import (
     CircuitValidationError,
     RunError,
@@ -24,12 +24,11 @@ from .errors import (
 from .optics import (
     SelectionMode,
     SelectionRecord,
-    _cat_coords,
-    _kept_rows,
+    add_mode,
     apply_bs,
     apply_hadamard,
+    hadamard_norm,
     select_vacuum,
-    split_mode,
 )
 
 _IDENT_OK = str.isidentifier
@@ -170,24 +169,22 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
 
 
 def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
-    """Apply a circuit's instructions in order to ``backend``; return the
-    final mode order.
+    """Apply a valid circuit's instructions in order to ``backend``;
+    return the final mode order.
 
     This is the one instruction loop of the package: ``run`` and
-    ``fock.run_fock`` differ only in the backend they pass.  A backend
-    holds the working state and has five methods, which take mode
-    positions, never names: ``prep(amp)`` and ``split(i)`` append a mode,
+    ``fock.run_fock`` differ only in the backend they pass, and each
+    validates the circuit first.  A backend holds the working state and
+    has four methods, one per physical operation, which take mode
+    positions, never names: ``prep(amp)`` appends a mode in |amp>,
     ``hadamard(i, alpha_ref)`` applies the gate and renormalizes,
     ``bs(i, j)`` applies the beam splitter, and ``select(i, name)``
-    heralds vacuum on mode i and removes it.
+    heralds vacuum on mode i and removes it.  A Split is a vacuum prep
+    followed by a beam splitter against it.
 
-    Raises CircuitValidationError if validate() reports anything, and
-    RunError (with the instruction index) for any SimulationError the
-    backend raises.
+    Raises RunError (with the instruction index) for any SimulationError
+    the backend raises.
     """
-    diags = validate(circuit)
-    if diags:
-        raise CircuitValidationError(diags)
     order: list[str] = []
     for idx, ins in enumerate(circuit.instructions):
         try:
@@ -200,7 +197,8 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
             elif isinstance(ins, BeamSplitter):
                 backend.bs(order.index(ins.mode_a), order.index(ins.mode_b))
             elif isinstance(ins, Split):
-                backend.split(order.index(ins.mode))
+                backend.prep(0)
+                backend.bs(order.index(ins.mode), len(order))
                 order.append(ins.new_mode)
             elif isinstance(ins, SelectVacuum):
                 i = order.index(ins.mode)
@@ -228,9 +226,7 @@ class _Coherent:
         self.max_terms = max(self.max_terms, state.term_count)
 
     def prep(self, amp: complex):
-        s = self.state
-        col = np.full((s.term_count, 1), complex(amp))
-        self._keep(CsState(s.coeffs, np.concatenate([s.amps, col], axis=1)))
+        self._keep(add_mode(self.state, amp))
 
     def hadamard(self, i: int, alpha_ref: float):
         s = self.state
@@ -238,9 +234,8 @@ class _Coherent:
         labels = s.amps[:, i]
         if (labels == labels[:1]).all():
             # s = s' (x) |b> with s' at unit norm, so the output norm is
-            # that of H|b> = u |even cat> + v |odd cat>
-            u, v = _cat_coords(labels[:1], alpha_ref)
-            n = math.sqrt(float(np.sum(np.abs(u) ** 2 + np.abs(v) ** 2)))
+            # that of H|b>
+            n = hadamard_norm(labels[0], alpha_ref)
             if n <= 1e-12:
                 raise ZeroStateError(f"cannot normalize state with norm {n}")
             out = CsState(out.coeffs / n, out.amps)
@@ -251,19 +246,9 @@ class _Coherent:
     def bs(self, i: int, j: int):
         self._keep(apply_bs(self.state, i, j))
 
-    def split(self, i: int):
-        self._keep(split_mode(self.state, i))
-
     def select(self, i: int, name: str):
-        s = self.state
-        state, record = select_vacuum(s, i, self.sel)
+        state, record = select_vacuum(self.state, i, self.sel)
         self.selections.append(replace(record, mode_name=name))
-        # Only selection can make labels coincide: prep, bs and split map
-        # label vectors one to one, and apply_hadamard merges its output.
-        # It can only if the dropped column told surviving rows apart.
-        kept = s.amps[_kept_rows(s.amps[:, i], self.sel), i]
-        if max(np.ptp(kept.real), np.ptp(kept.imag)) > DEFAULT_MERGE_TOL:
-            state = merge_terms(state)
         self._keep(state)
 
 
@@ -271,8 +256,8 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     """Execute a circuit and return the final state with probabilities.
 
     Instructions are applied strictly in order.  The working state has
-    unit norm after every instruction: prep, beam splitter and split are
-    unitary, each Hadamard (not an isometry on entangled inputs) is
+    unit norm after every instruction: prep and beam splitter (so split)
+    are unitary, each Hadamard (not an isometry on entangled inputs) is
     followed by a renormalization, and select_vacuum returns a unit-norm
     state.  So the final state is returned as the executor leaves it,
     each recorded ``kept_prob`` is the conditional heralding probability
@@ -284,6 +269,9 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     Raises CircuitValidationError if validate() reports anything, and
     RunError (with the instruction index) if a branch dies at runtime.
     """
+    diags = validate(circuit)
+    if diags:
+        raise CircuitValidationError(diags)
     backend = _Coherent(sel)
     order = _execute(circuit, backend)
     records = tuple(backend.selections)

@@ -28,6 +28,7 @@ import numpy as np
 from .coherent import CsState
 from .engine import Circuit, Prep, SelectVacuum, Split, _execute, validate
 from .errors import (
+    CircuitValidationError,
     DomainError,
     FockTruncationError,
     ModeShapeError,
@@ -141,13 +142,6 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int) -> np.ndarray:
     return np.moveaxis(out.reshape(lead + (d, d)), (-2, -1), (i, j))
 
 
-def _split(amps: np.ndarray, i: int, n_max: int) -> np.ndarray:
-    """Append a vacuum axis and beam-split axis i against it."""
-    grown = np.zeros(amps.shape + (n_max + 1,), dtype=np.complex128)
-    grown[..., 0] = amps
-    return _apply_two_mode(grown, i, amps.ndim, n_max)
-
-
 def _hadamard(amps: np.ndarray, i: int, mat: np.ndarray) -> np.ndarray:
     """Apply a single-mode matrix on axis i and renormalize."""
     out = np.moveaxis(np.tensordot(mat, amps, axes=([1], [i])), 0, i)
@@ -185,7 +179,9 @@ def split_fock(t: FockTensor, i: int) -> FockTensor:
         raise ModeShapeError(f"mode index {i} out of range")
     if t.mode_count + 1 > MAX_FOCK_MODES:
         raise ModeShapeError("mode cap exceeded by split")
-    return FockTensor(t.n_max, _split(t.amps, i, t.n_max))
+    grown = np.multiply.outer(t.amps, coherent_fock(0, t.n_max))
+    return FockTensor(t.n_max,
+                      _apply_two_mode(grown, i, t.mode_count, t.n_max))
 
 
 @lru_cache(maxsize=8)
@@ -287,12 +283,13 @@ _MODE_DELTA = {Prep: 1, Split: 1, SelectVacuum: -1}
 
 
 def _check_fits(circuit: Circuit):
-    """Reject, before any tensor is allocated, a valid circuit the oracle
-    cannot hold: one with no instructions, or one that needs more than
-    MAX_FOCK_MODES live modes at some point.  Invalid circuits pass
-    through, so that ``_execute`` reports their diagnostics."""
-    if validate(circuit):
-        return
+    """Reject, before any tensor is allocated, a circuit the oracle cannot
+    run: an invalid one (CircuitValidationError, checked first), one with
+    no instructions, or one that needs more than MAX_FOCK_MODES live
+    modes at some point."""
+    diags = validate(circuit)
+    if diags:
+        raise CircuitValidationError(diags)
     if not circuit.instructions:
         raise DomainError("cannot run an empty circuit through the oracle")
     live = 0
@@ -323,9 +320,6 @@ class _Fock:
     def bs(self, i: int, j: int):
         self.amps = _apply_two_mode(self.amps, i, j, self.n_max)
 
-    def split(self, i: int):
-        self.amps = _split(self.amps, i, self.n_max)
-
     def select(self, i: int, name: str):
         self.amps, prob = _vacuum_project(self.amps, i)
         self.probs.append(prob)
@@ -338,8 +332,8 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     instruction semantics, probabilities relative to the pre-selection
     norm, state renormalized after Hadamards and selections) so the two
     pipelines are comparable point by point.  Only circuits whose live
-    mode count stays within the cap can run; wider or empty circuits
-    raise before anything is allocated.
+    mode count stays within the cap can run; invalid, wider or empty
+    circuits raise before anything is allocated.
     """
     _check_fits(circuit)
     backend = _Fock(n_max)

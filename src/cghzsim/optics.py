@@ -1,18 +1,18 @@
 """Linear-optics primitives on coherent superpositions.
 
-Three physical operations drive the whole generation protocol:
+Four physical operations drive the whole generation protocol:
 
+* coherent-state preparation: s -> s (x) |a> on a new mode
 * 50:50 beam splitter:  |a>|b> -> |(a+b)/sqrt2> |(a-b)/sqrt2>
-* mode split: a beam splitter whose second input port is fresh vacuum,
-  turning |sqrt2 a> into |a>|a>
 * coherent-qubit Hadamard on the {|a>, |-a>} basis:
       |a>  ->  (N/sqrt2)  (|a> + |-a>),   N  = (1 + exp(-2 a^2))^(-1/2)
       |-a> ->  (N'/sqrt2) (|a> - |-a>),   N' = (1 - exp(-2 a^2))^(-1/2)
+* vacuum post-selection on one mode, in two flavours: ``branch`` (keep
+  only exactly-vacuum branches; the usual idealization) and ``exact``
+  (project every term onto <0|, retaining the false-vacuum amplitudes
+  that a real no-click herald cannot distinguish).
 
-plus vacuum post-selection on one mode, in two flavours: ``branch``
-(keep only exactly-vacuum branches; the usual idealization) and ``exact``
-(project every term onto <0|, retaining the false-vacuum amplitudes that
-a real no-click herald cannot distinguish).
+A mode split, |sqrt2 a> -> |a>|a>, is a vacuum prep plus a beam splitter.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (
+    DEFAULT_MERGE_TOL,
     CsState,
     cat_norm,
     merge_terms,
@@ -95,6 +96,12 @@ def _check_mode_index(s: CsState, i: int):
             f"mode index {i} out of range for {s.mode_count} modes")
 
 
+def add_mode(s: CsState, amp: complex) -> CsState:
+    """Append a mode in the coherent state |amp>: s (x) |amp>, same norm."""
+    col = np.full((s.term_count, 1), complex(amp))
+    return CsState(s.coeffs, np.concatenate([s.amps, col], axis=1))
+
+
 def apply_bs(s: CsState, i: int, j: int) -> CsState:
     """50:50 beam splitter on modes (i, j).
 
@@ -118,12 +125,10 @@ def apply_bs(s: CsState, i: int, j: int) -> CsState:
 def split_mode(s: CsState, i: int) -> CsState:
     """Split mode i on a beam splitter against a fresh vacuum port.
 
-    The new mode is appended; |sqrt2 a> terms become |a>|a>.
+    The vacuum mode is appended by ``add_mode``; |sqrt2 a> -> |a>|a>.
     """
     _check_mode_index(s, i)
-    amps = np.concatenate(
-        [s.amps, np.zeros((s.term_count, 1), dtype=np.complex128)], axis=1)
-    return apply_bs(CsState(s.coeffs, amps), i, s.mode_count)
+    return apply_bs(add_mode(s, 0), i, s.mode_count)
 
 
 def _cat_coords(beta, alpha_ref: float):
@@ -137,6 +142,13 @@ def _cat_coords(beta, alpha_ref: float):
     ov_m = np.exp(-0.5 * (a2 + babs2) - alpha_ref * beta)      # <-a|b>
     det = 1.0 - q * q
     return (ov_p - q * ov_m) / det, (ov_m - q * ov_p) / det
+
+
+def hadamard_norm(beta: complex, alpha_ref: float) -> float:
+    """Norm of H|beta> = u |even cat> + v |odd cat>, sqrt(|u|^2 + |v|^2):
+    1 on the qubit basis {|a>, |-a>}, a = alpha_ref, less off it."""
+    u, v = _cat_coords(np.array([beta], dtype=np.complex128), alpha_ref)
+    return math.sqrt(float(np.abs(u[0]) ** 2 + np.abs(v[0]) ** 2))
 
 
 def apply_hadamard(s: CsState, i: int, alpha_ref: float,
@@ -187,14 +199,6 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     return merge_terms(out)
 
 
-def _kept_rows(labels, mode: SelectionMode):
-    """Rows that a selection with these mode labels keeps: all of them
-    under exact, those with |label| <= tol under branch."""
-    if mode.kind == "exact":
-        return np.ones(labels.shape, dtype=bool)
-    return np.abs(labels) <= mode.tol
-
-
 def select_vacuum(s: CsState, i: int,
                   mode: SelectionMode) -> tuple[CsState, SelectionRecord]:
     """Post-select "no photon" on mode i and remove that mode.
@@ -210,6 +214,9 @@ def select_vacuum(s: CsState, i: int,
     In both modes the returned state is the kept portion divided by its
     norm, so it has unit norm.  Probabilities are relative to the incoming
     squared norm, so callers need not renormalize between selections.
+    Kept rows are merged (``merge_terms``) when their mode-i labels differ
+    by more than the merge tolerance, the only case in which dropping the
+    mode can make two of them coincide.
     """
     _check_mode_index(s, i)
     in_sq = state_norm(s) ** 2
@@ -222,12 +229,14 @@ def select_vacuum(s: CsState, i: int,
 
     if mode.kind == "exact":
         kept = CsState(s.coeffs * vac_overlap, s.amps[:, keep_cols])
+        dropped = labels
         silent = np.abs(labels) > VACUUM_LABEL_TOL
         discarded_weight = 0.0
         dead = f"vacuum projection on mode {i} has vanishing probability"
     else:
-        vac = _kept_rows(labels, mode)
+        vac = np.abs(labels) <= mode.tol
         kept = CsState(s.coeffs[vac], s.amps[vac][:, keep_cols])
+        dropped = labels[vac]
         silent = ~vac
         discarded = CsState(s.coeffs[silent], s.amps[silent])
         discarded_weight = state_norm(discarded) ** 2 / in_sq
@@ -238,7 +247,9 @@ def select_vacuum(s: CsState, i: int,
         np.sum(np.abs(s.coeffs[silent] * vac_overlap[silent]) ** 2)) / in_sq
     if kept_norm <= 1e-12:
         raise ZeroProbabilityError(dead)
-    return (CsState(kept.coeffs / kept_norm, kept.amps),
-            SelectionRecord(mode=i, kept_prob=kept_prob,
-                            discarded_weight=discarded_weight,
-                            false_vacuum_prob=false_prob))
+    out = CsState(kept.coeffs / kept_norm, kept.amps)
+    if max(np.ptp(dropped.real), np.ptp(dropped.imag)) > DEFAULT_MERGE_TOL:
+        out = merge_terms(out)
+    return out, SelectionRecord(mode=i, kept_prob=kept_prob,
+                                discarded_weight=discarded_weight,
+                                false_vacuum_prob=false_prob)

@@ -25,7 +25,7 @@ from cghzsim import (
     validate,
 )
 from cghzsim.coherent import merge_terms
-from cghzsim.engine import _Coherent
+from cghzsim.engine import _Coherent, _execute
 from cghzsim.optics import apply_hadamard
 from conftest import random_complex, random_state
 
@@ -225,3 +225,54 @@ def test_run_final_state_has_unit_norm_and_is_merged(n, m, sel):
     final = run(build_cghz_circuit(ProtocolParams(n, m, 2.0)), sel).final_state
     assert abs(state_norm(final) - 1.0) <= 1e-12
     assert merge_terms(final).term_count == final.term_count
+
+
+class _Recorder:
+    """Backend that records the kernel calls the executor makes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def prep(self, amp):
+        self.calls.append(("prep", amp))
+
+    def hadamard(self, i, alpha_ref):
+        self.calls.append(("hadamard", i, alpha_ref))
+
+    def bs(self, i, j):
+        self.calls.append(("bs", i, j))
+
+    def select(self, i, name):
+        self.calls.append(("select", i, name))
+
+
+def test_executor_runs_split_as_vacuum_prep_and_beam_splitter():
+    ins = (Prep("a", 2.0), Prep("b", -2.0), Split("a", "c"),
+           SelectVacuum("b"), Hadamard("c", 1.5), Split("c", "d"),
+           BeamSplitter("d", "a"))
+    backend = _Recorder()
+    order = _execute(Circuit(2.0, ins), backend)
+    assert order == ("a", "c", "d")
+    assert backend.calls == [
+        ("prep", 2.0), ("prep", -2.0),
+        ("prep", 0), ("bs", 0, 2),
+        ("select", 1, "b"), ("hadamard", 1, 1.5),
+        ("prep", 0), ("bs", 1, 2),
+        ("bs", 2, 0)]
+
+
+def test_run_validates_once(monkeypatch):
+    from cghzsim import engine
+
+    calls = []
+
+    def counting(circuit):
+        calls.append(circuit)
+        return validate(circuit)
+
+    monkeypatch.setattr(engine, "validate", counting)
+    run(build_cghz_circuit(ProtocolParams(2, 2, 2.0)), BRANCH)
+    assert len(calls) == 1
+    with pytest.raises(CircuitValidationError):
+        run(Circuit(2.0, (Hadamard("a"),)), BRANCH)
+    assert len(calls) == 2

@@ -5,9 +5,11 @@ import pytest
 
 from cghzsim import (
     Circuit,
+    CircuitValidationError,
     CsState,
     DomainError,
     FockTruncationError,
+    Hadamard,
     ModeShapeError,
     ProtocolParams,
     SelectionMode,
@@ -19,7 +21,9 @@ from cghzsim import (
     normalize,
     run,
     run_fock,
+    validate,
 )
+from cghzsim import engine, fock
 from cghzsim.fock import (
     FockTensor,
     bs_fock,
@@ -244,7 +248,7 @@ def test_selection_probability_matches_analytic_exact_mode():
 NMAX = 30
 
 
-@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (4, 1), (1, 4)])
 def test_full_pipeline_agreement_on_small_build(n, m, alpha):
     circuit = build_cghz_circuit(ProtocolParams(n, m, alpha))
@@ -264,3 +268,25 @@ def test_run_fock_rejects_wide_circuits():
     # the same static pass rejects an empty circuit
     with pytest.raises(DomainError):
         run_fock(Circuit(alpha=1.0), n_max=10)
+
+
+def test_run_fock_validates_once_before_the_width_check(monkeypatch):
+    calls = []
+
+    def counting(circuit):
+        calls.append(circuit)
+        return validate(circuit)
+
+    for module in (engine, fock):
+        monkeypatch.setattr(module, "validate", counting)
+    # too wide for the oracle and invalid: the diagnostics win
+    wide = build_cghz_circuit(ProtocolParams(5, 1, 1.0))
+    bad = Circuit(wide.alpha, wide.instructions + (Hadamard("nowhere"),))
+    with pytest.raises(CircuitValidationError):
+        run_fock(bad, n_max=10)
+    # an empty circuit with a bad alpha is invalid before it is empty
+    with pytest.raises(CircuitValidationError):
+        run_fock(Circuit(alpha=-1.0), n_max=10)
+    assert len(calls) == 2
+    run_fock(build_cghz_circuit(ProtocolParams(2, 1, 1.0)), n_max=20)
+    assert len(calls) == 3

@@ -21,8 +21,15 @@ from cghzsim.fock import (
     hadamard_fock_matrix,
     vacuum_project_fock,
 )
-from cghzsim.optics import apply_bs, apply_hadamard, select_vacuum, split_mode
-from conftest import random_state
+from cghzsim.optics import (
+    add_mode,
+    apply_bs,
+    apply_hadamard,
+    hadamard_norm,
+    select_vacuum,
+    split_mode,
+)
+from conftest import random_complex, random_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -70,7 +77,33 @@ def test_bs_index_errors():
         apply_bs(s, 1, 1)
 
 
+# --------------------------------------------------------------- add_mode
+
+def test_add_mode_appends_label_and_keeps_coefficients(rng):
+    s = random_state(rng, max_terms=8, modes=2, max_amp=2.0)
+    out = add_mode(s, 0.5 - 1j)
+    assert np.array_equal(out.coeffs, s.coeffs)
+    assert np.array_equal(out.amps[:, :2], s.amps)
+    assert np.all(out.amps[:, 2] == 0.5 - 1j)
+    assert state_norm(out) == pytest.approx(state_norm(s), abs=1e-12)
+
+
+def test_add_mode_on_zero_mode_state():
+    empty = CsState(np.ones(1), np.zeros((1, 0)))
+    assert np.array_equal(add_mode(empty, 2.0).amps, [[2.0]])
+
+
 # -------------------------------------------------------------------- split
+
+def test_split_is_vacuum_prep_then_beam_splitter(rng):
+    for _ in range(20):
+        s = random_state(rng, max_terms=8, modes=3, max_amp=2.0)
+        i = int(rng.integers(0, 3))
+        ref = apply_bs(add_mode(s, 0), i, 3)
+        out = split_mode(s, i)
+        assert np.array_equal(out.coeffs, ref.coeffs)
+        assert np.array_equal(out.amps, ref.amps)
+
 
 def test_split_halves_doubled_amplitude():
     out = split_mode(CsState.single([SQRT2]), 0)
@@ -116,6 +149,17 @@ def test_hadamard_twice_is_identity_up_to_overlap_tail():
     out = normalize(apply_hadamard(apply_hadamard(s, 0, alpha), 0, alpha))
     f = abs(state_inner(s, out)) ** 2
     assert f >= 1 - 1e-6
+
+
+def test_hadamard_norm_is_norm_of_gate_image(rng):
+    for alpha in (0.7, 1.3, 2.0):
+        assert hadamard_norm(alpha, alpha) == pytest.approx(1.0, abs=1e-14)
+        assert hadamard_norm(-alpha, alpha) == pytest.approx(1.0, abs=1e-14)
+        for beta in random_complex(rng, 20, 2.5):
+            image = apply_hadamard(CsState.single([beta]), 0, alpha,
+                                   off_basis="project")
+            assert hadamard_norm(beta, alpha) == pytest.approx(
+                state_norm(image), abs=1e-13)
 
 
 def test_hadamard_rejects_off_basis_label():
@@ -237,6 +281,41 @@ def test_select_returns_unit_norm_state(sel, rng):
         s = normalize(CsState(s.coeffs, amps))
         out, _ = select_vacuum(s, 0, sel)
         assert abs(state_norm(out) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("sel", [SelectionMode.branch(1e-9),
+                                 SelectionMode.exact()],
+                         ids=["branch", "exact"])
+def test_select_output_is_merged_when_input_is(sel, rng):
+    # labels on a coarse lattice: dropping a mode makes rows coincide
+    lattice = np.array([-1.0, 0.0, 1.0, 1j])
+    for _ in range(30):
+        t = int(rng.integers(2, 24))
+        amps = rng.choice(lattice, size=(t, 3))
+        amps[0, 0] = 0.0                    # at least one vacuum branch
+        s = CsState(rng.uniform(0.2, 1.0, t), amps)
+        s = normalize(merge_terms(s))
+        out, rec = select_vacuum(s, 0, sel)
+        assert merge_terms(out).term_count == out.term_count
+        assert abs(state_norm(out) - 1.0) <= 1e-12
+        # the same state as the unmerged kept portion
+        labels = s.amps[:, 0]
+        if sel.kind == "exact":
+            vac = np.exp(-0.5 * np.abs(labels) ** 2)
+            ref = CsState(s.coeffs * vac, s.amps[:, 1:])
+        else:
+            keep = np.abs(labels) <= sel.tol
+            ref = CsState(s.coeffs[keep], s.amps[keep, 1:])
+        assert abs(state_inner(normalize(ref), out)) == pytest.approx(
+            1.0, abs=1e-12)
+
+
+def test_select_exact_merges_rows_the_dropped_mode_told_apart():
+    s = normalize(CsState([0.5, 0.5, 0.7],
+                          [[0.5, 1.0], [-0.5, 1.0], [0.5, -1.0]]))
+    out, _ = select_vacuum(s, 0, SelectionMode.exact())
+    assert out.term_count == 2
+    assert sorted(out.amps[:, 0].real) == [-1.0, 1.0]
 
 
 def test_select_branch_zero_survivors():
