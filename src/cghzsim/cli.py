@@ -16,13 +16,12 @@ import math
 import os
 import sys
 
-from . import fock
 from .analysis import SweepPoint, sweep, theoretical_p
 from .coherent import CsState
 from .dsl import parse, serialize
 from .engine import RunResult, run
 from .errors import SimulationError
-from .fock import csstate_to_fock, fock_fidelity, run_fock
+from .fock import DEFAULT_NMAX, csstate_to_fock, fock_fidelity, run_fock
 from .optics import SelectionMode
 from .protocol import (
     DEFAULT_NM_CAP,
@@ -286,16 +285,13 @@ def main(argv=None) -> int:
     p_oracle = sub.add_parser("oracle", help="cross-check a circuit "
                               "against the number-basis pipeline")
     p_oracle.add_argument("file")
-    p_oracle.add_argument("--nmax", type=int, default=fock.DEFAULT_NMAX)
+    p_oracle.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except OSError as exc:
-        print(f"cghzsim {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except SimulationError as exc:
+    except (OSError, SimulationError) as exc:
         print(f"cghzsim {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -114,20 +114,18 @@ def parse(text: str) -> ParseResult:
         (kw, kw_col), args = toks[0], toks[1:]
 
         if alpha is None:
+            alpha_line = line_no
             if kw != "alpha":
                 err(line_no, kw_col,
                     "circuit must start with an 'alpha <value>' header")
                 # keep scanning so later lines still get diagnostics
                 alpha = float("nan")
-                alpha_line = line_no
             elif len(args) != 1:
                 err(line_no, kw_col, "'alpha' takes exactly one value")
                 alpha = float("nan")
-                alpha_line = line_no
             else:
                 val = want_real(line_no, args[0][0], args[0][1], "real number")
                 alpha = float("nan") if val is None else val
-                alpha_line = line_no
             if kw == "alpha":
                 continue
 
@@ -179,26 +177,16 @@ def parse(text: str) -> ParseResult:
                     continue
             instructions.append(Hadamard(name, ref))
             ins_lines.append(line_no)
-        elif kw == "bs":
+        elif kw in ("bs", "split"):
             if len(args) != 2:
-                err(line_no, kw_col, "'bs' takes two mode names")
+                err(line_no, kw_col, "'bs' takes two mode names" if kw == "bs"
+                    else "'split' takes a source mode and a new mode name")
                 continue
             a = want_ident(line_no, args[0][0], args[0][1])
             b = want_ident(line_no, args[1][0], args[1][1])
             if a is None or b is None:
                 continue
-            instructions.append(BeamSplitter(a, b))
-            ins_lines.append(line_no)
-        elif kw == "split":
-            if len(args) != 2:
-                err(line_no, kw_col, "'split' takes a source mode and a "
-                                     "new mode name")
-                continue
-            a = want_ident(line_no, args[0][0], args[0][1])
-            b = want_ident(line_no, args[1][0], args[1][1])
-            if a is None or b is None:
-                continue
-            instructions.append(Split(a, b))
+            instructions.append((BeamSplitter if kw == "bs" else Split)(a, b))
             ins_lines.append(line_no)
         elif kw == "select0":
             if len(args) != 1:

@@ -28,7 +28,9 @@ from .optics import (
     apply_bs,
     apply_hadamard,
     hadamard_norm,
+    merge_terms,  # noqa: F401  (not called; perfbench/tests reads it)
     select_vacuum,
+    split_mode,
 )
 
 _IDENT_OK = str.isidentifier
@@ -168,6 +170,12 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
     return out
 
 
+def _check_valid(diags: list[Diagnostic]):
+    """Raise CircuitValidationError if ``validate`` reported anything."""
+    if diags:
+        raise CircuitValidationError(diags)
+
+
 def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
     """Apply a valid circuit's instructions in order to ``backend``;
     return the final mode order.
@@ -175,12 +183,12 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
     This is the one instruction loop of the package: ``run`` and
     ``fock.run_fock`` differ only in the backend they pass, and each
     validates the circuit first.  A backend holds the working state and
-    has four methods, one per physical operation, which take mode
-    positions, never names: ``prep(amp)`` appends a mode in |amp>,
-    ``hadamard(i, alpha_ref)`` applies the gate and renormalizes,
-    ``bs(i, j)`` applies the beam splitter, and ``select(i, name)``
-    heralds vacuum on mode i and removes it.  A Split is a vacuum prep
-    followed by a beam splitter against it.
+    has one method per instruction kind, taking mode positions, never
+    names: ``prep(amp)`` appends a mode in |amp>, ``hadamard(i,
+    alpha_ref)`` applies the gate and renormalizes, ``bs(i, j)`` the beam
+    splitter, ``split(i)`` appends a vacuum mode and beam-splits mode i
+    against it, and ``select(i, name)`` heralds vacuum on mode i and
+    removes it.
 
     Raises RunError (with the instruction index) for any SimulationError
     the backend raises.
@@ -197,8 +205,7 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
             elif isinstance(ins, BeamSplitter):
                 backend.bs(order.index(ins.mode_a), order.index(ins.mode_b))
             elif isinstance(ins, Split):
-                backend.prep(0)
-                backend.bs(order.index(ins.mode), len(order))
+                backend.split(order.index(ins.mode))
                 order.append(ins.new_mode)
             elif isinstance(ins, SelectVacuum):
                 i = order.index(ins.mode)
@@ -246,6 +253,9 @@ class _Coherent:
     def bs(self, i: int, j: int):
         self._keep(apply_bs(self.state, i, j))
 
+    def split(self, i: int):
+        self._keep(split_mode(self.state, i))
+
     def select(self, i: int, name: str):
         state, record = select_vacuum(self.state, i, self.sel)
         self.selections.append(replace(record, mode_name=name))
@@ -269,9 +279,7 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     Raises CircuitValidationError if validate() reports anything, and
     RunError (with the instruction index) if a branch dies at runtime.
     """
-    diags = validate(circuit)
-    if diags:
-        raise CircuitValidationError(diags)
+    _check_valid(validate(circuit))
     backend = _Coherent(sel)
     order = _execute(circuit, backend)
     records = tuple(backend.selections)

@@ -26,9 +26,16 @@ from functools import lru_cache
 import numpy as np
 
 from .coherent import CsState
-from .engine import Circuit, Prep, SelectVacuum, Split, _execute, validate
+from .engine import (
+    Circuit,
+    Prep,
+    SelectVacuum,
+    Split,
+    _check_valid,
+    _execute,
+    validate,
+)
 from .errors import (
-    CircuitValidationError,
     DomainError,
     FockTruncationError,
     ModeShapeError,
@@ -142,6 +149,11 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int) -> np.ndarray:
     return np.moveaxis(out.reshape(lead + (d, d)), (-2, -1), (i, j))
 
 
+def _prep(amps: np.ndarray, amp: complex, n_max: int) -> np.ndarray:
+    """Append an axis in the coherent state |amp>: amps (x) |amp>."""
+    return np.multiply.outer(amps, coherent_fock(amp, n_max))
+
+
 def _hadamard(amps: np.ndarray, i: int, mat: np.ndarray) -> np.ndarray:
     """Apply a single-mode matrix on axis i and renormalize."""
     out = np.moveaxis(np.tensordot(mat, amps, axes=([1], [i])), 0, i)
@@ -179,9 +191,8 @@ def split_fock(t: FockTensor, i: int) -> FockTensor:
         raise ModeShapeError(f"mode index {i} out of range")
     if t.mode_count + 1 > MAX_FOCK_MODES:
         raise ModeShapeError("mode cap exceeded by split")
-    grown = np.multiply.outer(t.amps, coherent_fock(0, t.n_max))
-    return FockTensor(t.n_max,
-                      _apply_two_mode(grown, i, t.mode_count, t.n_max))
+    grown = FockTensor(t.n_max, _prep(t.amps, 0, t.n_max))
+    return bs_fock(grown, i, t.mode_count)
 
 
 @lru_cache(maxsize=8)
@@ -242,9 +253,9 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     shape = (n_max + 1,) * s.mode_count
     acc = np.zeros(shape, dtype=np.complex128)
     for c, row in zip(s.coeffs, s.amps):
-        piece = coherent_fock(row[0], n_max)
-        for a in row[1:]:
-            piece = np.multiply.outer(piece, coherent_fock(a, n_max))
+        piece = np.ones((), dtype=np.complex128)
+        for a in row:
+            piece = _prep(piece, a, n_max)
         acc = acc + c * piece
     sq = float(np.sum(np.abs(acc) ** 2))
     if sq > 1.0 + 1e-6:
@@ -287,9 +298,7 @@ def _check_fits(circuit: Circuit):
     run: an invalid one (CircuitValidationError, checked first), one with
     no instructions, or one that needs more than MAX_FOCK_MODES live
     modes at some point."""
-    diags = validate(circuit)
-    if diags:
-        raise CircuitValidationError(diags)
+    _check_valid(validate(circuit))
     if not circuit.instructions:
         raise DomainError("cannot run an empty circuit through the oracle")
     live = 0
@@ -310,8 +319,7 @@ class _Fock:
         self.probs: list[float] = []
 
     def prep(self, amp: complex):
-        self.amps = np.multiply.outer(self.amps,
-                                      coherent_fock(amp, self.n_max))
+        self.amps = _prep(self.amps, amp, self.n_max)
 
     def hadamard(self, i: int, alpha_ref: float):
         self.amps = _hadamard(self.amps, i,
@@ -319,6 +327,10 @@ class _Fock:
 
     def bs(self, i: int, j: int):
         self.amps = _apply_two_mode(self.amps, i, j, self.n_max)
+
+    def split(self, i: int):
+        self.prep(0)
+        self.bs(i, self.amps.ndim - 1)
 
     def select(self, i: int, name: str):
         self.amps, prob = _vacuum_project(self.amps, i)

@@ -214,9 +214,9 @@ def select_vacuum(s: CsState, i: int,
     In both modes the returned state is the kept portion divided by its
     norm, so it has unit norm.  Probabilities are relative to the incoming
     squared norm, so callers need not renormalize between selections.
-    Kept rows are merged (``merge_terms``) when their mode-i labels differ
-    by more than the merge tolerance, the only case in which dropping the
-    mode can make two of them coincide.
+    Kept rows are merged when their mode-i labels differ by more than the
+    merge tolerance, the only case in which dropping mode i can make two
+    coincide.
     """
     _check_mode_index(s, i)
     in_sq = state_norm(s) ** 2

@@ -242,11 +242,14 @@ class _Recorder:
     def bs(self, i, j):
         self.calls.append(("bs", i, j))
 
+    def split(self, i):
+        self.calls.append(("split", i))
+
     def select(self, i, name):
         self.calls.append(("select", i, name))
 
 
-def test_executor_runs_split_as_vacuum_prep_and_beam_splitter():
+def test_executor_passes_mode_positions_to_the_backend():
     ins = (Prep("a", 2.0), Prep("b", -2.0), Split("a", "c"),
            SelectVacuum("b"), Hadamard("c", 1.5), Split("c", "d"),
            BeamSplitter("d", "a"))
@@ -254,11 +257,21 @@ def test_executor_runs_split_as_vacuum_prep_and_beam_splitter():
     order = _execute(Circuit(2.0, ins), backend)
     assert order == ("a", "c", "d")
     assert backend.calls == [
-        ("prep", 2.0), ("prep", -2.0),
-        ("prep", 0), ("bs", 0, 2),
-        ("select", 1, "b"), ("hadamard", 1, 1.5),
-        ("prep", 0), ("bs", 1, 2),
+        ("prep", 2.0), ("prep", -2.0), ("split", 0),
+        ("select", 1, "b"), ("hadamard", 1, 1.5), ("split", 1),
         ("bs", 2, 0)]
+
+
+@pytest.mark.parametrize("sel", [BRANCH, SelectionMode.exact()])
+def test_coherent_split_is_vacuum_prep_then_beam_splitter(sel, rng):
+    s = random_state(rng, 3, 2)
+    split, composed = _Coherent(sel), _Coherent(sel)
+    split.state = composed.state = s
+    split.split(1)
+    composed.prep(0)
+    composed.bs(1, 2)
+    assert np.array_equal(split.state.coeffs, composed.state.coeffs)
+    assert np.array_equal(split.state.amps, composed.state.amps)
 
 
 def test_run_validates_once(monkeypatch):
