@@ -31,6 +31,7 @@ from .engine import (
     Prep,
     SelectVacuum,
     Split,
+    _IDENT_OK,
     validate,
 )
 
@@ -38,7 +39,6 @@ _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL_RE = re.compile(rf"^{_NUM}$")
 _COMPLEX_RE = re.compile(
     rf"^(?P<re>{_NUM})(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$")
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,9 @@ class SourceSpan:
 class ParseDiagnostic:
     span: SourceSpan
     message: str
-    severity: str = "error"
 
     def __str__(self):
-        return (f"{self.span.line}:{self.span.column}: "
-                f"{self.severity}: {self.message}")
+        return f"{self.span.line}:{self.span.column}: error: {self.message}"
 
 
 @dataclass
@@ -65,8 +63,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return self.circuit is not None and not any(
-            d.severity == "error" for d in self.diagnostics)
+        return self.circuit is not None
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -96,7 +93,7 @@ def parse(text: str) -> ParseResult:
         diags.append(ParseDiagnostic(SourceSpan(line_no, col), msg))
 
     def want_ident(line_no, tok, col):
-        if not _IDENT_RE.match(tok):
+        if not _IDENT_OK(tok):
             err(line_no, col, f"'{tok}' is not a valid mode name")
             return None
         return tok
@@ -210,9 +207,7 @@ def parse(text: str) -> ParseResult:
     for d in validate(circuit):
         line = alpha_line if d.index is None else ins_lines[d.index]
         diags.append(ParseDiagnostic(SourceSpan(line, 1), d.message))
-    if any(d.severity == "error" for d in diags):
-        return ParseResult(None, diags)
-    return ParseResult(circuit, diags)
+    return ParseResult(None if diags else circuit, diags)
 
 
 def _fmt_real(x: float) -> str:

@@ -11,6 +11,12 @@ correctness evidence.  Only the instruction loop, ``engine._execute``, is
 shared with the analytic engine; the kernels it drives here share no
 arithmetic with it.
 
+Gates are applied only by running a circuit: ``run_fock`` executes it,
+``csstate_to_fock`` expands an analytic state for comparison and
+``fock_fidelity`` compares two tensors.  ``FockTensor``,
+``coherent_fock`` and ``hadamard_fock_matrix`` are the building blocks
+they expose; the kernels themselves are private.
+
 The representation is dense, (n_max+1)^modes complex amplitudes, so the
 mode count is capped at 4: enough for every primitive and for every
 generation circuit whose live modes stay within 4, i.e. the (2, 2),
@@ -178,23 +184,6 @@ def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
     return sliced / math.sqrt(kept), prob
 
 
-def bs_fock(t: FockTensor, i: int, j: int) -> FockTensor:
-    """50:50 beam splitter on modes (i, j) in the number basis."""
-    if not (0 <= i < t.mode_count and 0 <= j < t.mode_count) or i == j:
-        raise ModeShapeError(f"invalid mode pair ({i}, {j})")
-    return FockTensor(t.n_max, _apply_two_mode(t.amps, i, j, t.n_max))
-
-
-def split_fock(t: FockTensor, i: int) -> FockTensor:
-    """Append a vacuum mode and beam-split mode i against it."""
-    if not 0 <= i < t.mode_count:
-        raise ModeShapeError(f"mode index {i} out of range")
-    if t.mode_count + 1 > MAX_FOCK_MODES:
-        raise ModeShapeError("mode cap exceeded by split")
-    grown = FockTensor(t.n_max, _prep(t.amps, 0, t.n_max))
-    return bs_fock(grown, i, t.mode_count)
-
-
 @lru_cache(maxsize=8)
 def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
     """Coherent-qubit Hadamard as a read-only (n_max+1)^2 matrix.
@@ -219,31 +208,6 @@ def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
     return mat
 
 
-def hadamard_fock(t: FockTensor, i: int, alpha_ref: float) -> FockTensor:
-    """Coherent-qubit Hadamard on mode i, renormalized.
-
-    The gate is not an isometry outside the exact qubit basis, so the
-    output is rescaled to unit norm; heralding probabilities elsewhere
-    are relative and unaffected.
-    """
-    if not 0 <= i < t.mode_count:
-        raise ModeShapeError(f"mode index {i} out of range")
-    return FockTensor(t.n_max, _hadamard(
-        t.amps, i, hadamard_fock_matrix(alpha_ref, t.n_max)))
-
-
-def vacuum_project_fock(t: FockTensor, i: int) -> tuple[FockTensor, float]:
-    """Herald photon number zero on mode i.
-
-    Returns the renormalized sliced tensor and the relative heralding
-    probability.
-    """
-    if not 0 <= i < t.mode_count:
-        raise ModeShapeError(f"mode index {i} out of range")
-    amps, prob = _vacuum_project(t.amps, i)
-    return FockTensor(t.n_max, amps), prob
-
-
 def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     """Expand a coherent superposition in the truncated number basis."""
     if s.mode_count < 1 or s.mode_count > MAX_FOCK_MODES:
@@ -266,19 +230,19 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     return FockTensor(n_max, acc)
 
 
-def fock_inner(t1: FockTensor, t2: FockTensor) -> complex:
+def fock_fidelity(t1: FockTensor, t2: FockTensor) -> float:
+    """|<t1|t2>|^2 with both tensors normalized first.
+
+    Raises ModeShapeError unless both tensors have the same mode count
+    and cutoff.
+    """
     if t1.mode_count != t2.mode_count or t1.n_max != t2.n_max:
         raise ModeShapeError("fock tensors are not comparable")
-    return complex(np.vdot(t1.amps, t2.amps))
-
-
-def fock_fidelity(t1: FockTensor, t2: FockTensor) -> float:
-    """|<t1|t2>|^2 with both tensors normalized first."""
     n1 = t1.squared_norm()
     n2 = t2.squared_norm()
     if n1 <= 0 or n2 <= 0:
         raise DomainError("fidelity of a zero tensor")
-    return abs(fock_inner(t1, t2)) ** 2 / (n1 * n2)
+    return abs(complex(np.vdot(t1.amps, t2.amps))) ** 2 / (n1 * n2)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Builders for the concatenated-GHZ generation protocol and its targets.
 
-The construction runs in two stages.  Stage one grows an N-mode GHZ-type
-entangled coherent state by chaining beam-splitter + vacuum-herald +
-split steps across N input coherent states.  Stage two turns each
-surviving chain mode into an m-mode GHZ-type block the same way, one
-logical qubit at a time, left to right.  Every selection heralds on "no
-photon", so each step succeeds with probability 1/2 asymptotically and a
-full (N, m) build carries N*m - 1 selections.
+The construction repeats one growth step: Hadamard a fresh coherent
+ancilla, fuse it onto a block end on a beam splitter, herald vacuum on
+that end and split the ancilla.  Stage one applies the step across N
+input coherent states and grows an N-mode GHZ-type entangled coherent
+state; stage two applies it within each block, turning every surviving
+chain mode into an m-mode GHZ-type block, one logical qubit at a time,
+left to right.  Every selection heralds on "no photon", so each step
+succeeds with probability 1/2 asymptotically and a full (N, m) build
+carries N*m - 1 selections.
 
 All intermediate states are regenerated from the primitive gate rules;
 nothing is transcribed from closed-form displays.  The ideal targets the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -103,88 +105,46 @@ def ideal_cghz_state(params: ProtocolParams) -> CsState:
     return normalize(state)
 
 
-def chain_mode_names(n: int) -> list[str]:
-    """Names of the modes holding the stage-one chain, in chain order."""
-    if n == 1:
-        return ["s1"]
-    names = ["s2", "c1"]
-    for k in range(3, n + 1):
-        names = names[:-1] + [f"s{k}", f"c{k - 1}"]
-    return names
-
-
-def build_ghz_chain(n: int, alpha: float) -> Circuit:
-    """Circuit growing the n-mode GHZ-type chain (stage one).
-
-    Each growth step interferes the current chain end with a fresh
-    Hadamard-ed coherent state, heralds vacuum on the sum port, and
-    splits the survivor back into two modes, extending the chain by one.
-    """
-    if n < 2:
-        raise DomainError("the chain needs at least 2 modes")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    ins: list[Instruction] = [
-        Prep("s1", complex(alpha)), Prep("s2", complex(alpha)),
-        Hadamard("s1"), Hadamard("s2"),
-        BeamSplitter("s1", "s2"), SelectVacuum("s1"), Split("s2", "c1"),
-    ]
-    end = "c1"
-    for k in range(3, n + 1):
-        src = f"s{k}"
-        new = f"c{k - 1}"
-        ins += [Prep(src, complex(alpha)), Hadamard(src),
-                BeamSplitter(end, src), SelectVacuum(end), Split(src, new)]
-        end = new
-    return Circuit(alpha=alpha, instructions=tuple(ins))
-
-
-def expand_logical(leaders: list[str], m: int, alpha: float,
-                   temp_start: int = 1) -> list[Instruction]:
-    """Stage-two fragment: grow each leader mode into an m-mode block.
-
-    Per leader: one Hadamard on the leader, then m-1 rounds of
-    {prep + Hadamard a fresh coherent state, beam-split against the
-    block end, herald vacuum on the end, split the survivor}.  Block i
-    ends up on modes q{i}_1 ... q{i}_m.  m = 1 needs no expansion and
-    yields an empty fragment.
-    """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if m == 1:
-        return []
-    ins: list[Instruction] = []
-    temp = temp_start
-    for i, leader in enumerate(leaders, start=1):
-        ins.append(Hadamard(leader))
-        end = leader
-        for j in range(1, m):
-            anc = f"q{i}_{j}"
-            new = f"q{i}_{m}" if j == m - 1 else f"x{temp}"
-            if j < m - 1:
-                temp += 1
-            ins += [Prep(anc, complex(alpha)), Hadamard(anc),
-                    BeamSplitter(end, anc), SelectVacuum(end),
-                    Split(anc, new)]
-            end = new
-    return ins
+def _fuse(end: str, anc: str, new: str) -> list[Instruction]:
+    """One growth step on a freshly prepared ancilla: Hadamard it, fuse
+    it onto the block end on a beam splitter, herald vacuum on the end
+    (which removes it) and split the ancilla onto ``new``.  The block
+    grows by one mode and ``new`` is its end."""
+    return [Hadamard(anc), BeamSplitter(end, anc), SelectVacuum(end),
+            Split(anc, new)]
 
 
 def build_cghz_circuit(params: ProtocolParams) -> Circuit:
     """Full two-stage generation circuit for the (n, m) target.
 
-    Stage one builds the n-mode chain, stage two expands each chain mode
-    into its m-mode block.  The degenerate (1, 1) build is a single
-    preparation.  The result always passes static validation and carries
-    exactly n*m - 1 vacuum selections.
+    Stage one grows the n-mode chain s1 -> (s2, c1) -> (s2, s3, c2) ...
+    by fusing ancilla s{k} onto the chain end.  Stage two Hadamards each
+    surviving chain mode and grows it into the block q{i}_1 ... q{i}_m
+    the same way, with intermediate block ends x1, x2, ... numbered
+    across blocks.  The degenerate (1, 1) build is a single preparation.
+    The result always passes static validation and carries exactly
+    n*m - 1 vacuum selections.
     """
     n, m, alpha = params.n_logical, params.m_physical, params.alpha
-    if n == 1:
-        ins: list[Instruction] = [Prep("s1", complex(alpha))]
-        leaders = ["s1"]
-    else:
-        chain = build_ghz_chain(n, alpha)
-        ins = list(chain.instructions)
-        leaders = chain_mode_names(n)
-    ins += expand_logical(leaders, m, alpha)
+    amp = complex(alpha)
+    ins: list[Instruction] = [Prep("s1", amp)]
+    chain = ["s1"]
+    for k in range(2, n + 1):
+        ins.append(Prep(f"s{k}", amp))
+        if k == 2:
+            # s1 is an ancilla too: it gets the same Hadamard
+            ins.append(Hadamard("s1"))
+        ins += _fuse(chain[-1], f"s{k}", f"c{k - 1}")
+        # the heralded end is gone; the ancilla and its split copy remain
+        chain[-1:] = [f"s{k}", f"c{k - 1}"]
+    temps = count(1)
+    # m = 1 needs no stage two: each chain mode is its own block
+    for i, leader in enumerate(chain if m > 1 else [], start=1):
+        ins.append(Hadamard(leader))
+        end = leader
+        for j in range(1, m):
+            anc = f"q{i}_{j}"
+            new = f"q{i}_{m}" if j == m - 1 else f"x{next(temps)}"
+            ins += [Prep(anc, amp)] + _fuse(end, anc, new)
+            end = new
     return Circuit(alpha=alpha, instructions=tuple(ins))

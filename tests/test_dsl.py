@@ -13,6 +13,7 @@ from cghzsim import (
     build_cghz_circuit,
     parse,
     serialize,
+    validate,
 )
 
 
@@ -92,6 +93,7 @@ def test_parse_unknown_keyword_and_column():
     assert d.span.line == 2
     assert d.span.column == 3
     assert "unknown keyword" in d.message
+    assert str(d) == "2:3: error: unknown keyword 'frobnicate'"
 
 
 def test_parse_duplicate_header():
@@ -163,6 +165,36 @@ def test_round_trip_awkward_numbers():
     res = parse(serialize(c))
     assert res.ok
     assert res.circuit == c
+
+
+def test_round_trip_non_ascii_mode_names():
+    c = Circuit(2.0, (
+        Prep("é", 2.0),
+        Hadamard("é"),
+        Split("é", "β_1"),
+        BeamSplitter("é", "β_1"),
+        SelectVacuum("β_1"),
+    ))
+    assert validate(c) == []
+    res = parse(serialize(c))
+    assert res.ok, res.diagnostics
+    assert res.circuit == c
+
+
+def _one_token(name):
+    return (name.split() == [name] and "#" not in name
+            and len(name.splitlines()) == 1)
+
+
+@given(st.text(min_size=1, max_size=8).filter(_one_token))
+@settings(max_examples=300, deadline=None)
+def test_parse_and_validate_accept_the_same_mode_names(name):
+    c = Circuit(2.0, (Prep(name, 2.0), Hadamard(name)))
+    res = parse(f"alpha 2.0\nprep {name} +\nh {name}\n")
+    assert res.ok == (validate(c) == [])
+    if res.ok:
+        assert res.circuit == c
+        assert parse(serialize(c)).circuit == c
 
 
 @given(st.text(max_size=2000))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cghzsim import (
+    BeamSplitter,
     Circuit,
     CircuitValidationError,
     CsState,
@@ -11,8 +12,11 @@ from cghzsim import (
     FockTruncationError,
     Hadamard,
     ModeShapeError,
+    Prep,
     ProtocolParams,
     SelectionMode,
+    SelectVacuum,
+    Split,
     ZeroProbabilityError,
     build_cghz_circuit,
     csstate_to_fock,
@@ -26,12 +30,11 @@ from cghzsim import (
 from cghzsim import engine, fock
 from cghzsim.fock import (
     FockTensor,
-    bs_fock,
+    _apply_two_mode,
+    _hadamard,
+    _vacuum_project,
     coherent_fock,
-    fock_inner,
-    hadamard_fock,
-    split_fock,
-    vacuum_project_fock,
+    hadamard_fock_matrix,
 )
 from cghzsim.coherent import cat_norm
 from cghzsim.optics import apply_bs, apply_hadamard, select_vacuum
@@ -44,6 +47,11 @@ def tensor_from_vectors(*vecs):
     for v in vecs[1:]:
         acc = np.multiply.outer(acc, v)
     return acc
+
+
+def run_gates(alpha, *ins, n_max=40):
+    """run_fock on a small hand-written circuit."""
+    return run_fock(Circuit(alpha, ins), n_max=n_max)
 
 
 # ----------------------------------------------------------- coherent_fock
@@ -77,50 +85,50 @@ def test_coherent_fock_truncation_error():
         coherent_fock(float("nan"), 10)
 
 
-# ---------------------------------------------------------------- bs_fock
+# ------------------------------------------------------------ beam splitter
+# Gates on coherent inputs run as circuits; number states that no circuit
+# prepares go straight to the backend's kernels.
 
 def test_bs_fock_vacuum_fixed_point():
     d = 21
     amps = np.zeros((d, d), dtype=complex)
     amps[0, 0] = 1.0
-    out = bs_fock(FockTensor(20, amps), 0, 1)
+    out = FockTensor(20, _apply_two_mode(amps, 0, 1, 20))
     assert out.amps[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert out.squared_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bs_fock_matches_coherent_label_rule():
     n_max = 40
-    t = FockTensor(n_max, tensor_from_vectors(coherent_fock(1.0, n_max),
-                                              coherent_fock(1.0, n_max)))
-    out = bs_fock(t, 0, 1)
+    res = run_gates(1.0, Prep("a", 1.0), Prep("b", 1.0),
+                    BeamSplitter("a", "b"), n_max=n_max)
     expect = tensor_from_vectors(coherent_fock(SQRT2, n_max),
                                  coherent_fock(0.0, n_max))
-    assert np.max(np.abs(out.amps - expect)) <= 1e-8
+    assert res.mode_order == ("a", "b")
+    assert np.max(np.abs(res.final.amps - expect)) <= 1e-8
 
 
 def test_bs_fock_single_photon_balanced_split():
     d = 6
     amps = np.zeros((d, d), dtype=complex)
     amps[1, 0] = 1.0
-    out = bs_fock(FockTensor(5, amps), 0, 1)
-    assert out.amps[1, 0] == pytest.approx(1 / SQRT2, abs=1e-12)
-    assert out.amps[0, 1] == pytest.approx(1 / SQRT2, abs=1e-12)
+    out = _apply_two_mode(amps, 0, 1, 5)
+    assert out[1, 0] == pytest.approx(1 / SQRT2, abs=1e-12)
+    assert out[0, 1] == pytest.approx(1 / SQRT2, abs=1e-12)
 
 
 def test_bs_fock_norm_loss_negligible_below_cutoff():
     n_max = 40
     t = FockTensor(n_max, tensor_from_vectors(coherent_fock(1.5, n_max),
                                               coherent_fock(-1.5, n_max)))
-    out = bs_fock(t, 0, 1)
+    out = FockTensor(n_max, _apply_two_mode(t.amps, 0, 1, n_max))
     assert abs(out.squared_norm() - t.squared_norm()) <= 1e-8
 
 
-def test_bs_fock_index_validation():
-    t = FockTensor(5, np.zeros((6, 6), dtype=complex))
+def test_fock_tensor_rejects_norm_above_one():
+    FockTensor(5, np.zeros((6, 6), dtype=complex))
     with pytest.raises(DomainError):
         FockTensor(5, np.full((6, 6), 1.0, dtype=complex))
-    with pytest.raises(ModeShapeError):
-        bs_fock(t, 0, 0)
 
 
 # ----------------------------------------------------- vacuum projection
@@ -129,17 +137,16 @@ def test_vacuum_project_trivial():
     d = 11
     amps = np.zeros((d, d), dtype=complex)
     amps[0, 3] = 1.0
-    out, prob = vacuum_project_fock(FockTensor(10, amps), 0)
+    out, prob = _vacuum_project(amps, 0)
     assert prob == pytest.approx(1.0, abs=1e-14)
-    assert out.amps[3] == pytest.approx(1.0)
+    assert out[3] == pytest.approx(1.0)
 
 
 def test_vacuum_project_coherent_mode():
-    n_max = 40
-    t = FockTensor(n_max, tensor_from_vectors(coherent_fock(1.0, n_max),
-                                              coherent_fock(0.5, n_max)))
-    _, prob = vacuum_project_fock(t, 0)
-    assert prob == pytest.approx(math.exp(-1.0), abs=1e-10)
+    res = run_gates(1.0, Prep("a", 1.0), Prep("b", 0.5), SelectVacuum("a"))
+    assert res.mode_order == ("b",)
+    assert res.probabilities[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
+    assert np.max(np.abs(res.final.amps - coherent_fock(0.5, 40))) <= 1e-12
 
 
 def test_vacuum_project_zero_branch():
@@ -147,7 +154,7 @@ def test_vacuum_project_zero_branch():
     amps = np.zeros((d, d), dtype=complex)
     amps[1, 1] = 1.0
     with pytest.raises(ZeroProbabilityError):
-        vacuum_project_fock(FockTensor(5, amps), 0)
+        _vacuum_project(amps, 0)
 
 
 # -------------------------------------------------------- state conversion
@@ -182,7 +189,7 @@ def test_inner_matches_gram_inner():
     s1 = normalize(CsState([1, 0.5j], [[1.0, -0.5], [-1.0, 0.5]]))
     s2 = normalize(CsState([1, -0.25], [[0.5, 0.5], [1.0, -1.0]]))
     lhs = state_inner(s1, s2)
-    rhs = fock_inner(csstate_to_fock(s1, 50), csstate_to_fock(s2, 50))
+    rhs = np.vdot(csstate_to_fock(s1, 50).amps, csstate_to_fock(s2, 50).amps)
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -191,12 +198,11 @@ def test_inner_matches_gram_inner():
 def test_hadamard_fock_reproduces_defining_map():
     n_max = 50
     alpha = 1.0
-    t = FockTensor(n_max, coherent_fock(alpha, n_max))
-    out = hadamard_fock(t, 0, alpha)
+    res = run_gates(alpha, Prep("a", alpha), Hadamard("a"), n_max=n_max)
     n0 = cat_norm(alpha, 1)
     expect = (n0 / SQRT2) * (coherent_fock(alpha, n_max)
                              + coherent_fock(-alpha, n_max))
-    assert np.max(np.abs(out.amps - expect)) <= 1e-9
+    assert np.max(np.abs(res.final.amps - expect)) <= 1e-9
 
 
 def test_hadamard_fock_matches_analytic_gate_on_entangled_state():
@@ -204,7 +210,10 @@ def test_hadamard_fock_matches_analytic_gate_on_entangled_state():
     pair = CsState([0.6, 0.8], [[1.0, 1.0], [-1.0, -1.0]])
     pair = normalize(pair)
     analytic = normalize(apply_hadamard(pair, 0, 1.0))
-    numeric = hadamard_fock(csstate_to_fock(pair, n_max), 0, 1.0)
+    # a circuit cannot prepare this pair's unequal weights
+    mat = hadamard_fock_matrix(1.0, n_max)
+    numeric = FockTensor(n_max, _hadamard(
+        csstate_to_fock(pair, n_max).amps, 0, mat))
     assert fock_fidelity(csstate_to_fock(analytic, n_max),
                          numeric) == pytest.approx(1.0, abs=1e-10)
 
@@ -213,12 +222,13 @@ def test_hadamard_fock_matches_analytic_gate_on_entangled_state():
 
 def test_split_then_project_round_trip():
     n_max = 30
-    t = FockTensor(n_max, coherent_fock(1.0, n_max))
-    grown = split_fock(t, 0)
-    assert grown.mode_count == 2
-    back, prob = vacuum_project_fock(bs_fock(grown, 0, 1), 1)
-    assert prob == pytest.approx(1.0, abs=1e-10)
-    assert np.max(np.abs(back.amps - t.amps)) <= 1e-8
+    grown = run_gates(1.0, Prep("a", 1.0), Split("a", "b"), n_max=n_max)
+    assert grown.final.mode_count == 2
+    assert grown.mode_order == ("a", "b")
+    back = run_gates(1.0, Prep("a", 1.0), Split("a", "b"),
+                     BeamSplitter("a", "b"), SelectVacuum("b"), n_max=n_max)
+    assert back.probabilities[0] == pytest.approx(1.0, abs=1e-10)
+    assert np.max(np.abs(back.final.amps - coherent_fock(1.0, n_max))) <= 1e-8
 
 
 def test_truncation_convergence_between_cutoffs():
@@ -239,8 +249,10 @@ def test_selection_probability_matches_analytic_exact_mode():
     s = normalize(apply_hadamard(s, 1, alpha))
     s = apply_bs(s, 0, 1)
     _, rec = select_vacuum(s, 0, SelectionMode.exact())
-    _, prob = vacuum_project_fock(csstate_to_fock(s, 40), 0)
-    assert rec.kept_prob == pytest.approx(prob, abs=1e-8)
+    # the same first growth step in the number basis
+    res = run_gates(alpha, Prep("a", alpha), Prep("b", alpha), Hadamard("a"),
+                    Hadamard("b"), BeamSplitter("a", "b"), SelectVacuum("a"))
+    assert rec.kept_prob == pytest.approx(res.probabilities[0], abs=1e-8)
 
 
 # Every build whose live modes stay within the oracle's four.  The
@@ -259,6 +271,16 @@ def test_full_pipeline_agreement_on_small_build(n, m, alpha):
     overlap = fock_fidelity(csstate_to_fock(analytic.final_state, NMAX),
                             numeric.final)
     assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+def test_fock_fidelity_rejects_incomparable_tensors():
+    one = csstate_to_fock(CsState.single([1.0]), 20)
+    two = csstate_to_fock(CsState.single([1.0, 1.0]), 20)
+    assert fock_fidelity(one, one) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ModeShapeError):
+        fock_fidelity(one, two)
+    with pytest.raises(ModeShapeError):
+        fock_fidelity(one, csstate_to_fock(CsState.single([1.0]), 30))
 
 
 def test_run_fock_rejects_wide_circuits():

@@ -2,7 +2,11 @@
 
 A circuit's mode names only label positions, and a Split is a vacuum prep
 followed by a beam splitter; rewriting a circuit either way must leave
-every number of ``run`` and ``run_fock`` exactly as it was.
+every number of ``run`` and ``run_fock`` exactly as it was.  Adjacent
+instructions on disjoint modes commute when one of them is a Prep, a
+BeamSplitter or a Split (all norm preserving) or both are Hadamards;
+swapping them may reorder terms, so it must leave every number of
+``run`` unchanged up to round-off.
 """
 
 from dataclasses import replace
@@ -14,13 +18,16 @@ from hypothesis import strategies as st
 from cghzsim import (
     BeamSplitter,
     Circuit,
+    Hadamard,
     Prep,
     ProtocolParams,
     SelectionMode,
     Split,
     build_cghz_circuit,
+    fidelity,
     run,
     run_fock,
+    validate,
 )
 
 # builds whose live modes fit the oracle, and two wider ones for run
@@ -31,11 +38,11 @@ ALPHAS = [1.0, 1.5, 2.0]
 FOCK_ALPHAS = [0.8, 1.0]
 NMAX = 20
 MODES = [SelectionMode.branch(), SelectionMode.exact()]
+MODE_FIELDS = ("mode", "mode_a", "mode_b", "new_mode")
 
 
 def _rename(ins, names):
-    fields = [f for f in ("mode", "mode_a", "mode_b", "new_mode")
-              if hasattr(ins, f)]
+    fields = [f for f in MODE_FIELDS if hasattr(ins, f)]
     return replace(ins, **{f: names[getattr(ins, f)] for f in fields})
 
 
@@ -128,3 +135,43 @@ def test_split_equals_vacuum_prep_then_beam_splitter_in_run_fock(nm, alpha):
     circuit, rewritten = _unsplit_build(*nm, alpha)
     _assert_same_fock(run_fock(circuit, n_max=NMAX),
                       run_fock(rewritten, n_max=NMAX))
+
+
+def _modes(ins):
+    return {getattr(ins, f) for f in MODE_FIELDS if hasattr(ins, f)}
+
+
+def _commute(a, b):
+    if _modes(a) & _modes(b):
+        return False
+    unitary = (Prep, BeamSplitter, Split)
+    return (isinstance(a, unitary) or isinstance(b, unitary)
+            or isinstance(a, Hadamard) and isinstance(b, Hadamard))
+
+
+@st.composite
+def swapped_builds(draw):
+    n, m = draw(st.sampled_from(BUILDS))
+    circuit = build_cghz_circuit(
+        ProtocolParams(n, m, draw(st.sampled_from(ALPHAS))))
+    ins = circuit.instructions
+    i = draw(st.sampled_from([i for i in range(len(ins) - 1)
+                              if _commute(ins[i], ins[i + 1])]))
+    swapped = ins[:i] + (ins[i + 1], ins[i]) + ins[i + 2:]
+    return circuit, Circuit(circuit.alpha, swapped)
+
+
+
+@given(swapped_builds(), st.sampled_from(MODES))
+@settings(max_examples=40, deadline=None)
+def test_swapping_commuting_neighbours_leaves_run_unchanged(case, sel):
+    circuit, swapped = case
+    assert validate(swapped) == []
+    r1, r2 = run(circuit, sel), run(swapped, sel)
+    assert r1.mode_order == r2.mode_order
+    assert abs(r1.p_success - r2.p_success) <= 1e-12
+    assert abs(r1.total_false_vacuum - r2.total_false_vacuum) <= 1e-12
+    for a, b in zip(r1.selections, r2.selections, strict=True):
+        assert a.mode_name == b.mode_name
+        assert abs(a.kept_prob - b.kept_prob) <= 1e-12
+    assert 1 - fidelity(r2.final_state, r1.final_state) <= 1e-12

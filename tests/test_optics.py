@@ -4,23 +4,25 @@ import numpy as np
 import pytest
 
 from cghzsim import (
+    BeamSplitter,
+    Circuit,
     CsState,
     GateBasisError,
+    Hadamard,
     ModeShapeError,
+    Prep,
     SelectionMode,
+    SelectVacuum,
     ZeroProbabilityError,
     csstate_to_fock,
     fock_fidelity,
     normalize,
+    run_fock,
     state_inner,
     state_norm,
 )
 from cghzsim.coherent import cat_norm, ghz_norm, merge_terms
-from cghzsim.fock import (
-    coherent_fock,
-    hadamard_fock_matrix,
-    vacuum_project_fock,
-)
+from cghzsim.fock import coherent_fock, hadamard_fock_matrix
 from cghzsim.optics import (
     add_mode,
     apply_bs,
@@ -230,8 +232,11 @@ def test_select_branch_kept_prob_approaches_half():
 def test_select_exact_agrees_with_number_basis_at_alpha_one():
     s = post_first_splitter_state(1.0)
     out, rec = select_vacuum(s, 0, SelectionMode.exact())
-    tensor = csstate_to_fock(s, 60)
-    projected, prob = vacuum_project_fock(tensor, 0)
+    # the same step run through the number-basis oracle
+    oracle = run_fock(Circuit(1.0, (
+        Prep("a", 1.0), Prep("b", 1.0), Hadamard("a"), Hadamard("b"),
+        BeamSplitter("a", "b"), SelectVacuum("a"))), n_max=60)
+    projected, prob = oracle.final, oracle.probabilities[0]
     assert rec.kept_prob == pytest.approx(prob, abs=1e-8)
     assert rec.kept_prob == pytest.approx(0.7099871708070133, abs=1e-12)
     assert fock_fidelity(csstate_to_fock(out, 60), projected) == (

@@ -1,35 +1,28 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cghzsim import (
-    BeamSplitter,
-    Circuit,
     CsState,
     DomainError,
-    Hadamard,
     Prep,
     ProtocolParams,
     SelectVacuum,
     SelectionMode,
-    Split,
     build_cghz_circuit,
     fidelity,
     ideal_cghz_state,
     normalize,
     run,
+    serialize,
     state_inner,
     state_norm,
     validate,
 )
 from cghzsim.coherent import coherent_overlap, ghz_norm
-from cghzsim.protocol import (
-    build_ghz_chain,
-    chain_mode_names,
-    expand_logical,
-    ideal_ghz_state,
-)
+from cghzsim.protocol import ideal_ghz_state
 
 BRANCH = SelectionMode.branch()
 
@@ -113,33 +106,45 @@ def test_ideal_cghz_2x3_matches_manual_branch_sum():
 
 
 # ------------------------------------------------------------------- chain
+# An (n, 1) build is stage one alone: the n-mode GHZ-type chain.
 
-def test_chain_requires_two_modes():
-    with pytest.raises(DomainError):
-        build_ghz_chain(1, 2.0)
+CHAIN_ORDER = {
+    2: ("s2", "c1"),
+    3: ("s2", "s3", "c2"),
+    4: ("s2", "s3", "s4", "c3"),
+    5: ("s2", "s3", "s4", "s5", "c4"),
+}
 
 
 def test_chain_two_modes():
-    c = build_ghz_chain(2, 2.0)
+    c = build_cghz_circuit(ProtocolParams(2, 1, 2.0))
     assert sum(isinstance(i, SelectVacuum) for i in c.instructions) == 1
     r = run(c, BRANCH)
+    assert r.mode_order == CHAIN_ORDER[2]
     assert fidelity(r.final_state, ideal_ghz_state(2, 2.0, +1)) >= 1 - 1e-6
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_chain_grows_to_n_modes(n):
-    c = build_ghz_chain(n, 2.0)
+    c = build_cghz_circuit(ProtocolParams(n, 1, 2.0))
     assert validate(c) == []
     r = run(c, BRANCH)
     assert r.final_state.mode_count == n
     assert fidelity(r.final_state, ideal_ghz_state(n, 2.0, +1)) >= 1 - 1e-6
-    assert r.mode_order == tuple(chain_mode_names(n))
+    assert r.mode_order == CHAIN_ORDER[n]
 
 
 # --------------------------------------------------------------- expansion
 
 def test_expand_logical_m_one_is_empty():
-    assert expand_logical(["a", "b"], 1, 2.0) == []
+    # m = 1: no stage two, so no block mode is ever named
+    for n in range(1, 6):
+        c = build_cghz_circuit(ProtocolParams(n, 1, 2.0))
+        names = {name for ins in c.instructions
+                 for name in vars(ins).values() if isinstance(name, str)}
+        assert not any(name[0] in "qx" for name in names)
+        assert sum(isinstance(i, SelectVacuum)
+                   for i in c.instructions) == n - 1
 
 
 def test_expand_logical_gate_budget_for_2x2():
@@ -154,9 +159,9 @@ def test_expand_logical_gate_budget_for_2x2():
 
 
 def test_expand_single_leader_builds_ghz_block():
+    # a (1, m) build is stage two alone, on the single mode s1
     alpha = 2.0
-    ins = [Prep("s1", complex(alpha))] + expand_logical(["s1"], 3, alpha)
-    r = run(Circuit(alpha, tuple(ins)), BRANCH)
+    r = run(build_cghz_circuit(ProtocolParams(1, 3, alpha)), BRANCH)
     assert r.mode_order == ("q1_1", "q1_2", "q1_3")
     assert fidelity(r.final_state, ideal_ghz_state(3, alpha, +1)) >= 1 - 1e-9
 
@@ -240,6 +245,94 @@ def test_m_one_chain_equals_concatenated_target_only_for_small_n():
     f3 = fidelity(run(build_cghz_circuit(p3), BRANCH).final_state,
                   ideal_cghz_state(p3))
     assert f3 == pytest.approx(0.125, abs=1e-6)
+
+
+# --------------------------------------------------- pinned circuit text
+# The builder's output is part of its contract: serialized circuits are
+# stored and re-run, so a rewrite of the builder must emit the same text.
+
+PINNED_2X3 = """\
+alpha 2.0
+prep s1 +
+prep s2 +
+h s1
+h s2
+bs s1 s2
+select0 s1
+split s2 c1
+h s2
+prep q1_1 +
+h q1_1
+bs s2 q1_1
+select0 s2
+split q1_1 x1
+prep q1_2 +
+h q1_2
+bs x1 q1_2
+select0 x1
+split q1_2 q1_3
+h c1
+prep q2_1 +
+h q2_1
+bs c1 q2_1
+select0 c1
+split q2_1 x2
+prep q2_2 +
+h q2_2
+bs x2 q2_2
+select0 x2
+split q2_2 q2_3
+"""
+
+PINNED_3X2 = """\
+alpha 2.0
+prep s1 +
+prep s2 +
+h s1
+h s2
+bs s1 s2
+select0 s1
+split s2 c1
+prep s3 +
+h s3
+bs c1 s3
+select0 c1
+split s3 c2
+h s2
+prep q1_1 +
+h q1_1
+bs s2 q1_1
+select0 s2
+split q1_1 q1_2
+h s3
+prep q2_1 +
+h q2_1
+bs s3 q2_1
+select0 s3
+split q2_1 q2_2
+h c2
+prep q3_1 +
+h q3_1
+bs c2 q3_1
+select0 c2
+split q3_1 q3_2
+"""
+
+
+@pytest.mark.parametrize("n,m,text", [(2, 3, PINNED_2X3),
+                                      (3, 2, PINNED_3X2)])
+def test_build_text_is_pinned(n, m, text):
+    assert serialize(build_cghz_circuit(ProtocolParams(n, m, 2.0))) == text
+
+
+def test_every_build_text_is_pinned_by_digest():
+    h = hashlib.sha256()
+    for n in range(1, 17):
+        for m in range(1, 16 // n + 1):
+            h.update(serialize(build_cghz_circuit(
+                ProtocolParams(n, m, 2.0))).encode())
+    assert h.hexdigest() == (
+        "d63d757fe5730f66bfa6b551ff892d9b24c087e0455de6114161aaf7dece9924")
 
 
 def test_params_validation_and_cap():
