@@ -57,12 +57,6 @@ def _nm_cap() -> int:
     return cap
 
 
-def _selection_mode(name: str, branch_tol: float) -> SelectionMode:
-    if name == "exact":
-        return SelectionMode.exact()
-    return SelectionMode.branch(branch_tol)
-
-
 def _parse_alpha_range(spec: str) -> list[float]:
     """'START:STOP:STEP' (inclusive endpoints) or a single value."""
     parts = spec.split(":")
@@ -146,8 +140,7 @@ def _cmd_run(args) -> int:
     circuit = _read_circuit(args.file)
     if circuit is None:
         return EXIT_VALIDATION
-    sel = _selection_mode(args.mode, args.branch_tol)
-    outcome = run(circuit, sel)
+    outcome = run(circuit, SelectionMode(args.mode))
     if args.json:
         print(json.dumps(_run_payload(outcome), indent=2))
         return EXIT_OK
@@ -179,9 +172,8 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"cghzsim sweep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sel = _selection_mode(args.mode, args.branch_tol)
-    points, diagnostics = sweep(alphas, [(args.n, args.m)], sel,
-                                cap=_nm_cap())
+    points, diagnostics = sweep(alphas, [(args.n, args.m)],
+                                SelectionMode(args.mode), cap=_nm_cap())
     for d in diagnostics:
         print(f"sweep point alpha={d.alpha!r} failed: {d.message}",
               file=sys.stderr)
@@ -258,7 +250,6 @@ def main(argv=None) -> int:
     p_run.add_argument("file")
     p_run.add_argument("--mode", choices=["exact", "branch"],
                        default="branch")
-    p_run.add_argument("--branch-tol", type=float, default=1e-9)
     p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -270,7 +261,6 @@ def main(argv=None) -> int:
                          help="START:STOP:STEP (inclusive) or a single value")
     p_sweep.add_argument("--mode", choices=["exact", "branch"],
                          default="branch")
-    p_sweep.add_argument("--branch-tol", type=float, default=1e-9)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("-o", "--output", default=None)
     p_sweep.set_defaults(fn=_cmd_sweep)

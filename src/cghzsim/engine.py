@@ -8,26 +8,22 @@ the generation protocol keeps relabelling surviving spatial modes.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .coherent import CsState, normalize
-from .errors import (
-    CircuitValidationError,
-    RunError,
-    SimulationError,
-    ZeroStateError,
-)
+from .coherent import CsState
+from .errors import CircuitValidationError, RunError, SimulationError
 from .optics import (
     SelectionMode,
     SelectionRecord,
     add_mode,
     apply_bs,
     apply_hadamard,
-    hadamard_norm,
     merge_terms,  # noqa: F401  (not called; perfbench/tests reads it)
     select_vacuum,
     split_mode,
@@ -138,8 +134,10 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
 
     for idx, ins in enumerate(circuit.instructions):
         if isinstance(ins, Prep):
-            amp = complex(ins.amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            if not isinstance(ins.amp, numbers.Complex):
+                out.append(Diagnostic(
+                    idx, f"prep amplitude {ins.amp!r} is not a number"))
+            elif not cmath.isfinite(ins.amp):
                 out.append(Diagnostic(idx, "prep amplitude is not finite"))
             if check_new(idx, ins.mode):
                 live.add(ins.mode)
@@ -147,7 +145,8 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
         elif isinstance(ins, Hadamard):
             check_live(idx, ins.mode)
             if ins.alpha_ref is not None and not (
-                    math.isfinite(ins.alpha_ref) and ins.alpha_ref > 0):
+                    isinstance(ins.alpha_ref, numbers.Real)
+                    and math.isfinite(ins.alpha_ref) and ins.alpha_ref > 0):
                 out.append(Diagnostic(
                     idx, f"hadamard reference {ins.alpha_ref!r} must be "
                          f"a positive real"))
@@ -185,10 +184,12 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
     validates the circuit first.  A backend holds the working state and
     has one method per instruction kind, taking mode positions, never
     names: ``prep(amp)`` appends a mode in |amp>, ``hadamard(i,
-    alpha_ref)`` applies the gate and renormalizes, ``bs(i, j)`` the beam
-    splitter, ``split(i)`` appends a vacuum mode and beam-splits mode i
-    against it, and ``select(i, name)`` heralds vacuum on mode i and
-    removes it.
+    alpha_ref)`` applies the gate, ``bs(i, j)`` the beam splitter,
+    ``split(i)`` appends a vacuum mode and beam-splits mode i against it,
+    and ``select(i, name)`` heralds vacuum on mode i and removes it.  Each
+    method leaves the working state at unit norm (the Hadamard and
+    selection kernels renormalize their output), so the loop runs each
+    instruction once and never renormalizes.
 
     Raises RunError (with the instruction index) for any SimulationError
     the backend raises.
@@ -236,19 +237,8 @@ class _Coherent:
         self._keep(add_mode(self.state, amp))
 
     def hadamard(self, i: int, alpha_ref: float):
-        s = self.state
-        out = apply_hadamard(s, i, alpha_ref, off_basis=self.off_basis)
-        labels = s.amps[:, i]
-        if (labels == labels[:1]).all():
-            # s = s' (x) |b> with s' at unit norm, so the output norm is
-            # that of H|b>
-            n = hadamard_norm(labels[0], alpha_ref)
-            if n <= 1e-12:
-                raise ZeroStateError(f"cannot normalize state with norm {n}")
-            out = CsState(out.coeffs / n, out.amps)
-        else:
-            out = normalize(out)
-        self._keep(out)
+        self._keep(apply_hadamard(self.state, i, alpha_ref,
+                                  off_basis=self.off_basis))
 
     def bs(self, i: int, j: int):
         self._keep(apply_bs(self.state, i, j))
@@ -267,14 +257,13 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
 
     Instructions are applied strictly in order.  The working state has
     unit norm after every instruction: prep and beam splitter (so split)
-    are unitary, each Hadamard (not an isometry on entangled inputs) is
-    followed by a renormalization, and select_vacuum returns a unit-norm
-    state.  So the final state is returned as the executor leaves it,
-    each recorded ``kept_prob`` is the conditional heralding probability
-    of that selection, and ``p_success`` is their product.  Exact
-    selection lets vacuum residue into gate modes, so Hadamards then run
-    with the off-basis projection rule; under branch selection an
-    off-basis amplitude aborts the run.
+    are unitary, and apply_hadamard (not an isometry on entangled inputs)
+    and select_vacuum return unit-norm states.  So the final state is
+    returned as the executor leaves it, each recorded ``kept_prob`` is
+    the conditional heralding probability of that selection, and
+    ``p_success`` is their product.  Exact selection lets vacuum residue
+    into gate modes, so Hadamards then run with the off-basis projection
+    rule; under branch selection an off-basis amplitude aborts the run.
 
     Raises CircuitValidationError if validate() reports anything, and
     RunError (with the instruction index) if a branch dies at runtime.

@@ -7,6 +7,8 @@ Four physical operations drive the whole generation protocol:
 * coherent-qubit Hadamard on the {|a>, |-a>} basis:
       |a>  ->  (N/sqrt2)  (|a> + |-a>),   N  = (1 + exp(-2 a^2))^(-1/2)
       |-a> ->  (N'/sqrt2) (|a> - |-a>),   N' = (1 - exp(-2 a^2))^(-1/2)
+  extended linearly to other labels and followed by a renormalization,
+  since the map is not an isometry on entangled inputs
 * vacuum post-selection on one mode, in two flavours: ``branch`` (keep
   only exactly-vacuum branches; the usual idealization) and ``exact``
   (project every term onto <0|, retaining the false-vacuum amplitudes
@@ -27,6 +29,7 @@ from .coherent import (
     CsState,
     cat_norm,
     merge_terms,
+    normalize,
     state_norm,
 )
 from .errors import (
@@ -34,11 +37,12 @@ from .errors import (
     GateBasisError,
     ModeShapeError,
     ZeroProbabilityError,
+    ZeroStateError,
 )
 
-# Amplitude magnitude below which a mode label counts as vacuum when
-# classifying false-vacuum contributions (and as the default branch-mode
-# selection tolerance).  Labels are produced by exact +-alpha/sqrt2
+# Amplitude magnitude below which a mode label counts as vacuum: branch
+# selection keeps exactly these terms, and both modes count the others as
+# false-vacuum contributions.  Labels are produced by exact +-alpha/sqrt2
 # arithmetic, so any drift is pure round-off.
 VACUUM_LABEL_TOL = 1e-9
 
@@ -51,25 +55,23 @@ class SelectionMode:
     """How vacuum post-selection treats non-vacuum amplitudes.
 
     ``exact`` keeps every term, scaled by its true vacuum overlap;
-    ``branch`` discards terms whose selected-mode label exceeds ``tol``.
+    ``branch`` discards terms whose selected-mode label exceeds
+    ``VACUUM_LABEL_TOL``.
     """
 
     kind: str            # "exact" or "branch"
-    tol: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("exact", "branch"):
             raise DomainError(f"unknown selection mode {self.kind!r}")
-        if self.tol < 0:
-            raise DomainError("branch tolerance must be >= 0")
 
     @classmethod
     def exact(cls) -> "SelectionMode":
         return cls("exact")
 
     @classmethod
-    def branch(cls, tol: float = VACUUM_LABEL_TOL) -> "SelectionMode":
-        return cls("branch", tol)
+    def branch(cls) -> "SelectionMode":
+        return cls("branch")
 
 
 @dataclass(frozen=True)
@@ -144,22 +146,26 @@ def _cat_coords(beta, alpha_ref: float):
     return (ov_p - q * ov_m) / det, (ov_m - q * ov_p) / det
 
 
-def hadamard_norm(beta: complex, alpha_ref: float) -> float:
-    """Norm of H|beta> = u |even cat> + v |odd cat>, sqrt(|u|^2 + |v|^2):
-    1 on the qubit basis {|a>, |-a>}, a = alpha_ref, less off it."""
-    u, v = _cat_coords(np.array([beta], dtype=np.complex128), alpha_ref)
-    return math.sqrt(float(np.abs(u[0]) ** 2 + np.abs(v[0]) ** 2))
-
-
 def apply_hadamard(s: CsState, i: int, alpha_ref: float,
                    off_basis: str = "raise") -> CsState:
-    """Coherent-qubit Hadamard on mode i with qubit basis {|a>, |-a>}.
+    """Coherent-qubit Hadamard on mode i with qubit basis {|a>, |-a>},
+    followed by a renormalization.
 
     The gate is the rank-2 linear map |a> -> |even cat>, |-a> -> |odd cat>
     (the cats are exactly orthonormal even though |+-a> are not).  For a
     term whose mode-i label is b, the label is decomposed in the
-    biorthogonal frame of {|a>, |-a>} and the component outside that span
-    is dropped; on-basis labels reproduce the defining map exactly.
+    biorthogonal frame of {|a>, |-a>} as u |a> + v |-a>, and the
+    component outside that span is dropped; on-basis labels reproduce the
+    defining map exactly.
+
+    The map is not an isometry on entangled inputs, so the image is
+    divided by its norm: a unit-norm, merged input gives a unit-norm,
+    merged output.  When mode i carries one label b in every term the
+    state is s' (x) |b>, the image norm is that of H|b>,
+    sqrt(|u|^2 + |v|^2), and no merge is needed (each output row is an
+    input row with label i set to +-a).  Otherwise the image is merged
+    and normalized by its Gram sum.  Raises ZeroStateError when the
+    image vanishes.
 
     ``off_basis="raise"`` additionally demands every label be within
     1e-9 of +-alpha_ref and raises GateBasisError otherwise; under branch
@@ -194,9 +200,14 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     amps_plus[:, i] = alpha_ref
     amps_minus = s.amps.copy()
     amps_minus[:, i] = -alpha_ref
-    out = CsState(np.concatenate([c_plus, c_minus]),
-                  np.concatenate([amps_plus, amps_minus], axis=0))
-    return merge_terms(out)
+    coeffs = np.concatenate([c_plus, c_minus])
+    amps = np.concatenate([amps_plus, amps_minus], axis=0)
+    if (beta == beta[0]).all():
+        n = math.sqrt(float(np.abs(u[0]) ** 2 + np.abs(v[0]) ** 2))
+        if n <= 1e-12:
+            raise ZeroStateError(f"cannot normalize state with norm {n}")
+        return CsState(coeffs / n, amps)
+    return normalize(merge_terms(CsState(coeffs, amps)))
 
 
 def select_vacuum(s: CsState, i: int,
@@ -205,11 +216,12 @@ def select_vacuum(s: CsState, i: int,
 
     exact:  every coefficient is scaled by <0|a_i> = exp(-|a_i|^2/2);
             kept_prob is the heralding probability of the projected state.
-    branch: terms with |a_i| <= tol survive with coefficients unchanged;
-            the rest are discarded.  kept_prob / discarded_weight are the
-            squared norms of the two portions, and false_vacuum_prob is
-            the probability the discarded branches would have heralded
-            silently anyway (the selection error of a no-click detector).
+    branch: terms with |a_i| <= VACUUM_LABEL_TOL survive with
+            coefficients unchanged; the rest are discarded.  kept_prob /
+            discarded_weight are the squared norms of the two portions,
+            and false_vacuum_prob is the probability the discarded
+            branches would have heralded silently anyway (the selection
+            error of a no-click detector).
 
     In both modes the returned state is the kept portion divided by its
     norm, so it has unit norm.  Probabilities are relative to the incoming
@@ -234,7 +246,7 @@ def select_vacuum(s: CsState, i: int,
         discarded_weight = 0.0
         dead = f"vacuum projection on mode {i} has vanishing probability"
     else:
-        vac = np.abs(labels) <= mode.tol
+        vac = np.abs(labels) <= VACUUM_LABEL_TOL
         kept = CsState(s.coeffs[vac], s.amps[vac][:, keep_cols])
         dropped = labels[vac]
         silent = ~vac

@@ -7,7 +7,6 @@ from cghzsim import (
     BeamSplitter,
     Circuit,
     CircuitValidationError,
-    CsState,
     Hadamard,
     Prep,
     ProtocolParams,
@@ -18,7 +17,6 @@ from cghzsim import (
     build_cghz_circuit,
     fidelity,
     ideal_cghz_state,
-    normalize,
     run,
     run_fock,
     state_norm,
@@ -26,8 +24,7 @@ from cghzsim import (
 )
 from cghzsim.coherent import merge_terms
 from cghzsim.engine import _Coherent, _execute
-from cghzsim.optics import apply_hadamard
-from conftest import random_complex, random_state
+from conftest import random_state
 
 BRANCH = SelectionMode.branch()
 EXACT = SelectionMode.exact()
@@ -62,6 +59,19 @@ def test_validate_alpha_and_ref():
                for d in validate(Circuit(-1.0, (Prep("a", 1.0),))))
     diags = validate(Circuit(2.0, (Prep("a", 2.0), Hadamard("a", -3.0))))
     assert any("reference" in d.message for d in diags)
+
+
+@pytest.mark.parametrize("ins", [
+    (Prep("a", "x"),), (Prep("a", None),),
+    (Prep("a", 2.0), Hadamard("a", "2"))],
+    ids=["amp-str", "amp-none", "ref-str"])
+def test_non_numeric_amplitude_is_a_diagnostic(ins):
+    circuit = Circuit(2.0, ins)
+    diags = validate(circuit)
+    assert [d.index for d in diags] == [len(ins) - 1]
+    for execute in (lambda: run(circuit, BRANCH), lambda: run_fock(circuit)):
+        with pytest.raises(CircuitValidationError):
+            execute()
 
 
 def test_validate_same_mode_bs_and_bad_name():
@@ -195,28 +205,6 @@ def test_empty_circuit_runs_to_scalar_state():
     assert abs(state_norm(r.final_state) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["raise", "project"])
-def test_product_mode_hadamard_norm_matches_gram_norm(sel, rng):
-    # a constant column makes the state s' (x) |b>; the executor then
-    # renormalizes by ||H|b>|| instead of a Gram sum
-    alpha = 1.3
-    backend = _Coherent(sel)
-    for _ in range(50):
-        s = random_state(rng, max_terms=16, modes=3, max_amp=2.0)
-        if sel is BRANCH:
-            b = alpha * rng.choice([-1.0, 1.0])
-        else:
-            b = random_complex(rng, 1, 2.0)[0]
-        i = int(rng.integers(0, 4))
-        s = normalize(CsState(s.coeffs, np.insert(s.amps, i, b, axis=1)))
-        backend.state = s
-        backend.hadamard(i, alpha)
-        ref = normalize(apply_hadamard(s, i, alpha,
-                                       off_basis=backend.off_basis))
-        assert np.array_equal(backend.state.amps, ref.amps)
-        assert np.max(np.abs(backend.state.coeffs - ref.coeffs)) <= 1e-13
-
-
 @pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["branch", "exact"])
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 4), (4, 2)])
 def test_run_final_state_has_unit_norm_and_is_merged(n, m, sel):
@@ -225,6 +213,34 @@ def test_run_final_state_has_unit_norm_and_is_merged(n, m, sel):
     final = run(build_cghz_circuit(ProtocolParams(n, m, 2.0)), sel).final_state
     assert abs(state_norm(final) - 1.0) <= 1e-12
     assert merge_terms(final).term_count == final.term_count
+
+
+class _Checked:
+    """The coherent backend, keeping the working state after each call."""
+
+    def __init__(self, sel):
+        self.inner = _Coherent(sel)
+        self.states = []
+
+    def __getattr__(self, name):
+        kernel = getattr(self.inner, name)
+
+        def call(*args):
+            kernel(*args)
+            self.states.append(self.inner.state)
+        return call
+
+
+@pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["branch", "exact"])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 4), (4, 2)])
+def test_every_instruction_leaves_a_unit_norm_merged_state(n, m, sel):
+    circuit = build_cghz_circuit(ProtocolParams(n, m, 2.0))
+    backend = _Checked(sel)
+    _execute(circuit, backend)
+    assert len(backend.states) == len(circuit.instructions)
+    for idx, state in enumerate(backend.states):
+        assert abs(state_norm(state) - 1.0) <= 1e-12, idx
+        assert merge_terms(state).term_count == state.term_count, idx
 
 
 class _Recorder:

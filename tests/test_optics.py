@@ -21,13 +21,13 @@ from cghzsim import (
     state_inner,
     state_norm,
 )
-from cghzsim.coherent import cat_norm, ghz_norm, merge_terms
+from cghzsim.coherent import cat_norm, coherent_overlap, ghz_norm, merge_terms
 from cghzsim.fock import coherent_fock, hadamard_fock_matrix
 from cghzsim.optics import (
+    VACUUM_LABEL_TOL,
     add_mode,
     apply_bs,
     apply_hadamard,
-    hadamard_norm,
     select_vacuum,
     split_mode,
 )
@@ -153,15 +153,54 @@ def test_hadamard_twice_is_identity_up_to_overlap_tail():
     assert f >= 1 - 1e-6
 
 
-def test_hadamard_norm_is_norm_of_gate_image(rng):
-    for alpha in (0.7, 1.3, 2.0):
-        assert hadamard_norm(alpha, alpha) == pytest.approx(1.0, abs=1e-14)
-        assert hadamard_norm(-alpha, alpha) == pytest.approx(1.0, abs=1e-14)
-        for beta in random_complex(rng, 20, 2.5):
-            image = apply_hadamard(CsState.single([beta]), 0, alpha,
-                                   off_basis="project")
-            assert hadamard_norm(beta, alpha) == pytest.approx(
-                state_norm(image), abs=1e-13)
+def _hadamard_reference(s, i, alpha):
+    """The defining map written term by term: the in-span part of |b> is
+    u |a> + v |-a>, with (u, v) solving the 2x2 Gram system, and
+    |a> -> (|a> + |-a>) N/sqrt2, |-a> -> (|a> - |-a>) N'/sqrt2; the
+    image is then merged and normalized by its Gram sum."""
+    gram = np.array([[1.0, coherent_overlap(alpha, -alpha)],
+                     [coherent_overlap(-alpha, alpha), 1.0]])
+    even, odd = ghz_norm(1, alpha, 1), ghz_norm(1, alpha, -1)
+    coeffs, rows = [], []
+    for sign in (1, -1):
+        for c, row in zip(s.coeffs, s.amps):
+            u, v = np.linalg.solve(gram, [coherent_overlap(alpha, row[i]),
+                                          coherent_overlap(-alpha, row[i])])
+            coeffs.append(c * (u * even + sign * v * odd))
+            rows.append(np.concatenate([row[:i], [sign * alpha],
+                                        row[i + 1:]]))
+    return normalize(merge_terms(CsState(coeffs, rows)))
+
+
+@pytest.mark.parametrize("off_basis,column", [
+    ("raise", "constant"), ("raise", "varying"),
+    ("project", "constant"), ("project", "varying")],
+    ids=["raise-constant", "raise-varying", "project-constant",
+         "project-varying"])
+def test_hadamard_returns_the_normalized_merged_image(off_basis, column,
+                                                      rng):
+    # a constant column makes the input s' (x) |b>, which the kernel
+    # renormalizes by the closed-form norm of H|b> without a merge; a
+    # varying one gives rows that differ only in mode i, which merge
+    for alpha in np.repeat([0.7, 1.3, 2.0], 15):
+        if off_basis == "raise":
+            labels = alpha * np.array([1.0, -1.0])
+        else:
+            labels = random_complex(rng, 3, 2.0)
+        if column == "constant":
+            labels = labels[rng.integers(0, labels.size)][None]
+        rest = random_complex(rng, 3 * int(rng.integers(1, 5)), 2.0)
+        rest = rest.reshape(-1, 3)
+        i = int(rng.integers(0, 4))
+        amps = [np.insert(r, i, b) for r in rest for b in labels]
+        coeffs = random_complex(rng, len(amps), 1.0)
+        s = normalize(merge_terms(CsState(coeffs, amps)))
+        out = apply_hadamard(s, i, alpha, off_basis=off_basis)
+        ref = _hadamard_reference(s, i, alpha)
+        assert abs(state_norm(out) - 1.0) <= 1e-13
+        assert merge_terms(out).term_count == out.term_count
+        assert np.array_equal(out.amps, ref.amps)
+        assert np.max(np.abs(out.coeffs - ref.coeffs)) <= 1e-13
 
 
 def test_hadamard_rejects_off_basis_label():
@@ -188,6 +227,9 @@ def test_hadamard_projection_mode_matches_number_basis_matrix(rng):
         got = np.zeros(61, dtype=complex)
         for c, row in zip(out.coeffs, out.amps):
             got += c * coherent_fock(row[0], 60)
+        # the kernel renormalizes its image, the matrix does not
+        expect /= np.linalg.norm(expect)
+        got /= np.linalg.norm(got)
         assert np.max(np.abs(got - expect)) <= 1e-9
 
 
@@ -208,7 +250,7 @@ def post_first_splitter_state(alpha):
 def test_select_branch_keeps_antisymmetric_branches():
     alpha = 2.0
     s = post_first_splitter_state(alpha)
-    out, rec = select_vacuum(s, 0, SelectionMode.branch(1e-9))
+    out, rec = select_vacuum(s, 0, SelectionMode.branch())
     out = normalize(out)
     # survivors form the +-sqrt2*alpha superposition with the two-mode
     # entangled normalization constant
@@ -223,7 +265,7 @@ def test_select_branch_kept_prob_approaches_half():
     probs = []
     for alpha in (1.0, 2.0, 3.0, 4.0):
         _, rec = select_vacuum(post_first_splitter_state(alpha), 0,
-                               SelectionMode.branch(1e-9))
+                               SelectionMode.branch())
         probs.append(rec.kept_prob)
     assert abs(probs[-1] - 0.5) < 1e-10
     assert all(abs(p - 0.5) <= abs(q - 0.5) for p, q in zip(probs[1:], probs))
@@ -274,7 +316,7 @@ def test_select_exact_kept_prob_in_unit_interval(rng):
         assert -1e-12 <= rec.kept_prob <= 1 + 1e-12
 
 
-@pytest.mark.parametrize("sel", [SelectionMode.branch(1e-9),
+@pytest.mark.parametrize("sel", [SelectionMode.branch(),
                                  SelectionMode.exact()],
                          ids=["branch", "exact"])
 def test_select_returns_unit_norm_state(sel, rng):
@@ -288,7 +330,7 @@ def test_select_returns_unit_norm_state(sel, rng):
         assert abs(state_norm(out) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("sel", [SelectionMode.branch(1e-9),
+@pytest.mark.parametrize("sel", [SelectionMode.branch(),
                                  SelectionMode.exact()],
                          ids=["branch", "exact"])
 def test_select_output_is_merged_when_input_is(sel, rng):
@@ -309,7 +351,7 @@ def test_select_output_is_merged_when_input_is(sel, rng):
             vac = np.exp(-0.5 * np.abs(labels) ** 2)
             ref = CsState(s.coeffs * vac, s.amps[:, 1:])
         else:
-            keep = np.abs(labels) <= sel.tol
+            keep = np.abs(labels) <= VACUUM_LABEL_TOL
             ref = CsState(s.coeffs[keep], s.amps[keep, 1:])
         assert abs(state_inner(normalize(ref), out)) == pytest.approx(
             1.0, abs=1e-12)
@@ -326,7 +368,7 @@ def test_select_exact_merges_rows_the_dropped_mode_told_apart():
 def test_select_branch_zero_survivors():
     s = CsState.single([2.0, 2.0])
     with pytest.raises(ZeroProbabilityError):
-        select_vacuum(s, 0, SelectionMode.branch(1e-9))
+        select_vacuum(s, 0, SelectionMode.branch())
 
 
 def test_selection_mode_validation():
@@ -334,5 +376,3 @@ def test_selection_mode_validation():
 
     with pytest.raises(DomainError):
         SelectionMode("bogus")
-    with pytest.raises(DomainError):
-        SelectionMode("branch", -1.0)
