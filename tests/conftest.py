@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cghzsim import CsState, normalize, state_norm
+from cghzsim.coherent import coherent_overlap, ghz_norm, merge_terms
 
 
 def random_complex(rng, n, max_mag):
@@ -24,6 +25,31 @@ def random_state(rng, max_terms=64, modes=None, max_amp=4.0,
             s = CsState(np.ones(1), amps[:1])
         s = normalize(s)
     return s
+
+
+def hadamard_image(s, i, alpha):
+    """The coherent-qubit Hadamard on mode i written term by term from its
+    defining map, neither merged nor normalized: the in-span part of |b>
+    is u |a> + v |-a>, with (u, v) solving the 2x2 Gram system, and
+    |a> -> (|a> + |-a>) N/sqrt2, |-a> -> (|a> - |-a>) N'/sqrt2.  The +a
+    rows come first, then the -a rows, each in input order."""
+    gram = np.array([[1.0, coherent_overlap(alpha, -alpha)],
+                     [coherent_overlap(-alpha, alpha), 1.0]])
+    even, odd = ghz_norm(1, alpha, 1), ghz_norm(1, alpha, -1)
+    coeffs, rows = [], []
+    for sign in (1, -1):
+        for c, row in zip(s.coeffs, s.amps):
+            u, v = np.linalg.solve(gram, [coherent_overlap(alpha, row[i]),
+                                          coherent_overlap(-alpha, row[i])])
+            coeffs.append(c * (u * even + sign * v * odd))
+            rows.append(np.concatenate([row[:i], [sign * alpha],
+                                        row[i + 1:]]))
+    return CsState(coeffs, rows)
+
+
+def hadamard_reference(s, i, alpha):
+    """hadamard_image merged and normalized by its Gram sum."""
+    return normalize(merge_terms(hadamard_image(s, i, alpha)))
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from cghzsim import (
     BeamSplitter,
     Circuit,
     CircuitValidationError,
+    CsState,
     Hadamard,
     Prep,
     ProtocolParams,
@@ -17,6 +18,7 @@ from cghzsim import (
     build_cghz_circuit,
     fidelity,
     ideal_cghz_state,
+    normalize,
     run,
     run_fock,
     state_norm,
@@ -24,7 +26,7 @@ from cghzsim import (
 )
 from cghzsim.coherent import merge_terms
 from cghzsim.engine import _Coherent, _execute
-from conftest import random_state
+from conftest import hadamard_reference, random_complex, random_state
 
 BRANCH = SelectionMode.branch()
 EXACT = SelectionMode.exact()
@@ -229,6 +231,27 @@ class _Checked:
             kernel(*args)
             self.states.append(self.inner.state)
         return call
+
+
+@pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["raise", "project"])
+def test_product_mode_hadamard_norm_matches_gram_norm(sel, rng):
+    # a constant column makes the state s' (x) |b>; the Hadamard kernel
+    # then renormalizes by ||H|b>|| instead of a Gram sum
+    alpha = 1.3
+    backend = _Coherent(sel)
+    for _ in range(50):
+        s = random_state(rng, max_terms=16, modes=3, max_amp=2.0)
+        if sel is BRANCH:
+            b = alpha * rng.choice([-1.0, 1.0])
+        else:
+            b = random_complex(rng, 1, 2.0)[0]
+        i = int(rng.integers(0, 4))
+        s = normalize(CsState(s.coeffs, np.insert(s.amps, i, b, axis=1)))
+        backend.state = s
+        backend.hadamard(i, alpha)
+        ref = hadamard_reference(s, i, alpha)
+        assert np.array_equal(backend.state.amps, ref.amps)
+        assert np.max(np.abs(backend.state.coeffs - ref.coeffs)) <= 1e-13
 
 
 @pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["branch", "exact"])

@@ -21,7 +21,7 @@ from cghzsim import (
     state_inner,
     state_norm,
 )
-from cghzsim.coherent import cat_norm, coherent_overlap, ghz_norm, merge_terms
+from cghzsim.coherent import cat_norm, ghz_norm, merge_terms
 from cghzsim.fock import coherent_fock, hadamard_fock_matrix
 from cghzsim.optics import (
     VACUUM_LABEL_TOL,
@@ -31,7 +31,12 @@ from cghzsim.optics import (
     select_vacuum,
     split_mode,
 )
-from conftest import random_complex, random_state
+from conftest import (
+    hadamard_image,
+    hadamard_reference,
+    random_complex,
+    random_state,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -153,25 +158,6 @@ def test_hadamard_twice_is_identity_up_to_overlap_tail():
     assert f >= 1 - 1e-6
 
 
-def _hadamard_reference(s, i, alpha):
-    """The defining map written term by term: the in-span part of |b> is
-    u |a> + v |-a>, with (u, v) solving the 2x2 Gram system, and
-    |a> -> (|a> + |-a>) N/sqrt2, |-a> -> (|a> - |-a>) N'/sqrt2; the
-    image is then merged and normalized by its Gram sum."""
-    gram = np.array([[1.0, coherent_overlap(alpha, -alpha)],
-                     [coherent_overlap(-alpha, alpha), 1.0]])
-    even, odd = ghz_norm(1, alpha, 1), ghz_norm(1, alpha, -1)
-    coeffs, rows = [], []
-    for sign in (1, -1):
-        for c, row in zip(s.coeffs, s.amps):
-            u, v = np.linalg.solve(gram, [coherent_overlap(alpha, row[i]),
-                                          coherent_overlap(-alpha, row[i])])
-            coeffs.append(c * (u * even + sign * v * odd))
-            rows.append(np.concatenate([row[:i], [sign * alpha],
-                                        row[i + 1:]]))
-    return normalize(merge_terms(CsState(coeffs, rows)))
-
-
 @pytest.mark.parametrize("off_basis,column", [
     ("raise", "constant"), ("raise", "varying"),
     ("project", "constant"), ("project", "varying")],
@@ -196,11 +182,28 @@ def test_hadamard_returns_the_normalized_merged_image(off_basis, column,
         coeffs = random_complex(rng, len(amps), 1.0)
         s = normalize(merge_terms(CsState(coeffs, amps)))
         out = apply_hadamard(s, i, alpha, off_basis=off_basis)
-        ref = _hadamard_reference(s, i, alpha)
+        ref = hadamard_reference(s, i, alpha)
         assert abs(state_norm(out) - 1.0) <= 1e-13
         assert merge_terms(out).term_count == out.term_count
         assert np.array_equal(out.amps, ref.amps)
         assert np.max(np.abs(out.coeffs - ref.coeffs)) <= 1e-13
+
+
+def test_hadamard_norm_is_norm_of_gate_image(rng):
+    # a single-mode input has a constant column, so the kernel divides the
+    # image by the closed-form norm of H|b>; that divisor must be the Gram
+    # norm of the image, which is 1 on the qubit basis
+    for alpha in (0.7, 1.3, 2.0):
+        for beta in (alpha, -alpha):
+            image = hadamard_image(CsState.single([beta]), 0, alpha)
+            assert state_norm(image) == pytest.approx(1.0, abs=1e-14)
+        for beta in random_complex(rng, 20, 2.5):
+            s = CsState.single([beta])
+            image = hadamard_image(s, 0, alpha)
+            out = apply_hadamard(s, 0, alpha, off_basis="project")
+            assert np.array_equal(out.amps, image.amps)
+            assert np.max(np.abs(out.coeffs * state_norm(image)
+                                 - image.coeffs)) <= 1e-13
 
 
 def test_hadamard_rejects_off_basis_label():
