@@ -10,8 +10,23 @@ evaluated through the exact pairwise Gram sum
 
     <a|b> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b),
 
-with no orthogonalization attempted anywhere: exactness over the
-nonorthogonal term basis is the whole point of this representation.
+with no orthogonalization or truncation attempted anywhere: exactness
+over the nonorthogonal term basis is the whole point of this
+representation.  The sum is evaluated in one of two exact ways:
+
+* dense, in blocks of rows of at most GRAM_BLOCK overlaps, so no T1 x T2
+  matrix is ever held at once (``state_inner``, and ``state_norm`` on
+  states without structure);
+* factored (``state_norm`` only): when the modes fall into groups whose
+  distinct label rows L_g make a small zero-padded product, the
+  coefficients are scattered into a tensor over those rows and
+  contracted with one L_g x L_g Gram table per group, at a cost of
+  prod(L) * sum(L) instead of T^2.  Circuit states have this structure:
+  the exact (2,6) state factors into two groups of 48 rows and the
+  20736 terms of exact (4,4) into four groups of 12.
+
+``state_norm`` takes whichever a cost estimate from T and the group
+sizes says is cheaper.
 
 Amplitudes and coefficients are plain Python/NumPy complex numbers.
 All operations are pure; states are immutable after construction.
@@ -35,6 +50,20 @@ OVERLAP_FLUSH = 1e-300
 NEGATIVE_NORM_TOL = 1e-12
 
 DEFAULT_MERGE_TOL = 1e-12
+
+# Overlaps a dense Gram sum holds at once (16 MiB of complex128); it is
+# evaluated in blocks of rows below this bound.  The factored norm uses
+# it too, as the largest zero-padded coefficient tensor it builds.
+GRAM_BLOCK = 1 << 20
+
+# Cost model of state_norm, in dense Gram elements (one complex
+# exponential with its share of the label product, about 30 ns): the
+# grouping of the modes, per mode (about 30 NumPy calls); one group's
+# table and contraction step, its fixed part (about 16 calls); and one
+# multiply-add of the contraction.
+_GROUPING_COST = 3000
+_TABLE_COST = 1600
+_MAC_COST = 0.05
 
 
 def _require_finite(z: complex, what: str) -> complex:
@@ -104,13 +133,13 @@ class CsState:
         return f"CsState(modes={self.mode_count}, terms={self.term_count})"
 
 
-def _overlap_matrix(s1: CsState, s2: CsState) -> np.ndarray:
-    """Pairwise products of per-mode overlaps: K[i, j] = prod_k <a_ik|b_jk>.
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise products of per-mode overlaps of label rows a (T1, M) and
+    b (T2, M): K[i, j] = prod_k <a_ik|b_jk>.
 
     The per-mode log-overlaps are summed first and exponentiated once, so
     deeply suppressed products never underflow partway.
     """
-    a, b = s1.amps, s2.amps
     ra = np.sum(a.real**2 + a.imag**2, axis=1)
     rb = np.sum(b.real**2 + b.imag**2, axis=1)
     expo = np.conj(a) @ b.T - 0.5 * (ra[:, None] + rb[None, :])
@@ -121,19 +150,162 @@ def _overlap_matrix(s1: CsState, s2: CsState) -> np.ndarray:
 
 
 def state_inner(s1: CsState, s2: CsState) -> complex:
-    """Gram inner product <s1|s2> = sum_ij conj(c_i) d_j prod_k <a_ik|b_jk>."""
+    """Gram inner product <s1|s2> = sum_ij conj(c_i) d_j prod_k <a_ik|b_jk>.
+
+    The Gram matrix is built and summed in blocks of rows of s1 holding
+    at most GRAM_BLOCK overlaps each, so memory stays bounded at any
+    term count.
+    """
     if s1.mode_count != s2.mode_count:
         raise ModeShapeError(
             f"mode counts differ: {s1.mode_count} vs {s2.mode_count}")
     if s1.term_count == 0 or s2.term_count == 0:
         return 0.0 + 0.0j
-    k = _overlap_matrix(s1, s2)
-    return complex(np.conj(s1.coeffs) @ k @ s2.coeffs)
+    rows = max(1, GRAM_BLOCK // s2.term_count)
+    return complex(sum(
+        np.conj(s1.coeffs[lo:lo + rows])
+        @ _gram(s1.amps[lo:lo + rows], s2.amps) @ s2.coeffs
+        for lo in range(0, s1.term_count, rows)))
+
+
+def _distinct_pairs(a: np.ndarray, la: int,
+                    b: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Number of distinct code pairs (a[t], b[p, t]) over t, for each row
+    p of b (P, T); a (T,) has la codes and row p of b has lb[p]."""
+    key = a * lb[:, None] + b
+    span = la * lb
+    if span.sum() <= key.size:
+        # each row's keys land in a bin range of their own
+        offsets = np.cumsum(span) - span
+        seen = np.bincount((key + offsets[:, None]).ravel(),
+                           minlength=int(span.sum())) > 0
+        return np.add.reduceat(seen, offsets, dtype=np.intp)
+    srt = np.sort(key, axis=1)
+    return 1 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1)
+
+
+def _recode(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Codes 0..L-1 of the distinct values of ``key`` (all below span)."""
+    if span <= key.size:
+        remap = np.cumsum(np.bincount(key, minlength=span) > 0) - 1
+        return remap[key], int(remap[-1]) + 1
+    values, codes = np.unique(key, return_inverse=True)
+    return codes.reshape(-1), values.size
+
+
+def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
+    """Partition the modes into groups whose distinct label rows make a
+    cheap zero-padded product.
+
+    Each mode gets integer codes of its labels; labels that differ at all
+    get different codes.  Modes whose codes split the terms alike share a
+    group from the start.  Then, over L, the number of distinct label
+    rows of each group, the two groups whose merge lowers the contraction
+    cost prod(L) * sum(L) the most are merged, until no merge lowers it.
+    The distinct-row count of every pair of groups is kept, so a merge
+    counts only the new group's pairs.  Returns (codes (T,), L, modes)
+    per group; a mode with one label in every term is in no group.
+    """
+    a = np.ascontiguousarray(amps.T)
+    order = np.lexsort((a.imag, a.real), axis=-1)
+    srt = np.take_along_axis(a, order, axis=-1)
+    ids = np.zeros(a.shape, dtype=np.intp)
+    np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=ids[:, 1:])
+    codes = np.empty_like(ids)
+    np.put_along_axis(codes, order, ids, axis=-1)
+    sizes = ids[:, -1] + 1
+    live = np.flatnonzero(sizes > 1)
+    groups = {}
+    pairs = {}
+    for i, x in enumerate(live.tolist()):
+        rest = live[i + 1:]
+        joint = _distinct_pairs(codes[x], sizes[x], codes[rest], sizes[rest])
+        twin = next((k for k in groups if pairs.get((k, x)) == sizes[x]
+                     == groups[k][1]), None)
+        if twin is None:
+            groups[x] = (codes[x], int(sizes[x]), [x])
+        else:
+            groups[twin][2].append(x)
+        pairs.update(zip(((x, y) for y in rest.tolist()), joint.tolist()))
+    pairs = {k: n for k, n in pairs.items()
+             if k[0] in groups and k[1] in groups}
+    label = len(sizes)
+    while pairs:
+        total = sum(size for _, size, _ in groups.values())
+        best, merge = 1.0, None
+        for (x, y), n in pairs.items():
+            lx, ly = groups[x][1], groups[y][1]
+            ratio = n * (total - lx - ly + n) / (lx * ly * total)
+            if ratio < best:
+                best, merge = ratio, (x, y)
+        if merge is None:
+            break
+        (cx, lx, mx), (cy, ly, my) = (groups.pop(k) for k in merge)
+        joint, n = _recode(cx * ly + cy, lx * ly)
+        pairs = {k: v for k, v in pairs.items()
+                 if k[0] in groups and k[1] in groups}
+        if groups:
+            rest = list(groups)
+            found = _distinct_pairs(
+                joint, n, np.array([groups[k][0] for k in rest]),
+                np.array([groups[k][1] for k in rest]))
+            pairs.update(zip(((k, label) for k in rest), found.tolist()))
+        groups[label] = (joint, n, mx + my)
+        label += 1
+    return list(groups.values())
+
+
+def _factored_norm_sq(s: CsState, groups) -> float:
+    """<s|s> from per-group Gram tables.
+
+    The coefficients are scattered into a zero-padded tensor C over the
+    groups' distinct rows; <s|s> = sum_xy conj(C[x]) C[y] prod_g K_g[x_g,
+    y_g], applied one group axis at a time.  Zero padding adds nothing,
+    so this equals the dense sum up to round-off.
+    """
+    t = s.term_count
+    flat = np.zeros(t, dtype=np.intp)
+    for codes, size, _ in groups:
+        flat = flat * size + codes
+    cells = math.prod(size for _, size, _ in groups)
+    c = (np.bincount(flat, s.coeffs.real, cells)
+         + 1j * np.bincount(flat, s.coeffs.imag, cells))
+    x = c
+    for codes, size, modes in groups:
+        first = np.empty(size, dtype=np.intp)
+        first[codes] = np.arange(t)
+        rows = s.amps[first][:, modes]
+        # contract the leading axis, which comes back last
+        x = x.reshape(size, -1).T @ _gram(rows, rows).T
+    return float(np.vdot(c, x.reshape(-1)).real)
+
+
+def _norm_sq(s: CsState) -> float:
+    """<s|s> by whichever of the factored and dense sums costs less.
+
+    The dense sum costs T^2 Gram elements.  Grouping the modes is tried
+    only when it costs less than that, and the factored sum is taken when
+    its tables (sum L^2 elements), its contraction (prod(L) * sum(L)
+    multiply-adds) and its per-group overhead cost less too, and its
+    zero-padded tensor (prod(L) entries) fits in GRAM_BLOCK.
+    """
+    t, m = s.amps.shape
+    dense = t * t
+    if dense <= _GROUPING_COST * m:
+        return state_inner(s, s).real
+    groups = _label_groups(s.amps)
+    sizes = [size for _, size, _ in groups]
+    cells = math.prod(sizes)
+    factored = (sum(size * size + t + _TABLE_COST for size in sizes)
+                + cells * sum(sizes) * _MAC_COST)
+    if cells > GRAM_BLOCK or factored >= dense:
+        return state_inner(s, s).real
+    return _factored_norm_sq(s, groups)
 
 
 def state_norm(s: CsState) -> float:
     """Euclidean norm sqrt(<s|s>); tiny negative round-off is clamped to 0."""
-    sq = state_inner(s, s).real
+    sq = _norm_sq(s)
     if sq < 0.0:
         if sq < -NEGATIVE_NORM_TOL:
             raise DomainError(

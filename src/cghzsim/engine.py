@@ -102,6 +102,16 @@ class RunResult:
     max_term_count: int = 0
 
 
+def _positive_real(x) -> bool:
+    """A finite real number above zero, as a Python or NumPy scalar.
+
+    ``bool`` is refused although Python counts it as an int: ``True`` as
+    an amplitude is a slip, not a request for alpha = 1.
+    """
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x) and x > 0)
+
+
 def validate(circuit: Circuit) -> list[Diagnostic]:
     """Statically check a circuit; an empty list means it can run.
 
@@ -109,8 +119,7 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
     live, and never rebound; SelectVacuum consumes its mode.
     """
     out: list[Diagnostic] = []
-    if not (isinstance(circuit.alpha, (int, float))
-            and math.isfinite(circuit.alpha) and circuit.alpha > 0):
+    if not _positive_real(circuit.alpha):
         out.append(Diagnostic(None, f"declared alpha must be a positive "
                                     f"finite real, got {circuit.alpha!r}"))
     live: set[str] = set()
@@ -144,9 +153,7 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
                 ever.add(ins.mode)
         elif isinstance(ins, Hadamard):
             check_live(idx, ins.mode)
-            if ins.alpha_ref is not None and not (
-                    isinstance(ins.alpha_ref, numbers.Real)
-                    and math.isfinite(ins.alpha_ref) and ins.alpha_ref > 0):
+            if not (ins.alpha_ref is None or _positive_real(ins.alpha_ref)):
                 out.append(Diagnostic(
                     idx, f"hadamard reference {ins.alpha_ref!r} must be "
                          f"a positive real"))
@@ -202,7 +209,7 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
                 order.append(ins.mode)
             elif isinstance(ins, Hadamard):
                 ref = circuit.alpha if ins.alpha_ref is None else ins.alpha_ref
-                backend.hadamard(order.index(ins.mode), ref)
+                backend.hadamard(order.index(ins.mode), float(ref))
             elif isinstance(ins, BeamSplitter):
                 backend.bs(order.index(ins.mode_a), order.index(ins.mode_b))
             elif isinstance(ins, Split):

@@ -4,9 +4,14 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
+import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import cghzsim
 import numpy as np
 from cghzsim import (
     CsState,
@@ -267,3 +272,35 @@ def test_scale_ceiling():
     report("scale-ceiling", ok,
            f"(3,3) built+ran in {elapsed * 1000:.0f} ms with max "
            f"{result.max_term_count} terms (limits: 1000 ms, 1024 terms)")
+
+
+# The child caps its own address space before it imports anything, so the
+# limit covers NumPy and BLAS too and never touches the test process.
+EXACT_44_CHILD = """
+import json, resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.path.insert(0, sys.argv[1])
+import cghzsim as cg
+params = cg.ProtocolParams(4, 4, 2.0)
+result = cg.run(cg.build_cghz_circuit(params), cg.SelectionMode.exact())
+print(json.dumps({"terms": result.max_term_count, "p": result.p_success,
+                  "f": cg.fidelity(result.final_state,
+                                   cg.ideal_cghz_state(params))}))
+"""
+
+
+def test_exact_four_by_four_in_four_gigabytes():
+    src = str(Path(cghzsim.__file__).resolve().parents[1])
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", EXACT_44_CHILD, src],
+                          capture_output=True, text=True, timeout=600)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    ok = (out["terms"] == 20736 and 0.0 < out["p"] < 1.0
+          and 0.99 < out["f"] <= 1.0)
+    report("exact-4x4-in-4GB", ok,
+           f"{out['terms']} terms, F={out['f']:.6f}, p={out['p']:.4e} "
+           f"in {elapsed:.1f} s under a 4 GB address-space cap")

@@ -14,6 +14,7 @@ from cghzsim import (
     state_inner,
     state_norm,
 )
+from cghzsim import coherent
 from cghzsim.coherent import (
     cat_norm,
     coherent_overlap,
@@ -144,6 +145,154 @@ def test_normalize_reproduces_cat_constant():
     np.testing.assert_allclose(s.coeffs,
                                [n0 / math.sqrt(2), n0 / math.sqrt(2)],
                                atol=1e-14)
+
+
+# ------------------------------------------------ factored and chunked sums
+
+def dense_norm(s):
+    """The reference: the square root of the dense Gram sum <s|s>."""
+    return math.sqrt(max(state_inner(s, s).real, 0.0))
+
+
+def factored_norm(s):
+    """The factored contraction alone, whatever state_norm would pick."""
+    groups = coherent._label_groups(s.amps)
+    return math.sqrt(max(coherent._factored_norm_sq(s, groups), 0.0))
+
+
+def assert_norm_parity(s):
+    want = dense_norm(s)
+    for got in (factored_norm(s), state_norm(s)):
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Counts the calls of the factored contraction and of state_inner."""
+    calls = {"factored": 0, "dense": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(coherent, "_factored_norm_sq",
+                        counted("factored", coherent._factored_norm_sq))
+    monkeypatch.setattr(coherent, "state_inner",
+                        counted("dense", coherent.state_inner))
+    return calls
+
+
+def product_state(rng, groups, keep=1.0, repeat=0):
+    """A Cartesian product of per-group label rows, with the modes of the
+    groups interleaved at random; ``keep`` keeps that share of the rows
+    (so the product is zero-padded) and ``repeat`` appends that many
+    copies of existing rows (an unmerged state)."""
+    blocks = [random_complex(rng, rows * width, 2.0).reshape(rows, width)
+              for rows, width in groups]
+    grid = np.meshgrid(*[np.arange(len(b)) for b in blocks], indexing="ij")
+    amps = np.concatenate([b[g.ravel()] for b, g in zip(blocks, grid)],
+                          axis=1)
+    amps = amps[:, rng.permutation(amps.shape[1])]
+    rows = np.flatnonzero(rng.uniform(size=len(amps)) < keep)
+    if rows.size == 0:
+        rows = np.array([0])
+    rows = np.concatenate([rows, rng.choice(rows, repeat)])
+    amps = amps[rng.permutation(rows)]
+    return CsState(random_complex(rng, len(amps), 1.0), amps)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)),
+                min_size=1, max_size=3),
+       st.sampled_from([1.0, 0.7, 0.3]), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_factored_norm_matches_dense_on_product_states(seed, groups, keep,
+                                                       repeat):
+    rng = np.random.default_rng(seed)
+    assert_norm_parity(product_state(rng, groups, keep, repeat))
+
+
+def test_factored_groups_recover_the_product_blocks(rng):
+    s = product_state(rng, [(6, 2), (5, 3), (4, 1)])
+    sizes = sorted(size for _, size, _ in coherent._label_groups(s.amps))
+    assert sizes == [4, 5, 6]
+
+
+def test_large_product_state_takes_the_factored_path(rng, paths):
+    s = product_state(rng, [(12, 3), (12, 3), (12, 2)], keep=0.5)
+    assert_norm_parity(s)
+    paths.update(factored=0, dense=0)
+    state_norm(s)
+    assert paths == {"factored": 1, "dense": 0}
+
+
+def test_unstructured_labels_take_the_dense_path(rng, paths):
+    s = CsState(random_complex(rng, 400, 1.0),
+                random_complex(rng, 1600, 3.0).reshape(400, 4))
+    got = state_norm(s)
+    assert paths == {"factored": 0, "dense": 1}
+    assert abs(got - dense_norm(s)) <= 1e-12 * got
+    assert abs(factored_norm(s) - got) <= 1e-12 * got
+
+
+def test_labels_1e_13_apart_get_distinct_codes():
+    near = 1.0 + 1e-13
+    s = CsState([1.0, 0.5, 0.25j, 2.0],
+                [[1.0, 0.5], [near, 0.5], [1.0, -0.5], [near, -0.5]])
+    groups = coherent._label_groups(s.amps)
+    assert sorted(size for _, size, _ in groups) == [2, 2]
+    assert_norm_parity(s)
+
+
+def test_factored_norm_edge_shapes():
+    assert state_norm(CsState([], np.zeros((0, 3)))) == 0.0
+    one = CsState([0.6 - 0.8j], [[1.0, -2.0j]])
+    assert factored_norm(one) == pytest.approx(1.0, abs=1e-15)
+    assert state_norm(one) == pytest.approx(1.0, abs=1e-15)
+    no_modes = CsState([1.0, 2.0j, -0.5], np.zeros((3, 0)))
+    assert factored_norm(no_modes) == pytest.approx(abs(0.5 + 2j))
+    assert state_norm(no_modes) == pytest.approx(abs(0.5 + 2j))
+
+
+EXACT_LARGE = [(2, 4), (4, 2), (2, 5), (3, 3), (2, 6)]
+
+
+def test_factored_norm_matches_dense_on_every_exact_large_state(
+        monkeypatch, paths):
+    import cghzsim.optics as optics
+    from cghzsim import ProtocolParams, SelectionMode, build_cghz_circuit, run
+    seen = []
+    norm = coherent.state_norm
+
+    def recording(s):
+        seen.append(s)
+        return norm(s)
+
+    monkeypatch.setattr(optics, "state_norm", recording)
+    monkeypatch.setattr(coherent, "state_norm", recording)
+    for n, m in EXACT_LARGE:
+        run(build_cghz_circuit(ProtocolParams(n, m, 2.0)),
+            SelectionMode.exact())
+    assert paths["factored"] > 0
+    assert max(s.term_count for s in seen) == 2304
+    for s in seen:
+        assert_norm_parity(s)
+
+
+def test_dense_sum_in_row_blocks_matches_one_block(rng, monkeypatch):
+    t = 1500
+    s = CsState(random_complex(rng, t, 1.0),
+                random_complex(rng, 3 * t, 3.0).reshape(t, 3))
+    other = CsState(random_complex(rng, 900, 1.0),
+                    random_complex(rng, 2700, 3.0).reshape(900, 3))
+    assert t > coherent.GRAM_BLOCK // t          # several row blocks
+    blocked = [state_inner(s, s), state_inner(s, other), state_norm(s)]
+    monkeypatch.setattr(coherent, "GRAM_BLOCK", t * t)
+    single = [state_inner(s, s), state_inner(s, other), state_norm(s)]
+    for got, want in zip(blocked, single):
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 # ------------------------------------------------------------------ merge

@@ -63,6 +63,30 @@ def test_validate_alpha_and_ref():
     assert any("reference" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("alpha", [np.float32(2.0), np.int64(2),
+                                   np.float64(2.0), 2])
+def test_numpy_scalar_alpha_runs_like_the_float(alpha):
+    built = build_cghz_circuit(ProtocolParams(2, 2, 2.0))
+    circuit = Circuit(alpha, built.instructions)
+    with_ref = Circuit(2.0, (Prep("a", 2.0), Hadamard("a", alpha)))
+    assert validate(circuit) == [] and validate(with_ref) == []
+    for sel in (BRANCH, EXACT):
+        want, got = run(built, sel), run(circuit, sel)
+        assert got.p_success == want.p_success
+        assert np.array_equal(got.final_state.coeffs, want.final_state.coeffs)
+        assert np.array_equal(got.final_state.amps, want.final_state.amps)
+    want = run(Circuit(2.0, (Prep("a", 2.0), Hadamard("a", 2.0))), EXACT)
+    assert np.array_equal(run(with_ref, EXACT).final_state.coeffs,
+                          want.final_state.coeffs)
+
+
+@pytest.mark.parametrize("alpha", [True, False, np.bool_(True)])
+def test_bool_alpha_is_refused_in_both_checks(alpha):
+    # True == 1 to Python, but an amplitude given as a bool is a slip
+    diags = validate(Circuit(alpha, (Prep("a", 2.0), Hadamard("a", alpha))))
+    assert [d.index for d in diags] == [None, 1]
+
+
 @pytest.mark.parametrize("ins", [
     (Prep("a", "x"),), (Prep("a", None),),
     (Prep("a", 2.0), Hadamard("a", "2"))],
