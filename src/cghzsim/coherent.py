@@ -133,7 +133,7 @@ class CsState:
         return f"CsState(modes={self.mode_count}, terms={self.term_count})"
 
 
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _overlap_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise products of per-mode overlaps of label rows a (T1, M) and
     b (T2, M): K[i, j] = prod_k <a_ik|b_jk>.
 
@@ -141,7 +141,7 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     deeply suppressed products never underflow partway.
     """
     ra = np.sum(a.real**2 + a.imag**2, axis=1)
-    rb = np.sum(b.real**2 + b.imag**2, axis=1)
+    rb = ra if b is a else np.sum(b.real**2 + b.imag**2, axis=1)
     expo = np.conj(a) @ b.T - 0.5 * (ra[:, None] + rb[None, :])
     k = np.exp(expo)
     if k.size:
@@ -161,11 +161,15 @@ def state_inner(s1: CsState, s2: CsState) -> complex:
             f"mode counts differ: {s1.mode_count} vs {s2.mode_count}")
     if s1.term_count == 0 or s2.term_count == 0:
         return 0.0 + 0.0j
-    rows = max(1, GRAM_BLOCK // s2.term_count)
+    t1, rows = s1.term_count, max(1, GRAM_BLOCK // s2.term_count)
+    if t1 <= rows:
+        # one block, unsliced, so a self-product reuses its row norms
+        k = _overlap_matrix(s1.amps, s2.amps)
+        return complex(np.conj(s1.coeffs) @ k @ s2.coeffs)
     return complex(sum(
         np.conj(s1.coeffs[lo:lo + rows])
-        @ _gram(s1.amps[lo:lo + rows], s2.amps) @ s2.coeffs
-        for lo in range(0, s1.term_count, rows)))
+        @ _overlap_matrix(s1.amps[lo:lo + rows], s2.amps) @ s2.coeffs
+        for lo in range(0, t1, rows)))
 
 
 def _distinct_pairs(a: np.ndarray, la: int,
@@ -276,7 +280,7 @@ def _factored_norm_sq(s: CsState, groups) -> float:
         first[codes] = np.arange(t)
         rows = s.amps[first][:, modes]
         # contract the leading axis, which comes back last
-        x = x.reshape(size, -1).T @ _gram(rows, rows).T
+        x = x.reshape(size, -1).T @ _overlap_matrix(rows, rows).T
     return float(np.vdot(c, x.reshape(-1)).real)
 
 

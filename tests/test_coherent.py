@@ -261,17 +261,22 @@ EXACT_LARGE = [(2, 4), (4, 2), (2, 5), (3, 3), (2, 6)]
 
 def test_factored_norm_matches_dense_on_every_exact_large_state(
         monkeypatch, paths):
+    import cghzsim.engine as engine
     import cghzsim.optics as optics
     from cghzsim import ProtocolParams, SelectionMode, build_cghz_circuit, run
     seen = []
-    norm = coherent.state_norm
 
-    def recording(s):
-        seen.append(s)
-        return norm(s)
+    def recording(fn):
+        def wrapper(s, *args, **kwargs):
+            seen.append(s)
+            return fn(s, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(optics, "state_norm", recording)
-    monkeypatch.setattr(coherent, "state_norm", recording)
+    # the kernels' inputs, and every state they or normalize take a norm of
+    for module, name in ((engine, "apply_hadamard"),
+                         (engine, "select_vacuum"),
+                         (optics, "state_norm"), (coherent, "state_norm")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
     for n, m in EXACT_LARGE:
         run(build_cghz_circuit(ProtocolParams(n, m, 2.0)),
             SelectionMode.exact())
