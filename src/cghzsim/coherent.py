@@ -326,21 +326,19 @@ def normalize(s: CsState) -> CsState:
     return CsState(s.coeffs / n, s.amps)
 
 
-def merge_terms(s: CsState, tol: float = DEFAULT_MERGE_TOL) -> CsState:
+def merge_terms(s: CsState) -> CsState:
     """Combine terms with coinciding amplitude labels.
 
     Each real and imaginary component of the labels is sorted on its own
     and cut into clusters wherever two neighbouring values differ by more
-    than ``tol``, so the tolerance chains within a component.  Terms whose
-    components all fall in the same clusters are summed into the earliest
-    of them, and the merged terms keep the order of their earliest rows;
-    afterwards terms with |coeff| <= tol * max|coeff| are dropped.
-    Protocol circuits produce exactly coinciding labels, so the default
-    tolerance is lossless.  Cost: one sort per component, O(M T log T)
-    for T terms on M modes.
+    than tol = DEFAULT_MERGE_TOL (1e-12), so the tolerance chains within
+    a component.  Terms whose components all fall in the same clusters
+    are summed into the earliest of them, and the merged terms keep the
+    order of their earliest rows; afterwards terms with |coeff| <=
+    tol * max|coeff| are dropped.  Protocol circuits produce exactly
+    coinciding labels, so the tolerance is lossless.  Cost: one sort per
+    component, O(M T log T) for T terms on M modes.
     """
-    if tol < 0:
-        raise DomainError("merge tolerance must be >= 0")
     t = s.term_count
     if t == 0:
         return s
@@ -352,8 +350,8 @@ def merge_terms(s: CsState, tol: float = DEFAULT_MERGE_TOL) -> CsState:
         order = np.argsort(comps, axis=0)
         cols = np.arange(comps.shape[1])
         ids = np.zeros(comps.shape, dtype=np.intp)
-        np.cumsum(np.diff(comps[order, cols], axis=0) > tol, axis=0,
-                  out=ids[1:])
+        np.cumsum(np.diff(comps[order, cols], axis=0) > DEFAULT_MERGE_TOL,
+                  axis=0, out=ids[1:])
         ids[order, cols] = ids.copy()
         # rows with equal id vectors are adjacent after a stable lexsort,
         # the earliest row first
@@ -373,7 +371,7 @@ def merge_terms(s: CsState, tol: float = DEFAULT_MERGE_TOL) -> CsState:
     coeffs = (np.bincount(group, s.coeffs.real, g)
               + 1j * np.bincount(group, s.coeffs.imag, g))
     mags = np.abs(coeffs)
-    keep = mags > tol * mags.max()
+    keep = mags > DEFAULT_MERGE_TOL * mags.max()
     return CsState(coeffs[keep], s.amps[is_rep][keep])
 
 

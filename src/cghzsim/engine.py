@@ -106,7 +106,8 @@ def _positive_real(x) -> bool:
     """A finite real number above zero, as a Python or NumPy scalar.
 
     ``bool`` is refused although Python counts it as an int: ``True`` as
-    an amplitude is a slip, not a request for alpha = 1.
+    an amplitude is a slip, not a request for alpha = 1.  ``validate``
+    refuses a ``bool`` Prep amplitude by the same rule.
     """
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
             and math.isfinite(x) and x > 0)
@@ -143,7 +144,8 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
 
     for idx, ins in enumerate(circuit.instructions):
         if isinstance(ins, Prep):
-            if not isinstance(ins.amp, numbers.Complex):
+            if (not isinstance(ins.amp, numbers.Complex)
+                    or isinstance(ins.amp, bool)):
                 out.append(Diagnostic(
                     idx, f"prep amplitude {ins.amp!r} is not a number"))
             elif not cmath.isfinite(ins.amp):

@@ -9,10 +9,11 @@ Four physical operations drive the whole generation protocol:
       |-a> ->  (N'/sqrt2) (|a> - |-a>),   N' = (1 - exp(-2 a^2))^(-1/2)
   extended linearly to other labels and followed by a renormalization,
   since the map is not an isometry on entangled inputs
-* vacuum post-selection on one mode, in two flavours: ``branch`` (keep
-  only exactly-vacuum branches; the usual idealization) and ``exact``
-  (project every term onto <0|, retaining the false-vacuum amplitudes
-  that a real no-click herald cannot distinguish).
+* vacuum post-selection on one mode: every kept term is projected onto
+  <0|.  The selection mode only sets which terms are dropped first:
+  ``exact`` drops none, retaining the false-vacuum amplitudes that a
+  real no-click herald cannot distinguish; ``branch`` drops every
+  non-vacuum term (the usual idealization).
 
 A mode split, |sqrt2 a> -> |a>|a>, is a vacuum prep plus a beam splitter.
 """
@@ -79,10 +80,10 @@ class SelectionRecord:
     """Bookkeeping for one vacuum selection.
 
     ``kept_prob`` is the heralding probability of the kept branch,
-    ``discarded_weight`` the squared norm of what branch mode threw away,
-    and ``false_vacuum_prob`` the probability that a non-vacuum branch
-    nevertheless leaves the detector silent (weight |c <0|a>|^2 summed
-    over non-vacuum labels).
+    ``discarded_weight`` the squared norm of the dropped terms (0 under
+    exact selection, which drops none), and ``false_vacuum_prob`` the
+    probability that a non-vacuum branch nevertheless leaves the
+    detector silent (weight |c <0|a>|^2 summed over non-vacuum labels).
     """
 
     mode: int
@@ -214,21 +215,22 @@ def select_vacuum(s: CsState, i: int,
                   mode: SelectionMode) -> tuple[CsState, SelectionRecord]:
     """Post-select "no photon" on mode i and remove that mode.
 
-    exact:  every coefficient is scaled by <0|a_i> = exp(-|a_i|^2/2);
-            kept_prob is the heralding probability of the projected state.
-    branch: terms with |a_i| <= VACUUM_LABEL_TOL survive with
-            coefficients unchanged; the rest are discarded.  kept_prob /
-            discarded_weight are the squared norms of the two portions,
-            and false_vacuum_prob is the probability the discarded
-            branches would have heralded silently anyway (the selection
-            error of a no-click detector).
+    Both modes apply the same projection: every kept term's coefficient
+    is scaled by its vacuum overlap <0|a_i> = exp(-|a_i|^2/2).  The mode
+    only decides which terms are dropped first: none under ``exact``,
+    which keeps the false-vacuum amplitudes that a real no-click herald
+    cannot tell apart; under ``branch`` every term with |a_i| >
+    VACUUM_LABEL_TOL, so each kept term has <0|a_i> = 1 exactly.
 
-    In both modes the returned state is the kept portion divided by its
-    norm, so it has unit norm.  Probabilities are relative to the incoming
-    squared norm, so callers need not renormalize between selections.
-    Kept rows are merged when their mode-i labels differ by more than the
-    merge tolerance, the only case in which dropping mode i can make two
-    coincide.
+    kept_prob is the squared norm of the projected kept terms,
+    discarded_weight that of the dropped terms (0 when none are), and
+    false_vacuum_prob the probability that the non-vacuum terms herald
+    silently anyway (the selection error of a no-click detector).  All
+    three are relative to the incoming squared norm, so callers need not
+    renormalize between selections.  The returned state is the kept
+    portion divided by its norm.  Kept rows are merged when their mode-i
+    labels differ by more than the merge tolerance, the only case in
+    which dropping mode i can make two coincide.
     """
     _check_mode_index(s, i)
     in_sq = state_norm(s) ** 2
@@ -238,28 +240,24 @@ def select_vacuum(s: CsState, i: int,
     keep_cols = [k for k in range(s.mode_count) if k != i]
     labels = s.amps[:, i]
     vac_overlap = np.exp(-0.5 * (labels.real**2 + labels.imag**2))
+    silent = np.abs(labels) > VACUUM_LABEL_TOL
+    drop = silent if mode.kind == "branch" else np.zeros_like(silent)
+    keep = ~drop
 
-    if mode.kind == "exact":
-        kept = CsState(s.coeffs * vac_overlap, s.amps[:, keep_cols])
-        dropped = labels
-        silent = np.abs(labels) > VACUUM_LABEL_TOL
-        discarded_weight = 0.0
-        dead = f"vacuum projection on mode {i} has vanishing probability"
-    else:
-        vac = np.abs(labels) <= VACUUM_LABEL_TOL
-        kept = CsState(s.coeffs[vac], s.amps[vac][:, keep_cols])
-        dropped = labels[vac]
-        silent = ~vac
-        discarded = CsState(s.coeffs[silent], s.amps[silent])
-        discarded_weight = state_norm(discarded) ** 2 / in_sq
-        dead = f"no surviving vacuum branch on mode {i}"
+    kept = CsState(s.coeffs[keep] * vac_overlap[keep],
+                   s.amps[keep][:, keep_cols])
     kept_norm = state_norm(kept)
     kept_prob = min(max(kept_norm ** 2 / in_sq, 0.0), 1.0)
+    discarded_weight = (
+        state_norm(CsState(s.coeffs[drop], s.amps[drop])) ** 2 / in_sq
+        if drop.any() else 0.0)
     false_prob = float(
         np.sum(np.abs(s.coeffs[silent] * vac_overlap[silent]) ** 2)) / in_sq
     if kept_norm <= 1e-12:
-        raise ZeroProbabilityError(dead)
+        raise ZeroProbabilityError(
+            f"vacuum selection on mode {i} has vanishing probability")
     out = CsState(kept.coeffs / kept_norm, kept.amps)
+    dropped = labels[keep]
     if max(np.ptp(dropped.real), np.ptp(dropped.imag)) > DEFAULT_MERGE_TOL:
         out = merge_terms(out)
     return out, SelectionRecord(mode=i, kept_prob=kept_prob,

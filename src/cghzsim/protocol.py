@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count
 
 import numpy as np
 
@@ -85,27 +85,20 @@ def ideal_cghz_state(params: ProtocolParams) -> CsState:
     """Ideal concatenated target: both tensor-power branches of the
     normalized m-mode GHZ states, summed and renormalized.
 
-    The plus and minus branches are built term-by-term (2^n terms each,
-    kept unmerged) and the overall constant is computed from the Gram
-    norm rather than assumed.
+    Each branch has 2^n terms, one per choice of term 0 or 1 in every
+    block: row r takes the binary digits of r, most significant first,
+    as its block choices, its coefficient is the product of the chosen
+    block coefficients and its labels are the chosen block rows side by
+    side.  The plus branch comes first.  Terms are kept unmerged and the
+    overall constant is computed from the Gram norm rather than assumed.
     """
     n, m, alpha = params.n_logical, params.m_physical, params.alpha
-    coeffs = []
-    amps = []
-    for sign in (1, -1):
-        block = ideal_ghz_state(m, alpha, sign)
-        bc = block.coeffs
-        ba = block.amps
-        for choice in product(range(2), repeat=n):
-            c = 1.0 + 0.0j
-            row = []
-            for b in choice:
-                c *= bc[b]
-                row.extend(ba[b])
-            coeffs.append(c)
-            amps.append(row)
-    state = CsState(np.asarray(coeffs), np.asarray(amps))
-    return normalize(state)
+    choice = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    blocks = [ideal_ghz_state(m, alpha, sign) for sign in (1, -1)]
+    coeffs = np.concatenate([b.coeffs[choice].prod(axis=1) for b in blocks])
+    amps = np.concatenate([b.amps[choice].reshape(2**n, n * m)
+                           for b in blocks])
+    return normalize(CsState(coeffs, amps))
 
 
 def _fuse(end: str, anc: str, new: str) -> list[Instruction]:

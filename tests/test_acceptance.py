@@ -88,6 +88,32 @@ def test_protocol_convergence():
     report("protocol-convergence", ok, "; ".join(margins))
 
 
+def test_infidelity_asymptotics():
+    # exact 1 - F approaches K exp(-2 alpha^2) with K = 2 at (2,2) and
+    # K = 3 at (3,2) (measured); branch 1 - F sits >= 1e3 below it.
+    # (2,3) is left out: its ratio is 2.69, 2.19, 2.05 at alpha 2, 2.5, 3
+    # and has not settled on a constant yet.
+    lines = []
+    ok = True
+    for (n, m), k in (((2, 2), 2.0), ((3, 2), 3.0)):
+        for alpha in (2.0, 2.5, 3.0):
+            params = ProtocolParams(n, m, alpha)
+            circuit = build_cghz_circuit(params)
+            target = ideal_cghz_state(params)
+            loss = {sel.kind: 1.0 - fidelity(run(circuit, sel).final_state,
+                                             target)
+                    for sel in (BRANCH, EXACT)}
+            margin = loss["exact"] / loss["branch"]
+            line = f"({n},{m}) a={alpha}: exact/branch {margin:.3g}"
+            ok = ok and margin >= 1e3
+            if alpha >= 2.5:
+                ratio = loss["exact"] / math.exp(-2.0 * alpha * alpha)
+                line += f", exact/exp(-2a^2) {ratio:.5f} ~ {k:g}"
+                ok = ok and abs(ratio / k - 1.0) <= 1e-2
+            lines.append(line)
+    report("infidelity-asymptotics", ok, "; ".join(lines))
+
+
 def test_success_probability_convergence():
     checks = []
     ok = True

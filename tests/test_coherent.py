@@ -319,30 +319,25 @@ def test_merge_drops_zero_coefficient():
 def test_merge_tolerates_label_round_off():
     a = math.sqrt(2.0) * 1.3 / math.sqrt(2.0)  # 1.3 up to one ulp
     s = CsState([0.25, 0.25], [[a], [1.3]])
-    assert merge_terms(s, 1e-12).term_count == 1
-
-
-def test_merge_rejects_negative_tolerance():
-    with pytest.raises(DomainError):
-        merge_terms(CsState.single([1.0]), -1.0)
+    assert merge_terms(s).term_count == 1
 
 
 def test_merge_probe_invariance(rng):
     # |<probe|s> - <probe|merge(s)>| <= 10 * tol * term_count for states
     # with |amps| <= 1.5 on <= 3 modes
-    for tol in (1e-12, 1e-9, 1e-6):
-        for _ in range(50):
-            m = int(rng.integers(1, 4))
-            s = random_state(rng, max_terms=24, modes=m, max_amp=1.5)
-            # plant near-duplicates so the merge actually fires
-            jitter = s.amps + tol * 0.5 * random_complex(
-                rng, s.term_count * m, 1.0).reshape(s.term_count, m)
-            doubled = CsState(np.concatenate([s.coeffs, s.coeffs * 0.5]),
-                              np.concatenate([s.amps, jitter]))
-            probe = random_state(rng, max_terms=4, modes=m, max_amp=1.5)
-            before = state_inner(probe, doubled)
-            after = state_inner(probe, merge_terms(doubled, tol))
-            assert abs(before - after) <= 10 * tol * doubled.term_count
+    tol = 1e-12
+    for _ in range(50):
+        m = int(rng.integers(1, 4))
+        s = random_state(rng, max_terms=24, modes=m, max_amp=1.5)
+        # plant near-duplicates so the merge actually fires
+        jitter = s.amps + tol * 0.5 * random_complex(
+            rng, s.term_count * m, 1.0).reshape(s.term_count, m)
+        doubled = CsState(np.concatenate([s.coeffs, s.coeffs * 0.5]),
+                          np.concatenate([s.amps, jitter]))
+        probe = random_state(rng, max_terms=4, modes=m, max_amp=1.5)
+        before = state_inner(probe, doubled)
+        after = state_inner(probe, merge_terms(doubled))
+        assert abs(before - after) <= 10 * tol * doubled.term_count
 
 
 def _greedy_merge(s, tol=1e-12):
@@ -451,9 +446,9 @@ def test_merge_drops_single_zero_coefficient_term():
 def test_merge_tolerance_chains_within_a_component():
     # 0 and 1.6e-12 are farther apart than tol, but 0.8e-12 bridges them
     s = CsState([1.0, 1.0, 1.0], [[0.0], [1.6e-12], [0.8e-12]])
-    assert merge_terms(s, 1e-12).term_count == 1
-    assert merge_terms(CsState([1.0, 1.0], [[0.0], [1.6e-12]]),
-                       1e-12).term_count == 2
+    assert merge_terms(s).term_count == 1
+    apart = CsState([1.0, 1.0], [[0.0], [1.6e-12]])
+    assert merge_terms(apart).term_count == 2
 
 
 # -------------------------------------------------- normalization constants

@@ -89,8 +89,10 @@ def test_bool_alpha_is_refused_in_both_checks(alpha):
 
 @pytest.mark.parametrize("ins", [
     (Prep("a", "x"),), (Prep("a", None),),
+    (Prep("a", True),), (Prep("a", False),), (Prep("a", np.True_),),
     (Prep("a", 2.0), Hadamard("a", "2"))],
-    ids=["amp-str", "amp-none", "ref-str"])
+    ids=["amp-str", "amp-none", "amp-true", "amp-false", "amp-np-true",
+         "ref-str"])
 def test_non_numeric_amplitude_is_a_diagnostic(ins):
     circuit = Circuit(2.0, ins)
     diags = validate(circuit)

@@ -360,6 +360,44 @@ def test_select_output_is_merged_when_input_is(sel, rng):
             1.0, abs=1e-12)
 
 
+def _vacuum_carrying_state(rng):
+    """Random normalized 3-mode state whose mode-0 labels are vacuum
+    (exactly, or within VACUUM_LABEL_TOL) on a random subset of rows,
+    always including row 0."""
+    s = random_state(rng, max_terms=16, modes=3, max_amp=2.0)
+    amps = s.amps.copy()
+    vac = rng.uniform(size=s.term_count) < 0.5
+    vac[0] = True
+    amps[vac, 0] = np.where(rng.uniform(size=vac.sum()) < 0.5, 0.0,
+                            random_complex(rng, vac.sum(), 1e-10))
+    return normalize(CsState(s.coeffs, amps)), vac
+
+
+def _gram_norm_sq(coeffs, amps):
+    """<s|s> summed pair by pair from the coherent overlap formula."""
+    a, b = amps[:, None, :], amps[None, :, :]
+    ov = np.exp(-0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)
+                + np.conj(a) * b).prod(axis=2)
+    return float(np.real(np.conj(coeffs) @ ov @ coeffs))
+
+
+def test_select_modes_differ_only_in_the_dropped_terms(rng):
+    for _ in range(50):
+        s, vac = _vacuum_carrying_state(rng)
+        out_b, rec_b = select_vacuum(s, 0, SelectionMode.branch())
+        _, rec_e = select_vacuum(s, 0, SelectionMode.exact())
+        in_sq = _gram_norm_sq(s.coeffs, s.amps)
+        dropped_sq = _gram_norm_sq(s.coeffs[~vac], s.amps[~vac])
+        assert abs(rec_b.discarded_weight - dropped_sq / in_sq) <= 1e-12
+        assert rec_e.discarded_weight == 0.0
+        assert rec_b.false_vacuum_prob == rec_e.false_vacuum_prob
+        # branch selection is exact selection of the vacuum-labelled part
+        sub = normalize(CsState(s.coeffs[vac], s.amps[vac]))
+        ref, _ = select_vacuum(sub, 0, SelectionMode.exact())
+        assert np.array_equal(out_b.amps, ref.amps)
+        assert np.max(np.abs(out_b.coeffs - ref.coeffs)) <= 1e-12
+
+
 def test_select_exact_merges_rows_the_dropped_mode_told_apart():
     s = normalize(CsState([0.5, 0.5, 0.7],
                           [[0.5, 1.0], [-0.5, 1.0], [0.5, -1.0]]))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -103,6 +104,36 @@ def test_ideal_cghz_2x3_matches_manual_branch_sum():
                 rows.append(row)
     manual = CsState(coeffs, rows)
     assert abs(state_inner(manual, target)) == pytest.approx(1.0, abs=1e-10)
+
+
+def _term_by_term_cghz(params):
+    """The nested-loop expansion that ideal_cghz_state replaced: the
+    reference for its byte parity test."""
+    n, m, alpha = params.n_logical, params.m_physical, params.alpha
+    coeffs, amps = [], []
+    for sign in (1, -1):
+        block = ideal_ghz_state(m, alpha, sign)
+        for choice in itertools.product(range(2), repeat=n):
+            c = 1.0 + 0.0j
+            row = []
+            for b in choice:
+                c *= block.coeffs[b]
+                row.extend(block.amps[b])
+            coeffs.append(c)
+            amps.append(row)
+    return normalize(CsState(np.asarray(coeffs), np.asarray(amps)))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 5) for m in range(1, 5)]
+    + [(8, 2), (2, 8)])
+def test_ideal_cghz_matches_term_by_term_reference(n, m, alpha):
+    params = ProtocolParams(n, m, alpha)
+    got, want = ideal_cghz_state(params), _term_by_term_cghz(params)
+    assert got.amps.shape == want.amps.shape == (2 ** (n + 1), n * m)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert got.amps.tobytes() == want.amps.tobytes()
 
 
 # ------------------------------------------------------------------- chain
