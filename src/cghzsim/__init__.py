@@ -33,6 +33,7 @@ from .errors import (
     FockTruncationError,
     GateBasisError,
     ModeShapeError,
+    ResourceLimitError,
     RunError,
     SimulationError,
     ZeroProbabilityError,
@@ -59,6 +60,6 @@ __all__ = [
     "sweep", "evaluate_point", "theoretical_p", "error_report",
     # errors
     "SimulationError", "CircuitValidationError", "DomainError",
-    "FockTruncationError", "GateBasisError", "ModeShapeError", "RunError",
-    "ZeroProbabilityError", "ZeroStateError",
+    "FockTruncationError", "GateBasisError", "ModeShapeError",
+    "ResourceLimitError", "RunError", "ZeroProbabilityError", "ZeroStateError",
 ]

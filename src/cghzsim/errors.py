@@ -34,6 +34,11 @@ class FockTruncationError(SimulationError):
     required accuracy."""
 
 
+class ResourceLimitError(SimulationError):
+    """A computation would need more memory than the package's fixed
+    limit allows; raised before anything is allocated."""
+
+
 class CircuitValidationError(SimulationError):
     """A circuit failed static validation; carries the diagnostics."""
 

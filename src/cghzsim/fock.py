@@ -11,6 +11,13 @@ correctness evidence.  Only the instruction loop, ``engine._execute``, is
 shared with the analytic engine; the kernels it drives here share no
 arithmetic with it.
 
+The kernels stream over the dense tensor.  The beam-splitter blocks are
+real orthogonal matrices, each applied by one matrix product on a
+strided slice of rows of the tensor viewed as float64, with no index
+gather or scatter.  An analytic state is expanded by one matrix product
+of two tables of row-wise Kronecker products of coherent vectors.  Norms
+are single-pass dot products.
+
 Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``csstate_to_fock`` expands an analytic state for comparison and
 ``fock_fidelity`` compares two tensors.  ``FockTensor``,
@@ -20,7 +27,9 @@ they expose; the kernels themselves are private.
 The representation is dense, (n_max+1)^modes complex amplitudes, so the
 mode count is capped at 4: enough for every primitive and for every
 generation circuit whose live modes stay within 4, i.e. the (2, 2),
-(3, 1), (4, 1) and (1, 4) builds.
+(3, 1), (4, 1) and (1, 4) builds.  One tensor may also take at most
+MAX_FOCK_BYTES (2 GiB, n_max <= 106 at 4 modes); a larger one raises
+ResourceLimitError before it is allocated.
 """
 
 from __future__ import annotations
@@ -45,10 +54,14 @@ from .errors import (
     DomainError,
     FockTruncationError,
     ModeShapeError,
+    ResourceLimitError,
     ZeroProbabilityError,
 )
 
 MAX_FOCK_MODES = 4
+MAX_FOCK_BYTES = 2 * 1024 ** 3
+# amplitudes held by the two Kronecker factors of one block of terms
+EXPAND_BLOCK = 2 ** 20
 DEFAULT_NMAX = 40
 LOST_NORM_LIMIT = 1e-6
 
@@ -75,7 +88,8 @@ class FockTensor:
         if any(d != self.n_max + 1 for d in amps.shape):
             raise ModeShapeError(
                 f"tensor shape {amps.shape} does not match n_max={self.n_max}")
-        total = float(np.sum(np.abs(amps) ** 2))
+        amps = np.ascontiguousarray(amps)
+        total = _sq_norm(amps)
         if total > 1.0 + 1e-9:
             raise DomainError(f"squared amplitude sum {total} exceeds 1")
         amps.setflags(write=False)
@@ -86,7 +100,25 @@ class FockTensor:
         return self.amps.ndim
 
     def squared_norm(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return _sq_norm(self.amps)
+
+
+def _sq_norm(x: np.ndarray) -> float:
+    """Squared 2-norm in one pass.  ``ravel(order="K")`` is a view for
+    contiguous data and for the axis permutations the kernels return."""
+    flat = x.ravel(order="K")
+    return float(np.vdot(flat, flat).real)
+
+
+def _check_tensor_size(n_max: int, modes: int):
+    """Raise ResourceLimitError if a tensor of this shape would exceed
+    MAX_FOCK_BYTES; called before the tensor is allocated."""
+    nbytes = (n_max + 1) ** modes * np.dtype(np.complex128).itemsize
+    if nbytes > MAX_FOCK_BYTES:
+        raise ResourceLimitError(
+            f"a {modes}-mode tensor at n_max={n_max} needs "
+            f"{nbytes / 2 ** 30:.3g} GiB, over the oracle's limit of "
+            f"{MAX_FOCK_BYTES / 2 ** 30:g} GiB per tensor")
 
 
 def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
@@ -121,6 +153,11 @@ def _bs_blocks(n_max: int) -> tuple:
     photon-number-n subspace and then restricted to the retained indices,
     so matrix elements are exact and truncation only leaks amplitude.
     Entry [k', k] connects k and k' photons in the first mode.
+
+    The generator is real antisymmetric and the parity real, so every
+    block is real orthogonal; the eigendecomposition leaves only
+    round-off in the imaginary parts, and the blocks keep the real part,
+    read-only.
     """
     blocks = []
     theta = math.pi / 4.0
@@ -138,21 +175,32 @@ def _bs_blocks(n_max: int) -> tuple:
         u = parity[:, None] * u
         lo = max(0, n - n_max)
         hi = min(n, n_max)
-        blocks.append((lo, hi, np.ascontiguousarray(u[lo:hi + 1, lo:hi + 1])))
+        block = np.ascontiguousarray(u[lo:hi + 1, lo:hi + 1].real)
+        block.setflags(write=False)
+        blocks.append((lo, hi, block))
     return tuple(blocks)
 
 
 def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int) -> np.ndarray:
-    """Apply the cached beam-splitter blocks on axes (i, j)."""
+    """Apply the cached beam-splitter blocks on axes (i, j).
+
+    With axes (i, j) moved to the front and the others flattened, row
+    k*d + l holds k and l photons on modes i and j.  The rows (k, n-k)
+    of block n are then every (d-1)-th row, so each block is one real
+    matrix product on a basic strided slice of the tensor viewed as
+    float64 (real and imaginary parts as adjacent columns).  Every row
+    belongs to exactly one block.
+    """
     d = n_max + 1
-    moved = np.moveaxis(amps, (i, j), (-2, -1))
-    lead = moved.shape[:-2]
-    flat = np.ascontiguousarray(moved).reshape(-1, d * d)
-    out = np.zeros_like(flat)
+    moved = np.moveaxis(amps, (i, j), (0, 1))
+    rest = moved.shape[2:]
+    flat = np.ascontiguousarray(moved).reshape(d * d, -1).view(np.float64)
+    out = np.empty_like(flat)
     for n, (lo, hi, u) in enumerate(_bs_blocks(n_max)):
-        cols = np.array([k * d + (n - k) for k in range(lo, hi + 1)])
-        out[:, cols] = flat[:, cols] @ u.T
-    return np.moveaxis(out.reshape(lead + (d, d)), (-2, -1), (i, j))
+        rows = slice(n + lo * (d - 1), n + hi * (d - 1) + 1, d - 1)
+        np.matmul(u, flat[rows], out=out[rows])
+    out = out.view(np.complex128).reshape((d, d) + rest)
+    return np.moveaxis(out, (0, 1), (i, j))
 
 
 def _prep(amps: np.ndarray, amp: complex, n_max: int) -> np.ndarray:
@@ -162,11 +210,12 @@ def _prep(amps: np.ndarray, amp: complex, n_max: int) -> np.ndarray:
 
 def _hadamard(amps: np.ndarray, i: int, mat: np.ndarray) -> np.ndarray:
     """Apply a single-mode matrix on axis i and renormalize."""
-    out = np.moveaxis(np.tensordot(mat, amps, axes=([1], [i])), 0, i)
-    n = np.linalg.norm(out.ravel())
+    out = np.tensordot(mat, amps, axes=([1], [i]))
+    n = math.sqrt(_sq_norm(out))
     if n <= 1e-12:
         raise ZeroProbabilityError("hadamard annihilated the state")
-    return out / n
+    out /= n
+    return np.moveaxis(out, 0, i)
 
 
 def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
@@ -174,14 +223,15 @@ def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
     and the heralding probability relative to the input norm."""
     if amps.ndim == 1:
         raise ModeShapeError("cannot remove the last fock mode")
-    total = float(np.sum(np.abs(amps) ** 2))
+    total = _sq_norm(amps)
     sliced = np.take(amps, 0, axis=i)
-    kept = float(np.sum(np.abs(sliced) ** 2))
+    kept = _sq_norm(sliced)
     prob = kept / total if total > 0 else 0.0
     if prob <= 1e-14:
         raise ZeroProbabilityError(
             f"vacuum heralding on mode {i} has vanishing probability")
-    return sliced / math.sqrt(kept), prob
+    sliced /= math.sqrt(kept)
+    return sliced, prob
 
 
 @lru_cache(maxsize=8)
@@ -208,25 +258,66 @@ def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
     return mat
 
 
+def _row_kron(tables: list, weights: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker products: row t is weights[t] times the outer
+    product of row t of each (T, d) table, flattened in C order."""
+    acc = weights[:, None]
+    for table in tables:
+        acc = (acc[:, :, None] * table[:, None, :]).reshape(
+            len(weights), acc.shape[1] * table.shape[1])
+    return acc
+
+
+def _expand_block(vecs: list, where: list, coeffs: np.ndarray,
+                  half: int, rows: slice) -> np.ndarray:
+    """Sum over the terms in ``rows`` of their outer products, as the
+    (d^half, d^(modes-half)) matrix left.T @ right."""
+    tables = [v[w[rows]] for v, w in zip(vecs, where)]
+    left = _row_kron(tables[:half], coeffs[rows])
+    right = _row_kron(tables[half:], np.ones(len(left)))
+    return left.T @ right
+
+
 def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
-    """Expand a coherent superposition in the truncated number basis."""
-    if s.mode_count < 1 or s.mode_count > MAX_FOCK_MODES:
+    """Expand a coherent superposition in the truncated number basis.
+
+    Each mode's labels become a (T, n_max+1) table of coherent vectors,
+    gathered from one vector per distinct label.  The coefficient-weighted row-wise Kronecker products of the first
+    half of the modes (``left``) and those of the second half
+    (``right``) give the tensor as the one matrix product
+    ``left.T @ right``, the sum over terms of their outer products.
+    Terms are taken in blocks whose two factors hold at most
+    EXPAND_BLOCK amplitudes, so memory beyond the tensor stays bounded;
+    the oracle's states fit one block.
+    """
+    modes = s.mode_count
+    if modes < 1 or modes > MAX_FOCK_MODES:
         raise ModeShapeError(
             f"fock conversion supports 1..{MAX_FOCK_MODES} modes, "
-            f"got {s.mode_count}")
-    shape = (n_max + 1,) * s.mode_count
-    acc = np.zeros(shape, dtype=np.complex128)
-    for c, row in zip(s.coeffs, s.amps):
-        piece = np.ones((), dtype=np.complex128)
-        for a in row:
-            piece = _prep(piece, a, n_max)
-        acc = acc + c * piece
-    sq = float(np.sum(np.abs(acc) ** 2))
+            f"got {modes}")
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    _check_tensor_size(n_max, modes)
+    d = n_max + 1
+    vecs, where = [], []
+    for col in s.amps.T:
+        labels, inverse = np.unique(col, return_inverse=True)
+        vecs.append(np.array([coherent_fock(a, n_max)
+                              for a in labels]).reshape(-1, d))
+        where.append(inverse)
+    half = modes // 2
+    step = max(1, EXPAND_BLOCK // (d ** half + d ** (modes - half)))
+    acc = _expand_block(vecs, where, s.coeffs, half, slice(0, step))
+    for lo in range(step, s.term_count, step):
+        acc += _expand_block(vecs, where, s.coeffs, half,
+                             slice(lo, lo + step))
+    acc = acc.reshape((d,) * modes)
+    sq = _sq_norm(acc)
     if sq > 1.0 + 1e-6:
         raise DomainError(
             f"state has squared norm {sq}; convert normalized states only")
     if sq > 1.0:  # round-off above unit norm
-        acc = acc / math.sqrt(sq)
+        acc /= math.sqrt(sq)
     return FockTensor(n_max, acc)
 
 
@@ -257,20 +348,23 @@ class FockRunResult:
 _MODE_DELTA = {Prep: 1, Split: 1, SelectVacuum: -1}
 
 
-def _check_fits(circuit: Circuit):
+def _check_fits(circuit: Circuit, n_max: int):
     """Reject, before any tensor is allocated, a circuit the oracle cannot
     run: an invalid one (CircuitValidationError, checked first), one with
-    no instructions, or one that needs more than MAX_FOCK_MODES live
-    modes at some point."""
+    no instructions, one that needs more than MAX_FOCK_MODES live modes
+    at some point, or one whose widest tensor at this cutoff exceeds
+    MAX_FOCK_BYTES (ResourceLimitError)."""
     _check_valid(validate(circuit))
     if not circuit.instructions:
         raise DomainError("cannot run an empty circuit through the oracle")
-    live = 0
+    live = peak = 0
     for ins in circuit.instructions:
         live += _MODE_DELTA.get(type(ins), 0)
         if live > MAX_FOCK_MODES:
             raise ModeShapeError(
                 f"circuit needs more than {MAX_FOCK_MODES} live modes")
+        peak = max(peak, live)
+    _check_tensor_size(n_max, peak)
 
 
 class _Fock:
@@ -308,13 +402,15 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     instruction semantics, probabilities relative to the pre-selection
     norm, state renormalized after Hadamards and selections) so the two
     pipelines are comparable point by point.  Only circuits whose live
-    mode count stays within the cap can run; invalid, wider or empty
-    circuits raise before anything is allocated.
+    mode count stays within the cap, and whose tensors fit
+    MAX_FOCK_BYTES at this cutoff, can run; invalid, wider, oversized or
+    empty circuits raise before anything is allocated.
     """
-    _check_fits(circuit)
+    _check_fits(circuit, n_max)
     backend = _Fock(n_max)
     order = _execute(circuit, backend)
-    amps = backend.amps / np.linalg.norm(backend.amps.ravel())
+    amps = np.divide(backend.amps, math.sqrt(_sq_norm(backend.amps)),
+                     order="C")
     return FockRunResult(final=FockTensor(n_max, amps),
                          mode_order=order,
                          probabilities=tuple(backend.probs),

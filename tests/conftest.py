@@ -3,6 +3,7 @@ import pytest
 
 from cghzsim import CsState, normalize, state_norm
 from cghzsim.coherent import coherent_overlap, ghz_norm, merge_terms
+from cghzsim.fock import coherent_fock
 
 
 def random_complex(rng, n, max_mag):
@@ -50,6 +51,19 @@ def hadamard_image(s, i, alpha):
 def hadamard_reference(s, i, alpha):
     """hadamard_image merged and normalized by its Gram sum."""
     return normalize(merge_terms(hadamard_image(s, i, alpha)))
+
+
+def fock_expansion_reference(s, n_max):
+    """The number-basis tensor of s term by term: each term's coefficient
+    times the outer product of its modes' truncated coherent vectors,
+    accumulated one term at a time."""
+    acc = np.zeros((n_max + 1,) * s.mode_count, dtype=np.complex128)
+    for c, row in zip(s.coeffs, s.amps):
+        piece = np.ones((), dtype=np.complex128)
+        for a in row:
+            piece = np.multiply.outer(piece, coherent_fock(a, n_max))
+        acc += c * piece
+    return acc
 
 
 @pytest.fixture

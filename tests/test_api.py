@@ -25,13 +25,13 @@ DOCUMENTED = [
     "sweep", "evaluate_point", "theoretical_p", "error_report",
     # the SimulationError subclasses
     "CircuitValidationError", "DomainError", "FockTruncationError",
-    "GateBasisError", "ModeShapeError", "RunError", "ZeroProbabilityError",
-    "ZeroStateError",
+    "GateBasisError", "ModeShapeError", "ResourceLimitError", "RunError",
+    "ZeroProbabilityError", "ZeroStateError",
 ]
 
 
 def test_all_is_the_documented_surface():
-    assert len(DOCUMENTED) == 36
+    assert len(DOCUMENTED) == 37
     assert sorted(cghzsim.__all__) == sorted(DOCUMENTED)
 
 

@@ -172,6 +172,18 @@ def test_oracle_rejects_wide_circuit(tmp_path, capsys):
     assert "modes" in err
 
 
+def test_oracle_refuses_oversized_tensor(tmp_path, capsys):
+    # 201^4 amplitudes are 24.3 GiB: refused typed, never allocated
+    path = tmp_path / "c.cir"
+    run_cli(["build", "--n", "2", "--m", "2", "--alpha", "2", "-o",
+             str(path)], capsys)
+    code, _, err = run_cli(["oracle", str(path), "--nmax", "200"], capsys)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("cghzsim oracle: error: ")
+    assert "GiB" in err
+
+
 def test_nm_cap_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CGHZ_MAX_NM", "4")
     code, _, err = run_cli(["build", "--n", "3", "--m", "2",

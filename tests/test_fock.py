@@ -14,6 +14,7 @@ from cghzsim import (
     ModeShapeError,
     Prep,
     ProtocolParams,
+    ResourceLimitError,
     SelectionMode,
     SelectVacuum,
     Split,
@@ -31,6 +32,7 @@ from cghzsim import engine, fock
 from cghzsim.fock import (
     FockTensor,
     _apply_two_mode,
+    _bs_blocks,
     _hadamard,
     _vacuum_project,
     coherent_fock,
@@ -38,6 +40,8 @@ from cghzsim.fock import (
 )
 from cghzsim.coherent import cat_norm
 from cghzsim.optics import apply_bs, apply_hadamard, select_vacuum
+
+from conftest import fock_expansion_reference, random_complex, random_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -125,6 +129,58 @@ def test_bs_fock_norm_loss_negligible_below_cutoff():
     assert abs(out.squared_norm() - t.squared_norm()) <= 1e-8
 
 
+def bs_matrix_reference(n_max):
+    """The truncated two-mode 50:50 unitary as a dense (d^2, d^2) matrix,
+    element by element.  The gate maps a^+ -> (a^+ + b^+)/sqrt2 and
+    b^+ -> (a^+ - b^+)/sqrt2, so |k, n-k> goes to
+    (a^+ + b^+)^k (a^+ - b^+)^(n-k) |0,0> / sqrt(2^n k! (n-k)!); the
+    binomial expansion gives the amplitude on each |p, n-p>.  Row and
+    column k*d + l hold k and l photons."""
+    d = n_max + 1
+    mat = np.zeros((d * d, d * d))
+    for n in range(2 * n_max + 1):
+        for k in range(max(0, n - n_max), min(n, n_max) + 1):
+            for p in range(max(0, n - n_max), min(n, n_max) + 1):
+                coef = sum(math.comb(k, i) * math.comb(n - k, p - i)
+                           * (-1) ** (n - k - (p - i))
+                           for i in range(max(0, p - (n - k)), min(k, p) + 1))
+                mat[p * d + (n - p), k * d + (n - k)] = coef * math.sqrt(
+                    math.factorial(p) * math.factorial(n - p)
+                    / (2 ** n * math.factorial(k) * math.factorial(n - k)))
+    return mat
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_bs_kernel_matches_dense_reference_on_every_axis_pair(rng, modes):
+    n_max = 5
+    d = n_max + 1
+    mat = bs_matrix_reference(n_max).reshape(d, d, d, d)
+    amps = random_complex(rng, d ** modes, 1.0).reshape((d,) * modes)
+    for i in range(modes):
+        for j in range(modes):
+            if i == j:
+                continue
+            # contract the input pair (i, j), then put the output pair there
+            expect = np.moveaxis(np.tensordot(mat, amps, axes=([2, 3], [i, j])),
+                                 (0, 1), (i, j))
+            got = _apply_two_mode(amps, i, j, n_max)
+            assert np.max(np.abs(got - expect)) <= 1e-13, (i, j)
+
+
+def test_bs_blocks_are_real_orthogonal():
+    n_max = 12
+    for n, (lo, hi, u) in enumerate(_bs_blocks(n_max)):
+        assert u.dtype == np.float64
+        assert u.shape == (hi - lo + 1, hi - lo + 1)
+        assert not u.flags.writeable
+        if n <= n_max:
+            assert (lo, hi) == (0, n)
+            assert np.max(np.abs(u @ u.T - np.eye(n + 1))) <= 1e-12
+        else:
+            # a corner of an orthogonal block can only shrink vectors
+            assert np.linalg.norm(u, 2) <= 1.0 + 1e-12
+
+
 def test_fock_tensor_rejects_norm_above_one():
     FockTensor(5, np.zeros((6, 6), dtype=complex))
     with pytest.raises(DomainError):
@@ -181,6 +237,54 @@ def test_csstate_to_fock_mode_cap():
     s = CsState.single([0.1] * 5)
     with pytest.raises(ModeShapeError):
         csstate_to_fock(s, 10)
+
+
+def test_csstate_to_fock_zero_terms_is_the_zero_tensor():
+    for modes in (1, 3):
+        s = CsState(np.zeros(0), np.zeros((0, modes)))
+        t = csstate_to_fock(s, 10)
+        assert t.amps.shape == (11,) * modes
+        assert not np.any(t.amps)
+
+
+CONVERT_NMAX = 20
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_csstate_to_fock_matches_term_by_term_loop(rng, modes):
+    states = [CsState.single(random_complex(rng, modes, 1.5)),
+              random_state(rng, max_terms=12, modes=modes, max_amp=1.5,
+                           normalized=True)]
+    # unmerged duplicate rows add up like any other terms
+    rows = random_complex(rng, 2 * modes, 1.5).reshape(2, modes)
+    states.append(CsState([0.3, 0.2j, 0.3], rows[[0, 1, 0]]))
+    for s in states:
+        got = csstate_to_fock(s, CONVERT_NMAX).amps
+        expect = fock_expansion_reference(s, CONVERT_NMAX)
+        assert np.max(np.abs(got - expect)) <= 1e-15
+
+
+def test_csstate_to_fock_sums_blocks_of_terms(rng, monkeypatch):
+    d = CONVERT_NMAX + 1
+    s = normalize(CsState(random_complex(rng, 7, 1.0),
+                          random_complex(rng, 21, 1.5).reshape(7, 3)))
+    expect = fock_expansion_reference(s, CONVERT_NMAX)
+    for rows in (1, 2, 5):
+        # the 3-mode factors are d and d^2 amplitudes wide
+        monkeypatch.setattr(fock, "EXPAND_BLOCK", rows * (d + d * d))
+        got = csstate_to_fock(s, CONVERT_NMAX).amps
+        assert np.max(np.abs(got - expect)) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (4, 1), (1, 4)])
+def test_csstate_to_fock_matches_term_by_term_loop_on_builds(n, m, alpha):
+    params = ProtocolParams(n, m, alpha)
+    final = run(build_cghz_circuit(params), SelectionMode.exact()).final_state
+    for s in (final, ideal_cghz_state(params)):
+        got = csstate_to_fock(s, CONVERT_NMAX).amps
+        expect = fock_expansion_reference(s, CONVERT_NMAX)
+        assert np.max(np.abs(got - expect)) <= 1e-15
 
 
 def test_inner_matches_gram_inner():
@@ -290,6 +394,30 @@ def test_run_fock_rejects_wide_circuits():
     # the same static pass rejects an empty circuit
     with pytest.raises(DomainError):
         run_fock(Circuit(alpha=1.0), n_max=10)
+
+
+def test_oversized_tensors_are_refused_before_allocation(monkeypatch):
+    params = ProtocolParams(2, 2, 2.0)
+    circuit = build_cghz_circuit(params)
+    target = ideal_cghz_state(params)
+
+    def no_expansion(*args):
+        raise AssertionError("coherent_fock called before the size check")
+
+    monkeypatch.setattr(fock, "coherent_fock", no_expansion)
+    # 201^4 amplitudes take 24.3 GiB
+    with pytest.raises(ResourceLimitError, match="GiB"):
+        run_fock(circuit, n_max=200)
+    with pytest.raises(ResourceLimitError, match="GiB"):
+        csstate_to_fock(target, 200)
+
+
+def test_tensor_size_limit_boundary():
+    # 107^4 * 16 B fits in 2 GiB, 108^4 * 16 B does not
+    fock._check_tensor_size(106, 4)
+    with pytest.raises(ResourceLimitError):
+        fock._check_tensor_size(107, 4)
+    fock._check_tensor_size(200, 3)
 
 
 def test_run_fock_validates_once_before_the_width_check(monkeypatch):
