@@ -3,20 +3,28 @@
 Everything here is deliberately independent of the analytic coherent
 algebra: coherent states are expanded as exp(-|a|^2/2) a^n / sqrt(n!),
 the beam splitter acts through exact photon-number-conserving block
-rotations, the coherent-qubit Hadamard matrix is assembled from the
-truncated vectors and their numerically inverted Gram matrix, and vacuum
-heralding slices the tensor at photon number zero.  Agreement between
-this pipeline and the analytic engine is the package's strongest
-correctness evidence.  Only the instruction loop, ``engine._execute``, is
-shared with the analytic engine; the kernels it drives here share no
-arithmetic with it.
+rotations, the coherent-qubit Hadamard is the rank-2 product of the
+truncated even/odd cat vectors and the frame dual to {|a>, |-a>} from
+their numerically inverted Gram matrix, and vacuum heralding slices the
+tensor at photon number zero.  Agreement between this pipeline and the
+analytic engine is the package's strongest correctness evidence.  Only
+the instruction loop, ``engine._execute``, is shared with the analytic
+engine; the kernels it drives here share no arithmetic with it.
 
-The kernels stream over the dense tensor.  The beam-splitter blocks are
-real orthogonal matrices, each applied by one matrix product on a
-strided slice of rows of the tensor viewed as float64, with no index
-gather or scatter.  An analytic state is expanded by one matrix product
-of two tables of row-wise Kronecker products of coherent vectors.  Norms
-are single-pass dot products.
+The kernels compute on the tensor the backend owns, in whatever axis
+order its memory holds, and copy a whole tensor only where a layout
+change is unavoidable.  The beam-splitter blocks are real orthogonal
+matrices, each applied in place by one matrix product on a strided
+slice of rows of the tensor viewed as float64, with no index gather or
+scatter; the tensor is copied once only when the two modes do not
+already lead its memory.  A new mode is prepared leading the memory, so
+splitting a mode (a vacuum prep and a beam splitter) needs no copy when
+that mode leads.  The Hadamard contracts one axis with its two dual
+vectors, normalizes the small coefficient tensor and expands it with
+the two cat vectors in place.  Heralding copies only the vacuum slice.
+An analytic state is expanded by one matrix product of two tables of
+row-wise Kronecker products of coherent vectors.  Norms are single-pass
+dot products, and a ``FockTensor`` computes its own once.
 
 Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``csstate_to_fock`` expands an analytic state for comparison and
@@ -35,7 +43,7 @@ ResourceLimitError before it is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -71,11 +79,13 @@ class FockTensor:
     """Dense number-basis amplitudes on up to four modes.
 
     ``amps`` has shape (n_max+1,) * mode_count.  Truncation may lose
-    norm but never gain it.
+    norm but never gain it.  The squared norm is computed once, at
+    construction.
     """
 
     n_max: int
     amps: np.ndarray
+    _squared_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -94,13 +104,14 @@ class FockTensor:
             raise DomainError(f"squared amplitude sum {total} exceeds 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_squared_norm", total)
 
     @property
     def mode_count(self) -> int:
         return self.amps.ndim
 
     def squared_norm(self) -> float:
-        return _sq_norm(self.amps)
+        return self._squared_norm
 
 
 def _sq_norm(x: np.ndarray) -> float:
@@ -181,50 +192,108 @@ def _bs_blocks(n_max: int) -> tuple:
     return tuple(blocks)
 
 
-def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int) -> np.ndarray:
+def _memory_order(x: np.ndarray) -> tuple:
+    """Axes of ``x`` from the largest stride to the smallest: the order
+    in which a permuted view of a C-contiguous buffer lays them out."""
+    return tuple(np.argsort([-st for st in x.strides], kind="stable"))
+
+
+def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int, *,
+                    overwrite: bool = False) -> np.ndarray:
     """Apply the cached beam-splitter blocks on axes (i, j).
 
-    With axes (i, j) moved to the front and the others flattened, row
-    k*d + l holds k and l photons on modes i and j.  The rows (k, n-k)
-    of block n are then every (d-1)-th row, so each block is one real
-    matrix product on a basic strided slice of the tensor viewed as
-    float64 (real and imaginary parts as adjacent columns).  Every row
-    belongs to exactly one block.
+    The tensor is laid out with axes i and j leading, then the others,
+    each group in memory order, and flattened.  Row k*d + l then holds
+    k and l photons on the two leading modes, and the rows (k, n-k) of
+    block n are every (d-1)-th row, so each block is one real matrix
+    product on a basic strided slice of the tensor viewed as float64
+    (real and imaginary parts as adjacent columns), written back in
+    place through a reused (d, cols) scratch.  Every row belongs to
+    exactly one block.  With j leading, the slice holds the block's
+    photon numbers on mode i in reverse, so the block is applied
+    reversed in both indices.
+
+    The blocks run on one C-ordered copy of ``amps``, or on ``amps``
+    itself when ``overwrite`` is set and axes i and j already lead its
+    memory; a caller's array is otherwise never written.  Returns a view
+    with the input's axis order.
     """
     d = n_max + 1
-    moved = np.moveaxis(amps, (i, j), (0, 1))
-    rest = moved.shape[2:]
-    flat = np.ascontiguousarray(moved).reshape(d * d, -1).view(np.float64)
-    out = np.empty_like(flat)
+    mem = _memory_order(amps)
+    lead = tuple(ax for ax in mem if ax in (i, j))
+    order = lead + tuple(ax for ax in mem if ax not in lead)
+    work = amps.transpose(order)
+    if not (overwrite and work.flags.c_contiguous):
+        work = work.copy()
+    flat = work.reshape(d * d, -1).view(np.float64)
+    scratch = np.empty((d, flat.shape[1]))
     for n, (lo, hi, u) in enumerate(_bs_blocks(n_max)):
-        rows = slice(n + lo * (d - 1), n + hi * (d - 1) + 1, d - 1)
-        np.matmul(u, flat[rows], out=out[rows])
-    out = out.view(np.complex128).reshape((d, d) + rest)
-    return np.moveaxis(out, (0, 1), (i, j))
+        if lead[0] == j:
+            u = u[::-1, ::-1]
+        rows = flat[n + lo * (d - 1):n + hi * (d - 1) + 1:d - 1]
+        block = scratch[:hi - lo + 1]
+        np.matmul(u, rows, out=block)
+        rows[...] = block
+    return work.transpose(np.argsort(order))
 
 
 def _prep(amps: np.ndarray, amp: complex, n_max: int) -> np.ndarray:
-    """Append an axis in the coherent state |amp>: amps (x) |amp>."""
-    return np.multiply.outer(amps, coherent_fock(amp, n_max))
+    """Append an axis in the coherent state |amp>: amps (x) |amp>.
+
+    The new axis leads the output's memory, so a beam splitter between
+    it and the mode leading the input's memory (a split of that mode)
+    needs no copy.
+    """
+    return np.moveaxis(np.multiply.outer(coherent_fock(amp, n_max), amps),
+                       0, -1)
 
 
-def _hadamard(amps: np.ndarray, i: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a single-mode matrix on axis i and renormalize."""
-    out = np.tensordot(mat, amps, axes=([1], [i]))
-    n = math.sqrt(_sq_norm(out))
+def _hadamard(amps: np.ndarray, i: int, cats: np.ndarray,
+              duals: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    """Apply the rank-2 Hadamard ``cats @ duals`` on axis i and
+    renormalize.
+
+    In memory order the tensor is reshaped to (a, d, c) with axis i in
+    the middle.  Contracting it with ``duals`` gives a (a, 2, c)
+    coefficient tensor; because the columns of ``cats`` are orthonormal,
+    that small tensor has the norm of the output and is normalized
+    before ``cats`` expands it.  On the last memory axis (c = 1) both
+    steps are single 2-D products.  With ``overwrite`` the output is
+    written into ``amps`` when its memory allows; a caller's array is
+    otherwise never written.  Returns a tensor with the input's axis
+    order.
+    """
+    order = _memory_order(amps)
+    mem = amps.transpose(order)
+    k = order.index(i)
+    x = mem.reshape(math.prod(mem.shape[:k]), mem.shape[k], -1)
+    if x.shape[2] == 1:
+        x = x[:, :, 0]
+        coef = x @ duals.T
+    else:
+        coef = np.matmul(duals, x)
+    n = math.sqrt(_sq_norm(coef))
     if n <= 1e-12:
         raise ZeroProbabilityError("hadamard annihilated the state")
-    out /= n
-    return np.moveaxis(out, 0, i)
+    coef /= n
+    out = x if overwrite else None
+    if x.ndim == 2:
+        out = np.matmul(coef, cats.T, out=out)
+    else:
+        out = np.matmul(cats, coef, out=out)
+    return out.reshape(mem.shape).transpose(np.argsort(order))
 
 
 def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
     """Slice axis i at photon number zero; returns the renormalized slice
-    and the heralding probability relative to the input norm."""
+    and the heralding probability relative to the input norm.
+
+    The slice is a view; only it is copied, in the input's memory order.
+    """
     if amps.ndim == 1:
         raise ModeShapeError("cannot remove the last fock mode")
     total = _sq_norm(amps)
-    sliced = np.take(amps, 0, axis=i)
+    sliced = amps[(slice(None),) * i + (0,)].copy(order="K")
     kept = _sq_norm(sliced)
     prob = kept / total if total > 0 else 0.0
     if prob <= 1e-14:
@@ -235,12 +304,16 @@ def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=8)
-def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
-    """Coherent-qubit Hadamard as a read-only (n_max+1)^2 matrix.
+def _hadamard_factors(alpha_ref: float, n_max: int) -> tuple:
+    """Read-only factors (cats, duals) of the coherent-qubit Hadamard.
 
-    Built purely from truncated coherent vectors: the even/odd cat
-    outputs are normalized numerically, and the input frame dual to
-    {|a>, |-a>} comes from the numerically inverted 2x2 Gram matrix.
+    Built purely from truncated coherent vectors.  ``cats`` is
+    (n_max+1, 2): the even and odd cat outputs, normalized numerically.
+    Since the |-a> expansion is the |a> one with odd entries negated,
+    the even cat is exactly zero on odd photon numbers and the odd cat
+    on even ones, so the columns are orthonormal up to round-off in
+    their norms.  ``duals`` is (2, n_max+1): the input frame dual to
+    {|a>, |-a>}, from the numerically inverted 2x2 Gram matrix.
     """
     if not (math.isfinite(alpha_ref) and alpha_ref > 0):
         raise DomainError(f"alpha_ref must be positive, got {alpha_ref}")
@@ -250,10 +323,21 @@ def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
                      [np.vdot(vm, va), np.vdot(vm, vm)]])
     duals = np.linalg.solve(gram, np.stack([va.conj(), vm.conj()]))
     even = va + vm
-    even = even / np.linalg.norm(even)
     odd = va - vm
-    odd = odd / np.linalg.norm(odd)
-    mat = np.outer(even, duals[0]) + np.outer(odd, duals[1])
+    cats = np.stack([even / np.linalg.norm(even),
+                     odd / np.linalg.norm(odd)], axis=1)
+    cats.setflags(write=False)
+    duals.setflags(write=False)
+    return cats, duals
+
+
+@lru_cache(maxsize=8)
+def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
+    """Coherent-qubit Hadamard as a read-only (n_max+1)^2 matrix: the
+    rank-2 product ``cats @ duals`` of its cached factors (even/odd cat
+    outputs times the input frame dual to {|a>, |-a>})."""
+    cats, duals = _hadamard_factors(alpha_ref, n_max)
+    mat = cats @ duals
     mat.setflags(write=False)
     return mat
 
@@ -381,10 +465,12 @@ class _Fock:
 
     def hadamard(self, i: int, alpha_ref: float):
         self.amps = _hadamard(self.amps, i,
-                              hadamard_fock_matrix(alpha_ref, self.n_max))
+                              *_hadamard_factors(alpha_ref, self.n_max),
+                              overwrite=True)
 
     def bs(self, i: int, j: int):
-        self.amps = _apply_two_mode(self.amps, i, j, self.n_max)
+        self.amps = _apply_two_mode(self.amps, i, j, self.n_max,
+                                    overwrite=True)
 
     def split(self, i: int):
         self.prep(0)
@@ -409,8 +495,10 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     _check_fits(circuit, n_max)
     backend = _Fock(n_max)
     order = _execute(circuit, backend)
-    amps = np.divide(backend.amps, math.sqrt(_sq_norm(backend.amps)),
-                     order="C")
+    # the backend owns its tensor: at most one C-order copy, normalized
+    # in place
+    amps = np.ascontiguousarray(backend.amps)
+    amps /= math.sqrt(_sq_norm(amps))
     return FockRunResult(final=FockTensor(n_max, amps),
                          mode_order=order,
                          probabilities=tuple(backend.probs),

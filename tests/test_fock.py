@@ -21,6 +21,7 @@ from cghzsim import (
     ZeroProbabilityError,
     build_cghz_circuit,
     csstate_to_fock,
+    fidelity,
     fock_fidelity,
     ideal_cghz_state,
     normalize,
@@ -34,6 +35,8 @@ from cghzsim.fock import (
     _apply_two_mode,
     _bs_blocks,
     _hadamard,
+    _hadamard_factors,
+    _memory_order,
     _vacuum_project,
     coherent_fock,
     hadamard_fock_matrix,
@@ -51,6 +54,22 @@ def tensor_from_vectors(*vecs):
     for v in vecs[1:]:
         acc = np.multiply.outer(acc, v)
     return acc
+
+
+def random_tensor(rng, modes, n_max):
+    """Random unit-norm C-ordered tensor."""
+    amps = random_complex(rng, (n_max + 1) ** modes, 1.0)
+    return (amps / np.linalg.norm(amps)).reshape((n_max + 1,) * modes)
+
+
+def kernel_layouts(amps, n_max):
+    """``amps`` in C order and in the permuted layouts the backend's
+    kernels hand each other: a beam splitter's output (its pair leading
+    the memory) and the reversed axis order that preps grow."""
+    yield amps
+    if amps.ndim > 1:
+        yield _apply_two_mode(amps, 0, amps.ndim - 1, n_max)
+        yield np.asfortranarray(amps)
 
 
 def run_gates(alpha, *ins, n_max=40):
@@ -156,15 +175,24 @@ def test_bs_kernel_matches_dense_reference_on_every_axis_pair(rng, modes):
     d = n_max + 1
     mat = bs_matrix_reference(n_max).reshape(d, d, d, d)
     amps = random_complex(rng, d ** modes, 1.0).reshape((d,) * modes)
-    for i in range(modes):
-        for j in range(modes):
-            if i == j:
-                continue
-            # contract the input pair (i, j), then put the output pair there
-            expect = np.moveaxis(np.tensordot(mat, amps, axes=([2, 3], [i, j])),
-                                 (0, 1), (i, j))
-            got = _apply_two_mode(amps, i, j, n_max)
-            assert np.max(np.abs(got - expect)) <= 1e-13, (i, j)
+    for x in kernel_layouts(amps, n_max):
+        for i in range(modes):
+            for j in range(modes):
+                if i == j:
+                    continue
+                # contract the input pair (i, j), then put the output pair
+                # there
+                expect = np.moveaxis(
+                    np.tensordot(mat, x, axes=([2, 3], [i, j])),
+                    (0, 1), (i, j))
+                got = _apply_two_mode(x, i, j, n_max)
+                assert np.max(np.abs(got - expect)) <= 1e-13, (i, j)
+                own = x.copy(order="K")
+                got = _apply_two_mode(own, i, j, n_max, overwrite=True)
+                assert np.max(np.abs(got - expect)) <= 1e-13, (i, j)
+                # in place exactly when the pair leads the memory
+                leads = set(_memory_order(own)[:2]) == {i, j}
+                assert np.shares_memory(got, own) == leads, (i, j)
 
 
 def test_bs_blocks_are_real_orthogonal():
@@ -203,6 +231,38 @@ def test_vacuum_project_coherent_mode():
     assert res.mode_order == ("b",)
     assert res.probabilities[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
     assert np.max(np.abs(res.final.amps - coherent_fock(0.5, 40))) <= 1e-12
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_vacuum_project_views_match_a_normalized_take(rng, modes):
+    n_max = 6
+    amps = random_tensor(rng, modes, n_max)
+    for x in kernel_layouts(amps, n_max):
+        total = np.sum(np.abs(x) ** 2)
+        for i in range(modes):
+            got, prob = _vacuum_project(x, i)
+            expect = np.take(x, 0, axis=i)
+            kept = np.sum(np.abs(expect) ** 2)
+            assert prob == pytest.approx(kept / total, rel=1e-14)
+            assert np.max(np.abs(got - expect / math.sqrt(kept))) <= 1e-15
+
+
+def test_kernels_never_write_the_callers_tensor(rng):
+    n_max = 6
+    amps = random_tensor(rng, 3, n_max)
+    cats, duals = _hadamard_factors(0.5, n_max)
+    # a read-only FockTensor, and writeable permuted views
+    inputs = [FockTensor(n_max, amps).amps,
+              *list(kernel_layouts(amps.copy(), n_max))[1:]]
+    for x in inputs:
+        before = x.copy(order="K")
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    _apply_two_mode(x, i, j, n_max)
+            _vacuum_project(x, i)
+            _hadamard(x, i, cats, duals)
+        assert x.tobytes(order="A") == before.tobytes(order="A")
 
 
 def test_vacuum_project_zero_branch():
@@ -309,15 +369,52 @@ def test_hadamard_fock_reproduces_defining_map():
     assert np.max(np.abs(res.final.amps - expect)) <= 1e-9
 
 
+def test_hadamard_matrix_is_the_product_of_its_factors():
+    for alpha, n_max in ((0.5, 20), (1.0, 40), (2.0, 40)):
+        cats, duals = _hadamard_factors(alpha, n_max)
+        assert cats.shape == (n_max + 1, 2)
+        assert duals.shape == (2, n_max + 1)
+        assert not cats.flags.writeable and not duals.flags.writeable
+        np.testing.assert_array_equal(hadamard_fock_matrix(alpha, n_max),
+                                      cats @ duals)
+        # disjoint even/odd photon support, exactly: the coefficient
+        # tensor's norm is then the output's norm
+        assert not np.any(cats[1::2, 0]) and not np.any(cats[0::2, 1])
+        assert np.max(np.abs(cats.conj().T @ cats - np.eye(2))) <= 1e-15
+        # the duals are the frame dual to {|a>, |-a>}
+        frame = np.stack([coherent_fock(alpha, n_max),
+                          coherent_fock(-alpha, n_max)], axis=1)
+        assert np.max(np.abs(duals @ frame - np.eye(2))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [5, 40])
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_rank_two_hadamard_matches_dense_matrix_on_every_axis(rng, modes,
+                                                              n_max):
+    # alpha 0.5 keeps the n_max 5 truncation loss below 1e-6
+    alpha = 0.5 if n_max == 5 else 1.5
+    mat = hadamard_fock_matrix(alpha, n_max)
+    factors = _hadamard_factors(alpha, n_max)
+    amps = random_tensor(rng, modes, n_max)
+    for x in kernel_layouts(amps, n_max):
+        for i in range(modes):
+            expect = np.moveaxis(np.tensordot(mat, x, axes=([1], [i])), 0, i)
+            expect /= np.linalg.norm(expect)
+            got = _hadamard(x, i, *factors)
+            assert np.max(np.abs(got - expect)) <= 1e-13, i
+            got = _hadamard(x.copy(order="K"), i, *factors, overwrite=True)
+            assert np.max(np.abs(got - expect)) <= 1e-13, i
+
+
 def test_hadamard_fock_matches_analytic_gate_on_entangled_state():
     n_max = 50
     pair = CsState([0.6, 0.8], [[1.0, 1.0], [-1.0, -1.0]])
     pair = normalize(pair)
     analytic = normalize(apply_hadamard(pair, 0, 1.0))
     # a circuit cannot prepare this pair's unequal weights
-    mat = hadamard_fock_matrix(1.0, n_max)
     numeric = FockTensor(n_max, _hadamard(
-        csstate_to_fock(pair, n_max).amps, 0, mat))
+        csstate_to_fock(pair, n_max).amps, 0,
+        *_hadamard_factors(1.0, n_max)))
     assert fock_fidelity(csstate_to_fock(analytic, n_max),
                          numeric) == pytest.approx(1.0, abs=1e-10)
 
@@ -375,6 +472,20 @@ def test_full_pipeline_agreement_on_small_build(n, m, alpha):
     overlap = fock_fidelity(csstate_to_fock(analytic.final_state, NMAX),
                             numeric.final)
     assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+# The builds whose final state is the C-GHZ target up to nonorthogonality;
+# (3, 1), (4, 1) and (1, 4) do not reach it yet (ROADMAP item 1).
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 1)])
+def test_oracle_build_reaches_the_analytic_target_fidelity(n, m):
+    params = ProtocolParams(n, m, 2.0)
+    circuit = build_cghz_circuit(params)
+    target = ideal_cghz_state(params)
+    numeric = fock_fidelity(run_fock(circuit, n_max=40).final,
+                            csstate_to_fock(target, 40))
+    analytic = fidelity(run(circuit, SelectionMode.exact()).final_state,
+                        target)
+    assert numeric == pytest.approx(analytic, abs=1e-9)
 
 
 def test_fock_fidelity_rejects_incomparable_tensors():
