@@ -18,7 +18,12 @@ from .coherent import CsState, state_inner
 from .engine import RunResult, run
 from .errors import DomainError, ModeShapeError, SimulationError
 from .optics import SelectionMode
-from .protocol import ProtocolParams, build_cghz_circuit, ideal_cghz_state
+from .protocol import (
+    DEFAULT_NM_CAP,
+    ProtocolParams,
+    build_cghz_circuit,
+    ideal_cghz_state,
+)
 
 FIDELITY_SLACK = 1e-10
 
@@ -86,10 +91,9 @@ class SweepDiagnostic:
 
 
 def evaluate_point(n: int, m: int, alpha: float, sel: SelectionMode,
-                   cap: int | None = None) -> SweepPoint:
+                   cap: int = DEFAULT_NM_CAP) -> SweepPoint:
     """Build, run and score one (n, m, alpha) protocol instance."""
-    kwargs = {} if cap is None else {"cap": cap}
-    params = ProtocolParams(n, m, alpha, **kwargs)
+    params = ProtocolParams(n, m, alpha, cap=cap)
     circuit = build_cghz_circuit(params)
     result = run(circuit, sel)
     target = ideal_cghz_state(params)
@@ -104,7 +108,7 @@ def evaluate_point(n: int, m: int, alpha: float, sel: SelectionMode,
 
 
 def sweep(alphas: Sequence[float], pairs: Iterable[tuple[int, int]],
-          sel: SelectionMode, cap: int | None = None,
+          sel: SelectionMode, cap: int = DEFAULT_NM_CAP,
           ) -> tuple[list[SweepPoint], list[SweepDiagnostic]]:
     """Evaluate the full (n, m) x alpha grid.
 

@@ -60,14 +60,20 @@ def _nm_cap() -> int:
 def _parse_alpha_range(spec: str) -> list[float]:
     """'START:STOP:STEP' (inclusive endpoints) or a single value."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError("alpha range must be START:STOP:STEP")
-    start, stop, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"alpha range {spec!r} needs finite values")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0 or stop < start:
         raise ValueError("alpha range needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"alpha range {spec!r} has too many steps")
+    count = int(math.floor(steps + 1e-9)) + 1
     return [start + k * step for k in range(count)]
 
 
@@ -119,9 +125,14 @@ def _cmd_build(args) -> int:
 
 def _read_circuit(path: str):
     """The circuit in a file, or None after printing its diagnostics to
-    stderr if it does not parse."""
+    stderr if it is not UTF-8 text or does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        result = parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            print(f"{path}: not UTF-8 text ({exc.reason})", file=sys.stderr)
+            return None
+    result = parse(text)
     if result.ok:
         return result.circuit
     for d in result.diagnostics:

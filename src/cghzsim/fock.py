@@ -32,12 +32,11 @@ Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``coherent_fock`` and ``hadamard_fock_matrix`` are the building blocks
 they expose; the kernels themselves are private.
 
-The representation is dense, (n_max+1)^modes complex amplitudes, so the
-mode count is capped at 4: enough for every primitive and for every
-generation circuit whose live modes stay within 4, i.e. the (2, 2),
-(3, 1), (4, 1) and (1, 4) builds.  One tensor may also take at most
-MAX_FOCK_BYTES (2 GiB, n_max <= 106 at 4 modes); a larger one raises
-ResourceLimitError before it is allocated.
+The representation is dense, (n_max+1)^modes complex amplitudes, and
+its one size limit is MAX_FOCK_BYTES (2 GiB) for a tensor plus the one
+scratch copy a kernel may hold beside it: n_max <= 89, 35 and 19 at 4,
+5 and 6 modes.  A build's widest tensor has n*m modes.  A larger tensor
+raises ResourceLimitError before it is allocated.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from .errors import (
     ZeroProbabilityError,
 )
 
-MAX_FOCK_MODES = 4
 MAX_FOCK_BYTES = 2 * 1024 ** 3
 # amplitudes held by the two Kronecker factors of one block of terms
 EXPAND_BLOCK = 2 ** 20
@@ -76,7 +74,7 @@ LOST_NORM_LIMIT = 1e-6
 
 @dataclass(frozen=True)
 class FockTensor:
-    """Dense number-basis amplitudes on up to four modes.
+    """Dense number-basis amplitudes on one or more modes.
 
     ``amps`` has shape (n_max+1,) * mode_count.  Truncation may lose
     norm but never gain it.  The squared norm is computed once, at
@@ -91,10 +89,8 @@ class FockTensor:
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
         amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.ndim < 1 or amps.ndim > MAX_FOCK_MODES:
-            raise ModeShapeError(
-                f"fock tensors support 1..{MAX_FOCK_MODES} modes, "
-                f"got {amps.ndim}")
+        if amps.ndim < 1:
+            raise ModeShapeError("fock tensors need at least one mode")
         if any(d != self.n_max + 1 for d in amps.shape):
             raise ModeShapeError(
                 f"tensor shape {amps.shape} does not match n_max={self.n_max}")
@@ -122,14 +118,21 @@ def _sq_norm(x: np.ndarray) -> float:
 
 
 def _check_tensor_size(n_max: int, modes: int):
-    """Raise ResourceLimitError if a tensor of this shape would exceed
-    MAX_FOCK_BYTES; called before the tensor is allocated."""
-    nbytes = (n_max + 1) ** modes * np.dtype(np.complex128).itemsize
+    """Raise ResourceLimitError if a tensor of this shape and the one
+    scratch copy a kernel holds beside it would exceed MAX_FOCK_BYTES;
+    called before the tensor is allocated."""
+    per_amp = 2 * np.dtype(np.complex128).itemsize
+    nbytes = (n_max + 1) ** modes * per_amp
     if nbytes > MAX_FOCK_BYTES:
+        # the float root may be one below or above the integer one
+        d = int((MAX_FOCK_BYTES // per_amp) ** (1 / modes)) + 1
+        while d ** modes * per_amp > MAX_FOCK_BYTES:
+            d -= 1
         raise ResourceLimitError(
-            f"a {modes}-mode tensor at n_max={n_max} needs "
-            f"{nbytes / 2 ** 30:.3g} GiB, over the oracle's limit of "
-            f"{MAX_FOCK_BYTES / 2 ** 30:g} GiB per tensor")
+            f"a {modes}-mode tensor at n_max={n_max} and its scratch copy "
+            f"need {nbytes / 2 ** 30:.3g} GiB, over the oracle's limit of "
+            f"{MAX_FOCK_BYTES / 2 ** 30:g} GiB; the largest n_max that "
+            f"fits {modes} modes is {d - 1}")
 
 
 def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
@@ -375,10 +378,8 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     the oracle's states fit one block.
     """
     modes = s.mode_count
-    if modes < 1 or modes > MAX_FOCK_MODES:
-        raise ModeShapeError(
-            f"fock conversion supports 1..{MAX_FOCK_MODES} modes, "
-            f"got {modes}")
+    if modes < 1:
+        raise ModeShapeError("fock conversion needs at least one mode")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     _check_tensor_size(n_max, modes)
@@ -435,18 +436,14 @@ _MODE_DELTA = {Prep: 1, Split: 1, SelectVacuum: -1}
 def _check_fits(circuit: Circuit, n_max: int):
     """Reject, before any tensor is allocated, a circuit the oracle cannot
     run: an invalid one (CircuitValidationError, checked first), one with
-    no instructions, one that needs more than MAX_FOCK_MODES live modes
-    at some point, or one whose widest tensor at this cutoff exceeds
-    MAX_FOCK_BYTES (ResourceLimitError)."""
+    no instructions, or one whose widest tensor and its scratch copy at
+    this cutoff exceed MAX_FOCK_BYTES (ResourceLimitError)."""
     _check_valid(validate(circuit))
     if not circuit.instructions:
         raise DomainError("cannot run an empty circuit through the oracle")
     live = peak = 0
     for ins in circuit.instructions:
         live += _MODE_DELTA.get(type(ins), 0)
-        if live > MAX_FOCK_MODES:
-            raise ModeShapeError(
-                f"circuit needs more than {MAX_FOCK_MODES} live modes")
         peak = max(peak, live)
     _check_tensor_size(n_max, peak)
 
@@ -487,10 +484,10 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     Runs through the analytic executor's instruction loop (same
     instruction semantics, probabilities relative to the pre-selection
     norm, state renormalized after Hadamards and selections) so the two
-    pipelines are comparable point by point.  Only circuits whose live
-    mode count stays within the cap, and whose tensors fit
-    MAX_FOCK_BYTES at this cutoff, can run; invalid, wider, oversized or
-    empty circuits raise before anything is allocated.
+    pipelines are comparable point by point.  Only circuits whose widest
+    tensor and its scratch copy fit MAX_FOCK_BYTES at this cutoff can
+    run; invalid, oversized or empty circuits raise before anything is
+    allocated.
     """
     _check_fits(circuit, n_max)
     backend = _Fock(n_max)

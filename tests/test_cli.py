@@ -62,6 +62,17 @@ def test_run_invalid_circuit_exits_three(tmp_path, capsys):
     assert "unbound" in err
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_non_utf8_circuit_file_exits_three(tmp_path, capsys, command):
+    path = tmp_path / "binary.cir"
+    path.write_bytes(b"alpha 2.0\nprep a \xff\n")
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "not UTF-8 text" in err
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing file argument
@@ -129,6 +140,17 @@ def test_sweep_bad_range_is_usage_error(capsys):
     assert "range" in err
 
 
+@pytest.mark.parametrize("spec", ["1:inf:1", "1:nan:1", "inf:1:0.5",
+                                  "1:2:inf", "nan", "0:1e308:1e-308"])
+def test_sweep_non_finite_range_is_usage_error(capsys, spec):
+    code, out, err = run_cli(["sweep", "--n", "2", "--m", "2",
+                              "--alpha", spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"alpha range {spec!r}" in err
+
+
 def test_target_json(capsys):
     code, out, _ = run_cli(["target", "--n", "2", "--m", "2", "--alpha",
                             "2", "--json"], capsys)
@@ -164,12 +186,15 @@ def test_oracle_disagreement_exits_two(tmp_path, capsys):
 
 
 def test_oracle_rejects_wide_circuit(tmp_path, capsys):
+    # six live modes at n_max 20 exceed the byte budget; 19 is the largest
+    # cutoff that fits
     path = tmp_path / "wide.cir"
-    run_cli(["build", "--n", "5", "--m", "1", "--alpha", "1", "-o",
+    run_cli(["build", "--n", "2", "--m", "3", "--alpha", "1", "-o",
              str(path)], capsys)
-    code, _, err = run_cli(["oracle", str(path), "--nmax", "10"], capsys)
+    code, _, err = run_cli(["oracle", str(path), "--nmax", "20"], capsys)
     assert code == 2
-    assert "modes" in err
+    assert err.count("\n") == 1
+    assert "largest n_max that fits 6 modes is 19" in err
 
 
 def test_oracle_refuses_oversized_tensor(tmp_path, capsys):

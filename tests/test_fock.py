@@ -293,10 +293,16 @@ def test_csstate_to_fock_full_target_norm():
     assert t.squared_norm() == pytest.approx(1.0, abs=1e-8)
 
 
-def test_csstate_to_fock_mode_cap():
-    s = CsState.single([0.1] * 5)
-    with pytest.raises(ModeShapeError):
-        csstate_to_fock(s, 10)
+def test_csstate_to_fock_byte_budget():
+    s = CsState.single([0.1] * 6)
+    # 21^6 amplitudes and their scratch copy take 2.6 GiB
+    with pytest.raises(ResourceLimitError,
+                       match="largest n_max that fits 6 modes is 19"):
+        csstate_to_fock(s, 20)
+    # the mode count alone is no limit
+    t = csstate_to_fock(s, 4)
+    assert t.mode_count == 6
+    assert t.squared_norm() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_csstate_to_fock_zero_terms_is_the_zero_tensor():
@@ -456,20 +462,29 @@ def test_selection_probability_matches_analytic_exact_mode():
     assert rec.kept_prob == pytest.approx(res.probabilities[0], abs=1e-8)
 
 
-# Every build whose live modes stay within the oracle's four.  The
-# cutoff keeps the eight points near 2 s; they agree to 1e-13 even here.
-NMAX = 30
+# The builds of up to four modes at three amplitudes, and the 5- and
+# 6-mode builds, where both stages are non-trivial, at the cutoffs that
+# keep each point within about 2 s and 400 MB.  The small builds agree
+# to 1e-13; the 6-mode ones, at n_max 14, to about 1e-8 in overlap.
+FULL_PIPELINE_CASES = [
+    pytest.param(n, m, alpha, 30, id=f"{n}-{m}-{alpha}")
+    for alpha in [0.8, 1.0, 1.5]
+    for n, m in [(2, 2), (3, 1), (4, 1), (1, 4)]
+] + [
+    pytest.param(n, m, 1.0, n_max, id=f"{n}-{m}-1.0")
+    for n, m, n_max in [(2, 3, 14), (3, 2, 14), (1, 6, 14), (6, 1, 14),
+                        (1, 5, 16), (5, 1, 16)]
+]
 
 
-@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
-@pytest.mark.parametrize("n,m", [(2, 2), (3, 1), (4, 1), (1, 4)])
-def test_full_pipeline_agreement_on_small_build(n, m, alpha):
+@pytest.mark.parametrize("n,m,alpha,n_max", FULL_PIPELINE_CASES)
+def test_full_pipeline_agreement_on_small_build(n, m, alpha, n_max):
     circuit = build_cghz_circuit(ProtocolParams(n, m, alpha))
     analytic = run(circuit, SelectionMode.exact())
-    numeric = run_fock(circuit, n_max=NMAX)
+    numeric = run_fock(circuit, n_max=n_max)
     assert numeric.mode_order == analytic.mode_order
     assert abs(numeric.p_success - analytic.p_success) <= 1e-8
-    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, NMAX),
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, n_max),
                             numeric.final)
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
@@ -499,9 +514,11 @@ def test_fock_fidelity_rejects_incomparable_tensors():
 
 
 def test_run_fock_rejects_wide_circuits():
-    circuit = build_cghz_circuit(ProtocolParams(5, 1, 1.0))
-    with pytest.raises(ModeShapeError):
-        run_fock(circuit, n_max=10)
+    # six live modes at n_max 20: over the byte budget, never allocated
+    circuit = build_cghz_circuit(ProtocolParams(6, 1, 1.0))
+    with pytest.raises(ResourceLimitError,
+                       match="largest n_max that fits 6 modes is 19"):
+        run_fock(circuit, n_max=20)
     # the same static pass rejects an empty circuit
     with pytest.raises(DomainError):
         run_fock(Circuit(alpha=1.0), n_max=10)
@@ -524,10 +541,13 @@ def test_oversized_tensors_are_refused_before_allocation(monkeypatch):
 
 
 def test_tensor_size_limit_boundary():
-    # 107^4 * 16 B fits in 2 GiB, 108^4 * 16 B does not
-    fock._check_tensor_size(106, 4)
-    with pytest.raises(ResourceLimitError):
-        fock._check_tensor_size(107, 4)
+    # a tensor and its scratch copy: 2 * 90^4 * 16 B fits in 2 GiB,
+    # 2 * 91^4 * 16 B does not; likewise 36^5 / 37^5 and 20^6 / 21^6
+    for modes, largest in ((4, 89), (5, 35), (6, 19)):
+        fock._check_tensor_size(largest, modes)
+        with pytest.raises(ResourceLimitError,
+                           match=f"fits {modes} modes is {largest}$"):
+            fock._check_tensor_size(largest + 1, modes)
     fock._check_tensor_size(200, 3)
 
 
@@ -540,11 +560,11 @@ def test_run_fock_validates_once_before_the_width_check(monkeypatch):
 
     for module in (engine, fock):
         monkeypatch.setattr(module, "validate", counting)
-    # too wide for the oracle and invalid: the diagnostics win
-    wide = build_cghz_circuit(ProtocolParams(5, 1, 1.0))
+    # over the oracle's byte budget and invalid: the diagnostics win
+    wide = build_cghz_circuit(ProtocolParams(6, 1, 1.0))
     bad = Circuit(wide.alpha, wide.instructions + (Hadamard("nowhere"),))
     with pytest.raises(CircuitValidationError):
-        run_fock(bad, n_max=10)
+        run_fock(bad, n_max=20)
     # an empty circuit with a bad alpha is invalid before it is empty
     with pytest.raises(CircuitValidationError):
         run_fock(Circuit(alpha=-1.0), n_max=10)

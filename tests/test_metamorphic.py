@@ -30,7 +30,8 @@ from cghzsim import (
     validate,
 )
 
-# builds whose live modes fit the oracle, and two wider ones for run
+# builds of at most four live modes for both pipelines, and two 6-mode
+# ones for run only: their tensors at NMAX exceed the oracle's byte budget
 FOCK_BUILDS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (4, 1), (1, 4)]
 BUILDS = FOCK_BUILDS + [(2, 3), (3, 2)]
 ALPHAS = [1.0, 1.5, 2.0]
