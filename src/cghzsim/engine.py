@@ -198,7 +198,8 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
     and ``select(i, name)`` heralds vacuum on mode i and removes it.  Each
     method leaves the working state at unit norm (the Hadamard and
     selection kernels renormalize their output), so the loop runs each
-    instruction once and never renormalizes.
+    instruction once and never renormalizes, and the coherent backend
+    hands ``select_vacuum`` that unit norm instead of summing it again.
 
     Raises RunError (with the instruction index) for any SimulationError
     the backend raises.
@@ -256,7 +257,8 @@ class _Coherent:
         self._keep(split_mode(self.state, i))
 
     def select(self, i: int, name: str):
-        state, record = select_vacuum(self.state, i, self.sel)
+        # the working state has unit norm (see _execute): no input Gram sum
+        state, record = select_vacuum(self.state, i, self.sel, norm_sq=1.0)
         self.selections.append(replace(record, mode_name=name))
         self._keep(state)
 
@@ -268,11 +270,13 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     unit norm after every instruction: prep and beam splitter (so split)
     are unitary, and apply_hadamard (not an isometry on entangled inputs)
     and select_vacuum return unit-norm states.  So the final state is
-    returned as the executor leaves it, each recorded ``kept_prob`` is
-    the conditional heralding probability of that selection, and
-    ``p_success`` is their product.  Exact selection lets vacuum residue
-    into gate modes, so Hadamards then run with the off-basis projection
-    rule; under branch selection an off-basis amplitude aborts the run.
+    returned as the executor leaves it, each selection is told its input
+    norm is 1 (``norm_sq=1.0``) rather than computing it, each recorded
+    ``kept_prob`` is the conditional heralding probability of that
+    selection, and ``p_success`` is their product.  Exact selection lets
+    vacuum residue into gate modes, so Hadamards then run with the
+    off-basis projection rule; under branch selection an off-basis
+    amplitude aborts the run.
 
     Raises CircuitValidationError if validate() reports anything, and
     RunError (with the instruction index) if a branch dies at runtime.

@@ -118,9 +118,11 @@ def _sq_norm(x: np.ndarray) -> float:
 
 
 def _check_tensor_size(n_max: int, modes: int):
-    """Raise ResourceLimitError if a tensor of this shape and the one
-    scratch copy a kernel holds beside it would exceed MAX_FOCK_BYTES;
-    called before the tensor is allocated."""
+    """Raise DomainError if n_max < 1, and ResourceLimitError if a tensor
+    of this shape and the one scratch copy a kernel holds beside it would
+    exceed MAX_FOCK_BYTES; called before the tensor is allocated."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
     per_amp = 2 * np.dtype(np.complex128).itemsize
     nbytes = (n_max + 1) ** modes * per_amp
     if nbytes > MAX_FOCK_BYTES:
@@ -380,8 +382,6 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     modes = s.mode_count
     if modes < 1:
         raise ModeShapeError("fock conversion needs at least one mode")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
     _check_tensor_size(n_max, modes)
     d = n_max + 1
     vecs, where = [], []
@@ -436,8 +436,9 @@ _MODE_DELTA = {Prep: 1, Split: 1, SelectVacuum: -1}
 def _check_fits(circuit: Circuit, n_max: int):
     """Reject, before any tensor is allocated, a circuit the oracle cannot
     run: an invalid one (CircuitValidationError, checked first), one with
-    no instructions, or one whose widest tensor and its scratch copy at
-    this cutoff exceed MAX_FOCK_BYTES (ResourceLimitError)."""
+    no instructions or a cutoff below 1 (DomainError), or one whose
+    widest tensor and its scratch copy at this cutoff exceed
+    MAX_FOCK_BYTES (ResourceLimitError)."""
     _check_valid(validate(circuit))
     if not circuit.instructions:
         raise DomainError("cannot run an empty circuit through the oracle")

@@ -211,8 +211,9 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     return normalize(merge_terms(CsState(coeffs, amps)))
 
 
-def select_vacuum(s: CsState, i: int,
-                  mode: SelectionMode) -> tuple[CsState, SelectionRecord]:
+def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
+                  norm_sq: float | None = None
+                  ) -> tuple[CsState, SelectionRecord]:
     """Post-select "no photon" on mode i and remove that mode.
 
     Both modes apply the same projection: every kept term's coefficient
@@ -227,13 +228,27 @@ def select_vacuum(s: CsState, i: int,
     false_vacuum_prob the probability that the non-vacuum terms herald
     silently anyway (the selection error of a no-click detector).  All
     three are relative to the incoming squared norm, so callers need not
-    renormalize between selections.  The returned state is the kept
-    portion divided by its norm.  Kept rows are merged when their mode-i
-    labels differ by more than the merge tolerance, the only case in
-    which dropping mode i can make two coincide.
+    renormalize between selections.  ``norm_sq`` is that squared norm
+    when the caller already knows it (``run`` passes 1.0, since its
+    working state has unit norm); left at None it is computed by a Gram
+    sum.  A given ``norm_sq`` must be finite and non-negative
+    (DomainError), and a zero one raises ZeroProbabilityError.
+
+    The returned state is the kept portion divided by its norm.  Kept
+    rows are merged first, so the norm is a Gram sum over the merged
+    rows, when their mode-i labels differ by more than the merge
+    tolerance, the only case in which dropping mode i can make two
+    coincide.  A selection that keeps no term, or whose kept terms have
+    a vanishing norm, raises ZeroProbabilityError.
     """
     _check_mode_index(s, i)
-    in_sq = state_norm(s) ** 2
+    if norm_sq is None:
+        in_sq = state_norm(s) ** 2
+    else:
+        in_sq = float(norm_sq)
+        if not (math.isfinite(in_sq) and in_sq >= 0.0):
+            raise DomainError(
+                f"norm_sq must be finite and non-negative, got {norm_sq!r}")
     if in_sq <= 1e-24:
         raise ZeroProbabilityError("selection on a zero-norm state")
 
@@ -243,9 +258,15 @@ def select_vacuum(s: CsState, i: int,
     silent = np.abs(labels) > VACUUM_LABEL_TOL
     drop = silent if mode.kind == "branch" else np.zeros_like(silent)
     keep = ~drop
+    if not keep.any():
+        raise ZeroProbabilityError(
+            f"vacuum selection on mode {i} keeps no term")
 
     kept = CsState(s.coeffs[keep] * vac_overlap[keep],
                    s.amps[keep][:, keep_cols])
+    dropped = labels[keep]
+    if max(np.ptp(dropped.real), np.ptp(dropped.imag)) > DEFAULT_MERGE_TOL:
+        kept = merge_terms(kept)
     kept_norm = state_norm(kept)
     kept_prob = min(max(kept_norm ** 2 / in_sq, 0.0), 1.0)
     discarded_weight = (
@@ -257,9 +278,6 @@ def select_vacuum(s: CsState, i: int,
         raise ZeroProbabilityError(
             f"vacuum selection on mode {i} has vanishing probability")
     out = CsState(kept.coeffs / kept_norm, kept.amps)
-    dropped = labels[keep]
-    if max(np.ptp(dropped.real), np.ptp(dropped.imag)) > DEFAULT_MERGE_TOL:
-        out = merge_terms(out)
     return out, SelectionRecord(mode=i, kept_prob=kept_prob,
                                 discarded_weight=discarded_weight,
                                 false_vacuum_prob=false_prob)

@@ -209,6 +209,16 @@ def test_oracle_refuses_oversized_tensor(tmp_path, capsys):
     assert "GiB" in err
 
 
+def test_oracle_refuses_a_cutoff_below_one(tmp_path, capsys):
+    # the cutoff is an argument error, not a failing instruction
+    path = tmp_path / "c22.cir"
+    run_cli(["build", "--n", "2", "--m", "2", "--alpha", "2", "-o",
+             str(path)], capsys)
+    code, _, err = run_cli(["oracle", str(path), "--nmax", "0"], capsys)
+    assert code == 2
+    assert err == "cghzsim oracle: error: n_max must be >= 1\n"
+
+
 def test_nm_cap_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CGHZ_MAX_NM", "4")
     code, _, err = run_cli(["build", "--n", "3", "--m", "2",

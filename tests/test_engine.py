@@ -26,6 +26,7 @@ from cghzsim import (
 )
 from cghzsim.coherent import merge_terms
 from cghzsim.engine import _Coherent, _execute
+from cghzsim.optics import select_vacuum
 from conftest import hadamard_reference, random_complex, random_state
 
 BRANCH = SelectionMode.branch()
@@ -290,6 +291,33 @@ def test_every_instruction_leaves_a_unit_norm_merged_state(n, m, sel):
     for idx, state in enumerate(backend.states):
         assert abs(state_norm(state) - 1.0) <= 1e-12, idx
         assert merge_terms(state).term_count == state.term_count, idx
+
+
+@pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["branch", "exact"])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 4), (4, 2), (2, 5), (3, 3),
+                                 (2, 6)])
+def test_run_never_sums_the_norm_of_a_selection_input(n, m, sel,
+                                                      monkeypatch):
+    # the working state has unit norm, so the backend tells select_vacuum
+    # so instead of letting it take a Gram sum of its input
+    from cghzsim import engine, optics
+
+    inputs, normed = [], []
+
+    def selecting(s, *args, **kwargs):
+        inputs.append(s)
+        return select_vacuum(s, *args, **kwargs)
+
+    def norming(s):
+        normed.append(s)
+        return state_norm(s)
+
+    monkeypatch.setattr(engine, "select_vacuum", selecting)
+    monkeypatch.setattr(optics, "state_norm", norming)
+    run(build_cghz_circuit(ProtocolParams(n, m, 2.0)), sel)
+    assert len(inputs) == n * m - 1
+    assert normed
+    assert not any(x is s for x in normed for s in inputs)
 
 
 class _Recorder:

@@ -524,6 +524,18 @@ def test_run_fock_rejects_wide_circuits():
         run_fock(Circuit(alpha=1.0), n_max=10)
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_run_fock_refuses_a_cutoff_below_one(n_max):
+    # a bad cutoff is the caller's, not an instruction's: DomainError
+    # before the first prep, never RunError; a negative one must not
+    # reach the byte check, where (n_max+1)**modes has a non-positive base
+    circuit = build_cghz_circuit(ProtocolParams(2, 2, 2.0))
+    with pytest.raises(DomainError, match="^n_max must be >= 1$"):
+        run_fock(circuit, n_max=n_max)
+    with pytest.raises(DomainError, match="^n_max must be >= 1$"):
+        fock._check_tensor_size(n_max, 4)
+
+
 def test_oversized_tensors_are_refused_before_allocation(monkeypatch):
     params = ProtocolParams(2, 2, 2.0)
     circuit = build_cghz_circuit(params)

@@ -7,6 +7,7 @@ from cghzsim import (
     BeamSplitter,
     Circuit,
     CsState,
+    DomainError,
     GateBasisError,
     Hadamard,
     ModeShapeError,
@@ -412,8 +413,52 @@ def test_select_branch_zero_survivors():
         select_vacuum(s, 0, SelectionMode.branch())
 
 
-def test_selection_mode_validation():
-    from cghzsim import DomainError
+@pytest.mark.parametrize("sel", [SelectionMode.branch(),
+                                 SelectionMode.exact()],
+                         ids=["branch", "exact"])
+def test_select_records_are_relative_to_the_incoming_norm(sel, rng):
+    # the default norm_sq is the input's own: scaling the input by 3
+    # changes neither the records nor the output state
+    for _ in range(30):
+        s, _ = _vacuum_carrying_state(rng)
+        out, rec = select_vacuum(s, 0, sel)
+        out3, rec3 = select_vacuum(CsState(3 * s.coeffs, s.amps), 0, sel)
+        for field in ("kept_prob", "discarded_weight", "false_vacuum_prob"):
+            assert abs(getattr(rec3, field) - getattr(rec, field)) <= 1e-12
+        assert np.array_equal(out3.amps, out.amps)
+        assert np.max(np.abs(out3.coeffs - out.coeffs)) <= 1e-12
 
+
+@pytest.mark.parametrize("sel", [SelectionMode.branch(),
+                                 SelectionMode.exact()],
+                         ids=["branch", "exact"])
+def test_select_given_its_input_norm_is_bit_identical(sel, rng):
+    for _ in range(30):
+        s, _ = _vacuum_carrying_state(rng)
+        s = CsState(rng.uniform(0.5, 3.0) * s.coeffs, s.amps)
+        out, rec = select_vacuum(s, 0, sel)
+        out_k, rec_k = select_vacuum(s, 0, sel, norm_sq=state_norm(s) ** 2)
+        assert rec_k == rec
+        assert out_k.coeffs.tobytes() == out.coeffs.tobytes()
+        assert out_k.amps.tobytes() == out.amps.tobytes()
+
+
+@pytest.mark.parametrize("norm_sq,error", [
+    (0.0, ZeroProbabilityError), (-1.0, DomainError),
+    (math.nan, DomainError), (math.inf, DomainError)])
+def test_select_refuses_a_bad_norm_sq(norm_sq, error):
+    s = post_first_splitter_state(1.0)
+    with pytest.raises(error):
+        select_vacuum(s, 0, SelectionMode.exact(), norm_sq=norm_sq)
+
+
+def test_select_branch_zero_survivors_with_a_given_norm():
+    # no survivor raises before anything is merged or summed
+    s = CsState.single([2.0, 2.0])
+    with pytest.raises(ZeroProbabilityError):
+        select_vacuum(s, 0, SelectionMode.branch(), norm_sq=1.0)
+
+
+def test_selection_mode_validation():
     with pytest.raises(DomainError):
         SelectionMode("bogus")
