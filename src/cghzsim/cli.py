@@ -220,8 +220,10 @@ def _cmd_oracle(args) -> int:
     circuit = _read_circuit(args.file)
     if circuit is None:
         return EXIT_VALIDATION
-    analytic = run(circuit, SelectionMode.exact())
+    # the oracle's byte check refuses an oversized tensor before anything
+    # is allocated, so it runs before the exact analytic simulation
     reference = run_fock(circuit, n_max=args.nmax)
+    analytic = run(circuit, SelectionMode.exact())
     converted = csstate_to_fock(analytic.final_state, n_max=args.nmax)
     overlap = fock_fidelity(converted, reference.final)
     dp = abs(analytic.p_success - reference.p_success)

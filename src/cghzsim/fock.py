@@ -11,20 +11,27 @@ analytic engine is the package's strongest correctness evidence.  Only
 the instruction loop, ``engine._execute``, is shared with the analytic
 engine; the kernels it drives here share no arithmetic with it.
 
-The kernels compute on the tensor the backend owns, in whatever axis
-order its memory holds, and copy a whole tensor only where a layout
-change is unavoidable.  The beam-splitter blocks are real orthogonal
-matrices, each applied in place by one matrix product on a strided
-slice of rows of the tensor viewed as float64, with no index gather or
-scatter; the tensor is copied once only when the two modes do not
-already lead its memory.  A new mode is prepared leading the memory, so
-splitting a mode (a vacuum prep and a beam splitter) needs no copy when
-that mode leads.  The Hadamard contracts one axis with its two dual
-vectors, normalizes the small coefficient tensor and expands it with
-the two cat vectors in place.  Heralding copies only the vacuum slice.
-An analytic state is expanded by one matrix product of two tables of
-row-wise Kronecker products of coherent vectors.  Norms are single-pass
-dot products, and a ``FockTensor`` computes its own once.
+Every ``FockTensor`` is stored in Fortran order (first mode varies
+fastest), the layout the kernels leave: each prep puts its new mode
+first in memory, so the backend's final tensor is already Fortran
+order on every paper build and ``run_fock`` hands it over without a
+copy.  The kernels compute on the tensor the backend owns, in whatever
+axis order its memory holds.  The beam-splitter blocks are real
+orthogonal matrices, each applied in place by one matrix product on a
+strided slice of rows of the tensor viewed as float64, with no index
+gather or scatter; the tensor is copied once only when the two modes
+do not already lead its memory.  A new mode is prepared leading the
+memory, so splitting a mode (a vacuum prep and a beam splitter) needs
+no copy when that mode leads.  The Hadamard contracts one axis with
+its two dual vectors, normalizes the small coefficient tensor and
+expands it with the two cat vectors in place.  Heralding copies only
+the vacuum slice.  An analytic state is expanded by one matrix product
+of two tables of row-wise Kronecker products of coherent vectors,
+taken over the modes in reverse so that the product is the
+Fortran-order tensor.  Norms are single-pass dot products, and each
+tensor's squared norm is taken once: ``run_fock`` and
+``csstate_to_fock`` hand the one they computed to the ``FockTensor``
+they return.
 
 Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``csstate_to_fock`` expands an analytic state for comparison and
@@ -76,9 +83,11 @@ LOST_NORM_LIMIT = 1e-6
 class FockTensor:
     """Dense number-basis amplitudes on one or more modes.
 
-    ``amps`` has shape (n_max+1,) * mode_count.  Truncation may lose
-    norm but never gain it.  The squared norm is computed once, at
-    construction.
+    ``amps`` has shape (n_max+1,) * mode_count and is a read-only
+    complex128 array in Fortran order (first mode varies fastest).  The
+    constructor always copies the array it is given, so the caller's
+    array stays its own and writeable.  Truncation may lose norm but
+    never gain it.  The squared norm is computed once, at construction.
     """
 
     n_max: int
@@ -88,19 +97,32 @@ class FockTensor:
     def __post_init__(self):
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        amps = np.asarray(self.amps, dtype=np.complex128)
+        amps = np.array(self.amps, dtype=np.complex128, order="F",
+                        copy=True)
         if amps.ndim < 1:
             raise ModeShapeError("fock tensors need at least one mode")
         if any(d != self.n_max + 1 for d in amps.shape):
             raise ModeShapeError(
                 f"tensor shape {amps.shape} does not match n_max={self.n_max}")
-        amps = np.ascontiguousarray(amps)
         total = _sq_norm(amps)
         if total > 1.0 + 1e-9:
             raise DomainError(f"squared amplitude sum {total} exceeds 1")
+        self._freeze(amps, total)
+
+    @classmethod
+    def _adopt(cls, n_max: int, amps: np.ndarray,
+               squared_norm: float) -> FockTensor:
+        """Wrap a Fortran-order complex128 tensor the oracle owns and
+        whose squared norm it already knows: no copy, no norm pass."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "n_max", n_max)
+        t._freeze(amps, squared_norm)
+        return t
+
+    def _freeze(self, amps: np.ndarray, squared_norm: float):
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "_squared_norm", total)
+        object.__setattr__(self, "_squared_norm", squared_norm)
 
     @property
     def mode_count(self) -> int:
@@ -371,10 +393,12 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     """Expand a coherent superposition in the truncated number basis.
 
     Each mode's labels become a (T, n_max+1) table of coherent vectors,
-    gathered from one vector per distinct label.  The coefficient-weighted row-wise Kronecker products of the first
-    half of the modes (``left``) and those of the second half
-    (``right``) give the tensor as the one matrix product
-    ``left.T @ right``, the sum over terms of their outer products.
+    gathered from one vector per distinct label.  Over the modes in
+    reverse, the coefficient-weighted row-wise Kronecker products of the
+    first half (``left``) and those of the second half (``right``) give
+    the tensor as the one matrix product ``left.T @ right``, the sum over
+    terms of their outer products; in C order over the reversed modes it
+    is the Fortran-order tensor.
     Terms are taken in blocks whose two factors hold at most
     EXPAND_BLOCK amplitudes, so memory beyond the tensor stays bounded;
     the oracle's states fit one block.
@@ -385,7 +409,7 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     _check_tensor_size(n_max, modes)
     d = n_max + 1
     vecs, where = [], []
-    for col in s.amps.T:
+    for col in s.amps.T[::-1]:
         labels, inverse = np.unique(col, return_inverse=True)
         vecs.append(np.array([coherent_fock(a, n_max)
                               for a in labels]).reshape(-1, d))
@@ -396,14 +420,15 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     for lo in range(step, s.term_count, step):
         acc += _expand_block(vecs, where, s.coeffs, half,
                              slice(lo, lo + step))
-    acc = acc.reshape((d,) * modes)
+    acc = acc.reshape((d,) * modes).transpose()
     sq = _sq_norm(acc)
     if sq > 1.0 + 1e-6:
         raise DomainError(
             f"state has squared norm {sq}; convert normalized states only")
     if sq > 1.0:  # round-off above unit norm
         acc /= math.sqrt(sq)
-    return FockTensor(n_max, acc)
+        sq = 1.0
+    return FockTensor._adopt(n_max, acc, sq)
 
 
 def fock_fidelity(t1: FockTensor, t2: FockTensor) -> float:
@@ -418,7 +443,9 @@ def fock_fidelity(t1: FockTensor, t2: FockTensor) -> float:
     n2 = t2.squared_norm()
     if n1 <= 0 or n2 <= 0:
         raise DomainError("fidelity of a zero tensor")
-    return abs(complex(np.vdot(t1.amps, t2.amps))) ** 2 / (n1 * n2)
+    # both tensors are Fortran order, so these are views
+    inner = np.vdot(t1.amps.ravel(order="F"), t2.amps.ravel(order="F"))
+    return abs(complex(inner)) ** 2 / (n1 * n2)
 
 
 @dataclass(frozen=True)
@@ -493,11 +520,11 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     _check_fits(circuit, n_max)
     backend = _Fock(n_max)
     order = _execute(circuit, backend)
-    # the backend owns its tensor: at most one C-order copy, normalized
-    # in place
-    amps = np.ascontiguousarray(backend.amps)
+    # the backend owns its tensor, Fortran order on every paper build:
+    # normalized in place and handed over with its unit norm
+    amps = np.asfortranarray(backend.amps)
     amps /= math.sqrt(_sq_norm(amps))
-    return FockRunResult(final=FockTensor(n_max, amps),
+    return FockRunResult(final=FockTensor._adopt(n_max, amps, 1.0),
                          mode_order=order,
                          probabilities=tuple(backend.probs),
                          p_success=math.prod(backend.probs, start=1.0))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cghzsim import parse
+from cghzsim import cli, parse
 from cghzsim.analysis import SweepPoint
 from cghzsim.cli import main
 
@@ -206,6 +206,22 @@ def test_oracle_refuses_oversized_tensor(tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1
     assert err.startswith("cghzsim oracle: error: ")
+    assert "GiB" in err
+
+
+def test_oracle_refuses_before_the_analytic_run(tmp_path, capsys,
+                                                monkeypatch):
+    path = tmp_path / "c.cir"
+    run_cli(["build", "--n", "2", "--m", "2", "--alpha", "2", "-o",
+             str(path)], capsys)
+
+    def no_run(*args):
+        raise AssertionError("analytic run before the oracle's byte check")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    code, _, err = run_cli(["oracle", str(path), "--nmax", "200"], capsys)
+    assert code == 2
+    assert err.count("\n") == 1
     assert "GiB" in err
 
 

@@ -215,6 +215,26 @@ def test_fock_tensor_rejects_norm_above_one():
         FockTensor(5, np.full((6, 6), 1.0, dtype=complex))
 
 
+def test_fock_tensor_copies_the_callers_array():
+    a = np.zeros((3, 3), dtype=complex)
+    t = FockTensor(2, a)
+    assert t.amps.flags.f_contiguous and not t.amps.flags.writeable
+    a[0, 0] = 0.5
+    assert a.flags.writeable
+    assert not np.any(t.amps)
+
+
+def test_fock_fidelity_is_layout_independent(rng):
+    n_max = 5
+    a = random_tensor(rng, 3, n_max)
+    b = random_tensor(rng, 3, n_max)
+    c_only = (abs(np.vdot(a, b)) ** 2
+              / (np.vdot(a, a).real * np.vdot(b, b).real))
+    got = fock_fidelity(FockTensor(n_max, a),
+                        FockTensor(n_max, np.asfortranarray(b)))
+    assert got == pytest.approx(c_only, abs=1e-15)
+
+
 # ----------------------------------------------------- vacuum projection
 
 def test_vacuum_project_trivial():
@@ -501,6 +521,39 @@ def test_oracle_build_reaches_the_analytic_target_fidelity(n, m):
     analytic = fidelity(run(circuit, SelectionMode.exact()).final_state,
                         target)
     assert numeric == pytest.approx(analytic, abs=1e-9)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (1, 4), (2, 3)])
+def test_oracle_tensors_are_fortran_order(n, m):
+    params = ProtocolParams(n, m, 1.0)
+    final = run_fock(build_cghz_circuit(params), n_max=10).final
+    converted = csstate_to_fock(ideal_cghz_state(params), 10)
+    for t in (final, converted):
+        assert t.mode_count == n * m
+        assert t.amps.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (1, 4), (2, 3)])
+def test_each_tensor_norm_is_taken_once(n, m, monkeypatch):
+    calls = []
+    sq_norm = fock._sq_norm
+
+    def counting(x):
+        calls.append(x.shape)
+        return sq_norm(x)
+
+    monkeypatch.setattr(fock, "_sq_norm", counting)
+    params = ProtocolParams(n, m, 1.0)
+    csstate_to_fock(ideal_cghz_state(params), 10)
+    assert len(calls) == 1
+    calls.clear()
+    circuit = build_cghz_circuit(params)
+    run_fock(circuit, n_max=10)
+    kinds = [type(ins) for ins in circuit.instructions]
+    # one per Hadamard's coefficients, the input and the kept slice of
+    # each selection, and the final tensor
+    assert len(calls) == (1 + kinds.count(Hadamard)
+                          + 2 * kinds.count(SelectVacuum))
 
 
 def test_fock_fidelity_rejects_incomparable_tensors():
