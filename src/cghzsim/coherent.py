@@ -16,7 +16,10 @@ representation.  The sum is evaluated in one of two exact ways:
 
 * dense, in blocks of rows of at most GRAM_BLOCK overlaps, so no T1 x T2
   matrix is ever held at once (``state_inner``, and ``state_norm`` on
-  states without structure);
+  states without structure).  A self-product that needs more than one
+  block sums the upper triangle only: each row block is contracted with
+  the columns from its own first row on, and the pairs past the block
+  count twice, as 2 Re, which builds about half the overlaps;
 * factored (``state_norm`` only): when the modes fall into groups whose
   distinct label rows L_g make a small zero-padded product, the
   coefficients are scattered into a tensor over those rows and
@@ -27,6 +30,14 @@ representation.  The sum is evaluated in one of two exact ways:
 
 ``state_norm`` takes whichever a cost estimate from T and the group
 sizes says is cheaper.
+
+Both ways compute in real arithmetic what is real.  For real labels
+conj(a) b - (|a|^2 + |b|^2)/2 = -|a - b|^2/2, so the overlaps are
+positive float64 values, computed on the real parts, and real
+coefficients are summed as float64.  Protocol circuits at real alpha
+have only real labels and coefficients.  A real Gram block is never
+promoted to complex: complex coefficients meet it as two real products,
+over their real and imaginary parts.
 
 Amplitudes and coefficients are plain Python/NumPy complex numbers.
 All operations are pure; states are immutable after construction.
@@ -51,19 +62,23 @@ NEGATIVE_NORM_TOL = 1e-12
 
 DEFAULT_MERGE_TOL = 1e-12
 
-# Overlaps a dense Gram sum holds at once (16 MiB of complex128); it is
-# evaluated in blocks of rows below this bound.  The factored norm uses
-# it too, as the largest zero-padded coefficient tensor it builds.
+# Overlaps a dense Gram sum holds at once (16 MiB of complex128, 8 MiB
+# of float64); it is evaluated in blocks of rows below this bound.  The
+# factored norm uses it too, as the largest zero-padded coefficient
+# tensor it builds.
 GRAM_BLOCK = 1 << 20
 
 # Cost model of state_norm, in dense Gram elements (one complex
 # exponential with its share of the label product, about 30 ns): the
 # grouping of the modes, per mode (about 30 NumPy calls); one group's
-# table and contraction step, its fixed part (about 16 calls); and one
-# multiply-add of the contraction.
+# table and contraction step, its fixed part (about 16 calls); one
+# multiply-add of the contraction; and one dense element on real labels
+# (a real exponential; a T = 256, M = 15 self-product takes 0.77 ms real
+# against 5.0 ms complex).
 _GROUPING_COST = 3000
 _TABLE_COST = 1600
 _MAC_COST = 0.05
+_REAL_DENSE_COST = 0.15
 
 
 def _require_finite(z: complex, what: str) -> complex:
@@ -133,42 +148,91 @@ class CsState:
         return f"CsState(modes={self.mode_count}, terms={self.term_count})"
 
 
+def _real_view(x: np.ndarray) -> np.ndarray:
+    """x, or its real part as a float64 view when x is complex with no
+    imaginary part; one pass over x decides."""
+    if x.dtype.kind == "c" and not np.count_nonzero(x.imag):
+        return x.real
+    return x
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norms sum_k |a_ik|^2 of the label rows of a."""
+    if a.dtype.kind == "c":
+        return np.einsum("ij,ij->i", a.real, a.real) + np.einsum(
+            "ij,ij->i", a.imag, a.imag)
+    return np.einsum("ij,ij->i", a, a)
+
+
 def _overlap_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise products of per-mode overlaps of label rows a (T1, M) and
     b (T2, M): K[i, j] = prod_k <a_ik|b_jk>.
 
     The per-mode log-overlaps are summed first and exponentiated once, so
-    deeply suppressed products never underflow partway.
+    deeply suppressed products never underflow partway.  When neither
+    block has an imaginary part the same formula runs on the real parts
+    and K is float64 (conj(a) b - (|a|^2 + |b|^2)/2 is then -|a - b|^2/2,
+    so every overlap is positive); otherwise K is complex128.
     """
-    ra = np.sum(a.real**2 + a.imag**2, axis=1)
-    rb = ra if b is a else np.sum(b.real**2 + b.imag**2, axis=1)
-    expo = np.conj(a) @ b.T - 0.5 * (ra[:, None] + rb[None, :])
-    k = np.exp(expo)
-    if k.size:
-        k[np.abs(k) < OVERLAP_FLUSH] = 0.0
+    same = b is a
+    a = _real_view(a)
+    b = a if same else _real_view(b)
+    ha = 0.5 * _row_norms(a)
+    hb = ha if same else 0.5 * _row_norms(b)
+    k = a.conj() @ b.T
+    k -= ha[:, None]
+    k -= hb
+    np.exp(k, out=k)
+    k[(k if k.dtype.kind == "f" else np.abs(k)) < OVERLAP_FLUSH] = 0.0
     return k
+
+
+def _gram_apply(k: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """k @ d for a contiguous vector d; a real k meets complex d as one
+    real product over d's real and imaginary parts, so k is never
+    promoted to complex."""
+    if k.dtype.kind == "f" and d.dtype.kind == "c":
+        d = d.view(np.float64).reshape(-1, 2)
+        return (k @ d).view(np.complex128).reshape(-1)
+    return k @ d
 
 
 def state_inner(s1: CsState, s2: CsState) -> complex:
     """Gram inner product <s1|s2> = sum_ij conj(c_i) d_j prod_k <a_ik|b_jk>.
 
-    The Gram matrix is built and summed in blocks of rows of s1 holding
-    at most GRAM_BLOCK overlaps each, so memory stays bounded at any
-    term count.
+    Labels and coefficients without an imaginary part are used as real
+    arrays, so a real Gram block is computed and summed in float64.  The
+    Gram matrix is built and summed in blocks of rows of s1 holding at
+    most GRAM_BLOCK overlaps each, so memory stays bounded at any term
+    count.  A self-product that needs more than one block contracts each
+    row block only with the columns from its own first row on and counts
+    the pairs past the block twice, as 2 Re, which builds about half the
+    overlaps.
     """
     if s1.mode_count != s2.mode_count:
         raise ModeShapeError(
             f"mode counts differ: {s1.mode_count} vs {s2.mode_count}")
     if s1.term_count == 0 or s2.term_count == 0:
         return 0.0 + 0.0j
+    a, c = _real_view(s1.amps), _real_view(s1.coeffs)
+    b, d = (a, c) if s2 is s1 else (_real_view(s2.amps),
+                                    _real_view(s2.coeffs))
     t1, rows = s1.term_count, max(1, GRAM_BLOCK // s2.term_count)
     if t1 <= rows:
         # one block, unsliced, so a self-product reuses its row norms
-        k = _overlap_matrix(s1.amps, s2.amps)
-        return complex(np.conj(s1.coeffs) @ k @ s2.coeffs)
+        return complex(c.conj() @ _gram_apply(_overlap_matrix(a, b), d))
+    if s2 is not s1:
+        return complex(sum(
+            c[lo:lo + rows].conj()
+            @ _gram_apply(_overlap_matrix(a[lo:lo + rows], b), d)
+            for lo in range(0, t1, rows)))
+    # the diagonal block once, the pairs right of it twice
+    twice = 2 * c
     return complex(sum(
-        np.conj(s1.coeffs[lo:lo + rows])
-        @ _overlap_matrix(s1.amps[lo:lo + rows], s2.amps) @ s2.coeffs
+        (c[lo:lo + rows].conj()
+         @ _gram_apply(_overlap_matrix(a[lo:lo + rows], a[lo:]),
+                       np.concatenate((c[lo:lo + rows],
+                                       twice[lo + rows:])))).real
         for lo in range(0, t1, rows)))
 
 
@@ -268,33 +332,47 @@ def _factored_norm_sq(s: CsState, groups) -> float:
     so this equals the dense sum up to round-off.
     """
     t = s.term_count
+    amps = _real_view(s.amps)
     flat = np.zeros(t, dtype=np.intp)
     for codes, size, _ in groups:
         flat = flat * size + codes
     cells = math.prod(size for _, size, _ in groups)
-    c = (np.bincount(flat, s.coeffs.real, cells)
-         + 1j * np.bincount(flat, s.coeffs.imag, cells))
-    x = c
+    c = np.bincount(flat, s.coeffs.real, cells)
+    if np.count_nonzero(s.coeffs.imag):
+        c = c + 1j * np.bincount(flat, s.coeffs.imag, cells)
+    # real tables meet complex coefficients as two real tensors, the
+    # real and imaginary parts on a trailing axis
+    split = amps.dtype.kind == "f" and c.dtype.kind == "c"
+    x = c.view(np.float64) if split else c
     for codes, size, modes in groups:
         first = np.empty(size, dtype=np.intp)
         first[codes] = np.arange(t)
-        rows = s.amps[first][:, modes]
+        rows = amps[first][:, modes]
         # contract the leading axis, which comes back last
         x = x.reshape(size, -1).T @ _overlap_matrix(rows, rows).T
+    if split:
+        # the axis of parts has come to the front
+        return float(np.vdot(c.view(np.float64).reshape(cells, 2).T,
+                             x.reshape(2, cells)))
     return float(np.vdot(c, x.reshape(-1)).real)
 
 
 def _norm_sq(s: CsState) -> float:
     """<s|s> by whichever of the factored and dense sums costs less.
 
-    The dense sum costs T^2 Gram elements.  Grouping the modes is tried
-    only when it costs less than that, and the factored sum is taken when
-    its tables (sum L^2 elements), its contraction (prod(L) * sum(L)
-    multiply-adds) and its per-group overhead cost less too, and its
-    zero-padded tensor (prod(L) entries) fits in GRAM_BLOCK.
+    The dense sum costs T^2 Gram elements, each weighted by
+    _REAL_DENSE_COST when the labels are real (a pass over the labels,
+    made only when the complex sum would cost more than the grouping).
+    Grouping the modes is tried only when it costs less than the dense
+    sum, and the factored sum is taken when its tables (sum L^2
+    elements), its contraction (prod(L) * sum(L) multiply-adds) and its
+    per-group overhead cost less too, and its zero-padded tensor (prod(L)
+    entries) fits in GRAM_BLOCK.
     """
     t, m = s.amps.shape
     dense = t * t
+    if dense > _GROUPING_COST * m and not np.count_nonzero(s.amps.imag):
+        dense *= _REAL_DENSE_COST
     if dense <= _GROUPING_COST * m:
         return state_inner(s, s).real
     groups = _label_groups(s.amps)

@@ -79,7 +79,7 @@ DEFAULT_NMAX = 40
 LOST_NORM_LIMIT = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockTensor:
     """Dense number-basis amplitudes on one or more modes.
 
@@ -448,7 +448,7 @@ def fock_fidelity(t1: FockTensor, t2: FockTensor) -> float:
     return abs(complex(inner)) ** 2 / (n1 * n2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockRunResult:
     final: FockTensor
     mode_order: tuple[str, ...]

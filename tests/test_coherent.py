@@ -300,6 +300,103 @@ def test_dense_sum_in_row_blocks_matches_one_block(rng, monkeypatch):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def real_product_state(rng, groups, keep=1.0, repeat=0):
+    """The real parts of a ``product_state``: real labels and real
+    coefficients, as the protocol circuits produce at real alpha."""
+    s = product_state(rng, groups, keep, repeat)
+    return CsState(s.coeffs.real, s.amps.real)
+
+
+def test_overlap_matrix_is_real_exactly_for_real_labels(rng):
+    a = random_complex(rng, 12, 2.0).reshape(4, 3)
+    b = random_complex(rng, 15, 2.0).reshape(5, 3)
+    real = a.real.astype(complex)                # complex dtype, no imag
+    assert coherent._overlap_matrix(real, real).dtype == np.float64
+    assert coherent._overlap_matrix(real, b.real).dtype == np.float64
+    assert coherent._overlap_matrix(a, b).dtype == np.complex128
+    assert coherent._overlap_matrix(real, b).dtype == np.complex128
+    assert coherent._overlap_matrix(a, real).dtype == np.complex128
+    want = [[np.prod([coherent_overlap(x, y) for x, y in zip(r, q)])
+             for q in b.real] for r in real]
+    np.testing.assert_allclose(coherent._overlap_matrix(real, b.real), want,
+                               rtol=1e-13, atol=0)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                min_size=1, max_size=3),
+       st.sampled_from([1.0, 0.5]), st.integers(0, 3),
+       st.floats(0.1, 6.0), st.floats(0.1, 6.0))
+@settings(max_examples=100, deadline=None)
+def test_common_phase_takes_the_complex_path_to_the_same_sums(
+        seed, groups, keep, repeat, theta, phi):
+    # conj(a e^{i theta}) (b e^{i theta}) = conj(a) b: a common label phase
+    # changes no overlap, but runs the complex arithmetic
+    rng = np.random.default_rng(seed)
+    s = real_product_state(rng, groups, keep, repeat)
+    other = real_product_state(rng, groups)
+    turn = np.exp(1j * theta)
+
+    def rotated(x):
+        return CsState(x.coeffs, x.amps * turn)
+
+    r, r_other = rotated(s), rotated(other)
+    assert coherent._overlap_matrix(s.amps, s.amps).dtype == np.float64
+    assert coherent._overlap_matrix(r.amps, r.amps).dtype == np.complex128
+    want = state_norm(s)
+    for got in (state_norm(r), factored_norm(r), factored_norm(s)):
+        assert abs(got - want) <= 1e-12 * want
+    scale = want * state_norm(other)
+    inner = state_inner(s, other)
+    assert abs(state_inner(r, r_other) - inner) <= 1e-12 * scale
+    # a common coefficient phase: real labels, complex coefficients
+    phased = CsState(s.coeffs * np.exp(1j * phi), s.amps)
+    for got in (state_norm(phased), factored_norm(phased)):
+        assert abs(got - want) <= 1e-12 * want
+    assert (abs(state_inner(other, phased) - np.exp(1j * phi) * inner)
+            <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_blocked_self_product_matches_one_block(rng, monkeypatch, real):
+    t = 103                                      # not a multiple of 8 rows
+    s = CsState(random_complex(rng, t, 1.0),
+                random_complex(rng, 3 * t, 2.0).reshape(t, 3))
+    if real:
+        s = CsState(s.coeffs.real, s.amps.real)
+    single = state_inner(s, s)
+    monkeypatch.setattr(coherent, "GRAM_BLOCK", 8 * t)
+    blocked = state_inner(s, s)
+    assert abs(blocked - single) <= 1e-13 * abs(single)
+    assert abs(state_norm(s) ** 2 - single.real) <= 1e-12 * abs(single)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_blocked_self_product_builds_half_the_overlaps(rng, monkeypatch,
+                                                       real):
+    t = 1500
+    s = CsState(random_complex(rng, t, 1.0),
+                random_complex(rng, 3 * t, 3.0).reshape(t, 3))
+    if real:
+        s = CsState(s.coeffs.real, s.amps.real)
+    rows = coherent.GRAM_BLOCK // t
+    assert t > rows                              # several row blocks
+    built = []
+    overlap_matrix = coherent._overlap_matrix
+
+    def counted(a, b):
+        k = overlap_matrix(a, b)
+        built.append(k.size)
+        return k
+
+    monkeypatch.setattr(coherent, "_overlap_matrix", counted)
+    blocked = state_inner(s, s)
+    assert sum(built) <= (t * t + t * rows) // 2
+    monkeypatch.setattr(coherent, "GRAM_BLOCK", t * t)
+    single = state_inner(s, s)
+    assert abs(blocked - single) <= 1e-13 * abs(single)
+
+
 # ------------------------------------------------------------------ merge
 
 def test_merge_combines_identical_labels():

@@ -224,6 +224,19 @@ def test_fock_tensor_copies_the_callers_array():
     assert not np.any(t.amps)
 
 
+def test_fock_tensor_and_run_result_compare_by_identity():
+    # an ndarray field has no boolean ==, so both classes compare and
+    # hash by identity, like CsState
+    a = np.zeros((3, 3), dtype=complex)
+    t, u = FockTensor(2, a), FockTensor(2, a)
+    assert (t == t) is True and (t == u) is False
+    assert len({t, u, t}) == 2
+    circuit = Circuit(1.0, (Prep("a", 1.0),))
+    r1, r2 = run_fock(circuit, n_max=10), run_fock(circuit, n_max=10)
+    assert (r1 == r1) is True and (r1 == r2) is False
+    assert len({r1, r2, r1}) == 2
+
+
 def test_fock_fidelity_is_layout_independent(rng):
     n_max = 5
     a = random_tensor(rng, 3, n_max)
