@@ -35,9 +35,10 @@ Both ways compute in real arithmetic what is real.  For real labels
 conj(a) b - (|a|^2 + |b|^2)/2 = -|a - b|^2/2, so the overlaps are
 positive float64 values, computed on the real parts, and real
 coefficients are summed as float64.  Protocol circuits at real alpha
-have only real labels and coefficients.  A real Gram block is never
-promoted to complex: complex coefficients meet it as two real products,
-over their real and imaginary parts.
+have only real labels and coefficients.  One pass per call finds which
+arrays are real.  A real dense Gram block is never promoted to complex:
+complex coefficients meet it as two real products, over their real and
+imaginary parts; the factored sum's small tables are promoted.
 
 Amplitudes and coefficients are plain Python/NumPy complex numbers.
 All operations are pure; states are immutable after construction.
@@ -148,20 +149,15 @@ class CsState:
         return f"CsState(modes={self.mode_count}, terms={self.term_count})"
 
 
-def _real_view(x: np.ndarray) -> np.ndarray:
-    """x, or its real part as a float64 view when x is complex with no
-    imaginary part; one pass over x decides."""
+def _as_real(x: np.ndarray) -> np.ndarray:
+    """x, or a contiguous float64 copy of its real part when x is complex
+    with no imaginary part; one pass over x decides.  The copy lets BLAS
+    take the label products: NumPy runs products of the strided .real
+    view in its own loop, which took 6.0 against 3.2 ms for a 21 x 49150
+    block at 16 modes (one thread)."""
     if x.dtype.kind == "c" and not np.count_nonzero(x.imag):
-        return x.real
+        return np.ascontiguousarray(x.real)
     return x
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Squared norms sum_k |a_ik|^2 of the label rows of a."""
-    if a.dtype.kind == "c":
-        return np.einsum("ij,ij->i", a.real, a.real) + np.einsum(
-            "ij,ij->i", a.imag, a.imag)
-    return np.einsum("ij,ij->i", a, a)
 
 
 def _overlap_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,17 +165,18 @@ def _overlap_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b (T2, M): K[i, j] = prod_k <a_ik|b_jk>.
 
     The per-mode log-overlaps are summed first and exponentiated once, so
-    deeply suppressed products never underflow partway.  When neither
-    block has an imaginary part the same formula runs on the real parts
-    and K is float64 (conj(a) b - (|a|^2 + |b|^2)/2 is then -|a - b|^2/2,
-    so every overlap is positive); otherwise K is complex128.
+    deeply suppressed products never underflow partway.  When a and b are
+    both real arrays K is float64 (conj(a) b - (|a|^2 + |b|^2)/2 is then
+    -|a - b|^2/2, so every overlap is positive); otherwise K is
+    complex128.  Callers pass real labels as real arrays (_as_real).
     """
-    same = b is a
-    a = _real_view(a)
-    b = a if same else _real_view(b)
-    ha = 0.5 * _row_norms(a)
-    hb = ha if same else 0.5 * _row_norms(b)
-    k = a.conj() @ b.T
+    # np.conjugate returns a new array even for real a, so a self-product
+    # runs as a gemm: NumPy sends a @ a.T to BLAS syrk, which took 3-5x
+    # longer at T = 512-1024 and 13-16 modes
+    ac = np.conjugate(a)
+    ha = 0.5 * np.einsum("ij,ij->i", a, ac).real
+    hb = ha if b is a else 0.5 * np.einsum("ij,ij->i", b, b.conj()).real
+    k = ac @ b.T
     k -= ha[:, None]
     k -= hb
     np.exp(k, out=k)
@@ -201,27 +198,37 @@ def state_inner(s1: CsState, s2: CsState) -> complex:
     """Gram inner product <s1|s2> = sum_ij conj(c_i) d_j prod_k <a_ik|b_jk>.
 
     Labels and coefficients without an imaginary part are used as real
-    arrays, so a real Gram block is computed and summed in float64.  The
-    Gram matrix is built and summed in blocks of rows of s1 holding at
-    most GRAM_BLOCK overlaps each, so memory stays bounded at any term
-    count.  A self-product that needs more than one block contracts each
-    row block only with the columns from its own first row on and counts
-    the pairs past the block twice, as 2 Re, which builds about half the
-    overlaps.
+    arrays, so a real Gram block is computed and summed in float64.
     """
     if s1.mode_count != s2.mode_count:
         raise ModeShapeError(
             f"mode counts differ: {s1.mode_count} vs {s2.mode_count}")
-    if s1.term_count == 0 or s2.term_count == 0:
+    a, c = _as_real(s1.amps), _as_real(s1.coeffs)
+    if s2 is s1:
+        return _gram_sum(a, c, a, c)
+    return _gram_sum(a, c, _as_real(s2.amps), _as_real(s2.coeffs))
+
+
+def _gram_sum(a: np.ndarray, c: np.ndarray,
+              b: np.ndarray, d: np.ndarray) -> complex:
+    """sum_ij conj(c_i) d_j K[i, j] over the overlaps K of label rows a
+    and b; a self-product passes the same arrays twice.
+
+    The Gram matrix is built and summed in blocks of rows of a holding at
+    most GRAM_BLOCK overlaps each, so memory stays bounded at any term
+    count.  A self-product that needs more than one block (above 1024
+    terms) contracts each row block only with the columns from its own
+    first row on and counts the pairs past the block twice, as 2 Re,
+    which builds about half the overlaps.
+    """
+    t1, t2 = len(a), len(b)
+    if t1 == 0 or t2 == 0:
         return 0.0 + 0.0j
-    a, c = _real_view(s1.amps), _real_view(s1.coeffs)
-    b, d = (a, c) if s2 is s1 else (_real_view(s2.amps),
-                                    _real_view(s2.coeffs))
-    t1, rows = s1.term_count, max(1, GRAM_BLOCK // s2.term_count)
+    rows = max(1, GRAM_BLOCK // t2)
     if t1 <= rows:
         # one block, unsliced, so a self-product reuses its row norms
         return complex(c.conj() @ _gram_apply(_overlap_matrix(a, b), d))
-    if s2 is not s1:
+    if b is not a:
         return complex(sum(
             c[lo:lo + rows].conj()
             @ _gram_apply(_overlap_matrix(a[lo:lo + rows], b), d)
@@ -323,66 +330,57 @@ def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
     return list(groups.values())
 
 
-def _factored_norm_sq(s: CsState, groups) -> float:
-    """<s|s> from per-group Gram tables.
+def _factored_norm_sq(amps: np.ndarray, coeffs: np.ndarray,
+                      groups) -> float:
+    """<s|s> from per-group Gram tables, for the labels and coefficients
+    of s as _as_real gives them.
 
     The coefficients are scattered into a zero-padded tensor C over the
     groups' distinct rows; <s|s> = sum_xy conj(C[x]) C[y] prod_g K_g[x_g,
     y_g], applied one group axis at a time.  Zero padding adds nothing,
     so this equals the dense sum up to round-off.
     """
-    t = s.term_count
-    amps = _real_view(s.amps)
+    t = len(coeffs)
     flat = np.zeros(t, dtype=np.intp)
     for codes, size, _ in groups:
         flat = flat * size + codes
     cells = math.prod(size for _, size, _ in groups)
-    c = np.bincount(flat, s.coeffs.real, cells)
-    if np.count_nonzero(s.coeffs.imag):
-        c = c + 1j * np.bincount(flat, s.coeffs.imag, cells)
-    # real tables meet complex coefficients as two real tensors, the
-    # real and imaginary parts on a trailing axis
-    split = amps.dtype.kind == "f" and c.dtype.kind == "c"
-    x = c.view(np.float64) if split else c
+    c = np.bincount(flat, coeffs.real, cells)
+    if coeffs.dtype.kind == "c":
+        c = c + 1j * np.bincount(flat, coeffs.imag, cells)
+    x = c
     for codes, size, modes in groups:
         first = np.empty(size, dtype=np.intp)
         first[codes] = np.arange(t)
         rows = amps[first][:, modes]
         # contract the leading axis, which comes back last
         x = x.reshape(size, -1).T @ _overlap_matrix(rows, rows).T
-    if split:
-        # the axis of parts has come to the front
-        return float(np.vdot(c.view(np.float64).reshape(cells, 2).T,
-                             x.reshape(2, cells)))
     return float(np.vdot(c, x.reshape(-1)).real)
 
 
 def _norm_sq(s: CsState) -> float:
     """<s|s> by whichever of the factored and dense sums costs less.
 
-    The dense sum costs T^2 Gram elements, each weighted by
-    _REAL_DENSE_COST when the labels are real (a pass over the labels,
-    made only when the complex sum would cost more than the grouping).
-    Grouping the modes is tried only when it costs less than the dense
-    sum, and the factored sum is taken when its tables (sum L^2
-    elements), its contraction (prod(L) * sum(L) multiply-adds) and its
-    per-group overhead cost less too, and its zero-padded tensor (prod(L)
-    entries) fits in GRAM_BLOCK.
+    One pass over the labels and coefficients finds which are real.  The
+    dense sum costs T^2 Gram elements, each weighted by _REAL_DENSE_COST
+    when the labels are real.  Grouping the modes is tried only when it
+    costs less than the dense sum, and the factored sum is taken when its
+    tables (sum L^2 elements), its contraction (prod(L) * sum(L)
+    multiply-adds) and its per-group overhead cost less too, and its
+    zero-padded tensor (prod(L) entries) fits in GRAM_BLOCK.
     """
     t, m = s.amps.shape
-    dense = t * t
-    if dense > _GROUPING_COST * m and not np.count_nonzero(s.amps.imag):
-        dense *= _REAL_DENSE_COST
-    if dense <= _GROUPING_COST * m:
-        return state_inner(s, s).real
-    groups = _label_groups(s.amps)
-    sizes = [size for _, size, _ in groups]
-    cells = math.prod(sizes)
-    factored = (sum(size * size + t + _TABLE_COST for size in sizes)
-                + cells * sum(sizes) * _MAC_COST)
-    if cells > GRAM_BLOCK or factored >= dense:
-        return state_inner(s, s).real
-    return _factored_norm_sq(s, groups)
+    a, c = _as_real(s.amps), _as_real(s.coeffs)
+    dense = t * t * (_REAL_DENSE_COST if a.dtype.kind == "f" else 1.0)
+    if dense > _GROUPING_COST * m:
+        groups = _label_groups(s.amps)
+        sizes = [size for _, size, _ in groups]
+        cells = math.prod(sizes)
+        factored = (sum(size * size + t + _TABLE_COST for size in sizes)
+                    + cells * sum(sizes) * _MAC_COST)
+        if cells <= GRAM_BLOCK and factored < dense:
+            return _factored_norm_sq(a, c, groups)
+    return _gram_sum(a, c, a, c).real
 
 
 def state_norm(s: CsState) -> float:

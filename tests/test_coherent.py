@@ -157,7 +157,9 @@ def dense_norm(s):
 def factored_norm(s):
     """The factored contraction alone, whatever state_norm would pick."""
     groups = coherent._label_groups(s.amps)
-    return math.sqrt(max(coherent._factored_norm_sq(s, groups), 0.0))
+    sq = coherent._factored_norm_sq(coherent._as_real(s.amps),
+                                    coherent._as_real(s.coeffs), groups)
+    return math.sqrt(max(sq, 0.0))
 
 
 def assert_norm_parity(s):
@@ -168,7 +170,7 @@ def assert_norm_parity(s):
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Counts the calls of the factored contraction and of state_inner."""
+    """Counts the calls of the factored and the dense Gram sum."""
     calls = {"factored": 0, "dense": 0}
 
     def counted(name, fn):
@@ -179,8 +181,8 @@ def paths(monkeypatch):
 
     monkeypatch.setattr(coherent, "_factored_norm_sq",
                         counted("factored", coherent._factored_norm_sq))
-    monkeypatch.setattr(coherent, "state_inner",
-                        counted("dense", coherent.state_inner))
+    monkeypatch.setattr(coherent, "_gram_sum",
+                        counted("dense", coherent._gram_sum))
     return calls
 
 
@@ -311,14 +313,20 @@ def test_overlap_matrix_is_real_exactly_for_real_labels(rng):
     a = random_complex(rng, 12, 2.0).reshape(4, 3)
     b = random_complex(rng, 15, 2.0).reshape(5, 3)
     real = a.real.astype(complex)                # complex dtype, no imag
-    assert coherent._overlap_matrix(real, real).dtype == np.float64
-    assert coherent._overlap_matrix(real, b.real).dtype == np.float64
+    assert coherent._as_real(a) is a
+    ra, rb = coherent._as_real(real), coherent._as_real(b.real)
+    assert ra.dtype == rb.dtype == np.float64
+    assert coherent._overlap_matrix(ra, ra).dtype == np.float64
+    assert coherent._overlap_matrix(ra, rb).dtype == np.float64
     assert coherent._overlap_matrix(a, b).dtype == np.complex128
-    assert coherent._overlap_matrix(real, b).dtype == np.complex128
-    assert coherent._overlap_matrix(a, real).dtype == np.complex128
+    assert coherent._overlap_matrix(ra, b).dtype == np.complex128
+    assert coherent._overlap_matrix(a, ra).dtype == np.complex128
     want = [[np.prod([coherent_overlap(x, y) for x, y in zip(r, q)])
              for q in b.real] for r in real]
-    np.testing.assert_allclose(coherent._overlap_matrix(real, b.real), want,
+    np.testing.assert_allclose(coherent._overlap_matrix(ra, rb), want,
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(coherent._overlap_matrix(ra, b),
+                               coherent._overlap_matrix(real, b),
                                rtol=1e-13, atol=0)
 
 
@@ -341,8 +349,8 @@ def test_common_phase_takes_the_complex_path_to_the_same_sums(
         return CsState(x.coeffs, x.amps * turn)
 
     r, r_other = rotated(s), rotated(other)
-    assert coherent._overlap_matrix(s.amps, s.amps).dtype == np.float64
-    assert coherent._overlap_matrix(r.amps, r.amps).dtype == np.complex128
+    assert coherent._as_real(s.amps).dtype == np.float64
+    assert coherent._as_real(r.amps).dtype == np.complex128
     want = state_norm(s)
     for got in (state_norm(r), factored_norm(r), factored_norm(s)):
         assert abs(got - want) <= 1e-12 * want
