@@ -49,6 +49,7 @@ raises ResourceLimitError before it is allocated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -140,9 +141,12 @@ def _sq_norm(x: np.ndarray) -> float:
 
 
 def _check_tensor_size(n_max: int, modes: int):
-    """Raise DomainError if n_max < 1, and ResourceLimitError if a tensor
-    of this shape and the one scratch copy a kernel holds beside it would
-    exceed MAX_FOCK_BYTES; called before the tensor is allocated."""
+    """Raise DomainError unless n_max is an integer >= 1, and
+    ResourceLimitError if a tensor of this shape and the one scratch copy
+    a kernel holds beside it would exceed MAX_FOCK_BYTES; called before
+    the tensor is allocated."""
+    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool):
+        raise DomainError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     per_amp = 2 * np.dtype(np.complex128).itemsize

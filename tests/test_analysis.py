@@ -122,6 +122,20 @@ def test_sweep_emits_grid_in_order_and_collects_diagnostics():
     assert all("cap" in d.message for d in diags)
 
 
+def test_sweep_turns_non_integer_shapes_into_diagnostics():
+    pairs = [(2.5, 2), ("2", 2), (2, True), (2, 2)]
+    points, diags = sweep([2.0, True], pairs, BRANCH)
+    assert [(p.n_logical, p.m_physical, p.alpha) for p in points] == [
+        (2, 2, 2.0)]
+    assert len(diags) == 7
+    assert [d.message for d in diags[:6:2]] == [
+        "n_logical must be an integer, got 2.5",
+        "n_logical must be an integer, got '2'",
+        "m_physical must be an integer, got True"]
+    assert diags[-1].message == (
+        "alpha must be a positive finite real, got True")
+
+
 def test_evaluate_point_respects_explicit_cap():
     point = evaluate_point(5, 2, 1.0, BRANCH, cap=10)
     assert point.term_count > 0

@@ -294,10 +294,19 @@ def test_dense_sum_in_row_blocks_matches_one_block(rng, monkeypatch):
                 random_complex(rng, 3 * t, 3.0).reshape(t, 3))
     other = CsState(random_complex(rng, 900, 1.0),
                     random_complex(rng, 2700, 3.0).reshape(900, 3))
+    # real labels with complex coefficients: a real Gram block meets
+    # complex weights
+    real_labels = CsState(s.coeffs, s.amps.real)
     assert t > coherent.GRAM_BLOCK // t          # several row blocks
-    blocked = [state_inner(s, s), state_inner(s, other), state_norm(s)]
+
+    def sums():
+        return [f(x) for x in (s, real_labels)
+                for f in (lambda x: state_inner(x, x),
+                          lambda x: state_inner(x, other), state_norm)]
+
+    blocked = sums()
     monkeypatch.setattr(coherent, "GRAM_BLOCK", t * t)
-    single = [state_inner(s, s), state_inner(s, other), state_norm(s)]
+    single = sums()
     for got, want in zip(blocked, single):
         assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -309,6 +318,12 @@ def real_product_state(rng, groups, keep=1.0, repeat=0):
     return CsState(s.coeffs.real, s.amps.real)
 
 
+def overlap_matrix(a, b):
+    """_overlap_matrix of label rows a and b with their own row norms."""
+    return coherent._overlap_matrix(a, coherent._half_norms(a),
+                                    b, coherent._half_norms(b))
+
+
 def test_overlap_matrix_is_real_exactly_for_real_labels(rng):
     a = random_complex(rng, 12, 2.0).reshape(4, 3)
     b = random_complex(rng, 15, 2.0).reshape(5, 3)
@@ -316,17 +331,17 @@ def test_overlap_matrix_is_real_exactly_for_real_labels(rng):
     assert coherent._as_real(a) is a
     ra, rb = coherent._as_real(real), coherent._as_real(b.real)
     assert ra.dtype == rb.dtype == np.float64
-    assert coherent._overlap_matrix(ra, ra).dtype == np.float64
-    assert coherent._overlap_matrix(ra, rb).dtype == np.float64
-    assert coherent._overlap_matrix(a, b).dtype == np.complex128
-    assert coherent._overlap_matrix(ra, b).dtype == np.complex128
-    assert coherent._overlap_matrix(a, ra).dtype == np.complex128
+    assert overlap_matrix(ra, ra).dtype == np.float64
+    assert overlap_matrix(ra, rb).dtype == np.float64
+    assert overlap_matrix(a, b).dtype == np.complex128
+    assert overlap_matrix(ra, b).dtype == np.complex128
+    assert overlap_matrix(a, ra).dtype == np.complex128
     want = [[np.prod([coherent_overlap(x, y) for x, y in zip(r, q)])
              for q in b.real] for r in real]
-    np.testing.assert_allclose(coherent._overlap_matrix(ra, rb), want,
+    np.testing.assert_allclose(overlap_matrix(ra, rb), want,
                                rtol=1e-13, atol=0)
-    np.testing.assert_allclose(coherent._overlap_matrix(ra, b),
-                               coherent._overlap_matrix(real, b),
+    np.testing.assert_allclose(overlap_matrix(ra, b),
+                               overlap_matrix(real, b),
                                rtol=1e-13, atol=0)
 
 
@@ -370,13 +385,14 @@ def test_blocked_self_product_matches_one_block(rng, monkeypatch, real):
     t = 103                                      # not a multiple of 8 rows
     s = CsState(random_complex(rng, t, 1.0),
                 random_complex(rng, 3 * t, 2.0).reshape(t, 3))
-    if real:
-        s = CsState(s.coeffs.real, s.amps.real)
-    single = state_inner(s, s)
+    # real labels with real coefficients, or with complex ones
+    states = ([CsState(s.coeffs.real, s.amps.real),
+               CsState(s.coeffs, s.amps.real)] if real else [s])
+    single = [state_inner(x, x) for x in states]
     monkeypatch.setattr(coherent, "GRAM_BLOCK", 8 * t)
-    blocked = state_inner(s, s)
-    assert abs(blocked - single) <= 1e-13 * abs(single)
-    assert abs(state_norm(s) ** 2 - single.real) <= 1e-12 * abs(single)
+    for x, want in zip(states, single):
+        assert abs(state_inner(x, x) - want) <= 1e-13 * abs(want)
+        assert abs(state_norm(x) ** 2 - want.real) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -390,10 +406,10 @@ def test_blocked_self_product_builds_half_the_overlaps(rng, monkeypatch,
     rows = coherent.GRAM_BLOCK // t
     assert t > rows                              # several row blocks
     built = []
-    overlap_matrix = coherent._overlap_matrix
+    original = coherent._overlap_matrix
 
-    def counted(a, b):
-        k = overlap_matrix(a, b)
+    def counted(a, ha, b, hb):
+        k = original(a, ha, b, hb)
         built.append(k.size)
         return k
 
@@ -403,6 +419,33 @@ def test_blocked_self_product_builds_half_the_overlaps(rng, monkeypatch,
     monkeypatch.setattr(coherent, "GRAM_BLOCK", t * t)
     single = state_inner(s, s)
     assert abs(blocked - single) <= 1e-13 * abs(single)
+
+
+def test_multi_block_self_products_of_exact_one_by_thirteen(monkeypatch):
+    # the exact (1,13) chain does not factor, so its norms are dense
+    # self-products; those above 1024 terms take several row blocks
+    import cghzsim.optics as optics
+    from cghzsim import ProtocolParams, SelectionMode, build_cghz_circuit, run
+    blocked = {}
+
+    def recording(fn):
+        def wrapper(s):
+            t = s.term_count
+            if t * t > coherent.GRAM_BLOCK:
+                blocked.setdefault(t, s)
+            return fn(s)
+        return wrapper
+
+    for module in (optics, coherent):
+        monkeypatch.setattr(module, "state_norm",
+                            recording(module.state_norm))
+    run(build_cghz_circuit(ProtocolParams(1, 13, 2.0)),
+        SelectionMode.exact())
+    assert sorted(blocked) == [1536, 3072, 6144]
+    for s in blocked.values():
+        triangle = state_inner(s, s)
+        full = state_inner(s, CsState(s.coeffs, s.amps))
+        assert abs(triangle - full) <= 1e-13 * abs(full)
 
 
 # ------------------------------------------------------------------ merge

@@ -602,6 +602,15 @@ def test_run_fock_refuses_a_cutoff_below_one(n_max):
         fock._check_tensor_size(n_max, 4)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 30.0, True, "30"])
+def test_a_non_integer_cutoff_is_refused_typed(n_max):
+    params = ProtocolParams(2, 2, 2.0)
+    with pytest.raises(DomainError, match="^n_max must be an integer"):
+        run_fock(build_cghz_circuit(params), n_max=n_max)
+    with pytest.raises(DomainError, match="^n_max must be an integer"):
+        csstate_to_fock(ideal_cghz_state(params), n_max)
+
+
 def test_oversized_tensors_are_refused_before_allocation(monkeypatch):
     params = ProtocolParams(2, 2, 2.0)
     circuit = build_cghz_circuit(params)

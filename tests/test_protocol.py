@@ -374,3 +374,11 @@ def test_params_validation_and_cap():
     with pytest.raises(DomainError):
         ProtocolParams(5, 4, 1.0)          # 20 > default cap 16
     ProtocolParams(5, 4, 1.0, cap=20)      # explicit cap admits it
+
+
+@pytest.mark.parametrize("n, m, alpha", [
+    (2.0, 2, 1.0), (2, 2.5, 1.0), ("2", 2, 1.0), (True, 2, 1.0),
+    (2, 2, True), (2, 2, "1"), (2, 2, math.inf), (2, 2, 1j)])
+def test_params_refuse_non_integer_shapes_and_non_real_alpha(n, m, alpha):
+    with pytest.raises(DomainError):
+        ProtocolParams(n, m, alpha)
