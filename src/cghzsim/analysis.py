@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coherent import CsState, state_inner
-from .engine import RunResult, run
+from .engine import RunResult, _is_int, run
 from .errors import DomainError, ModeShapeError, SimulationError
 from .optics import SelectionMode
 from .protocol import (
@@ -46,6 +46,8 @@ def fidelity(s: CsState, target: CsState) -> float:
 
 def theoretical_p(n: int, m: int) -> float:
     """Asymptotic heralding probability 2^(1 - n*m)."""
+    if not (_is_int(n) and _is_int(m)):
+        raise DomainError(f"n and m must be integers, got {n!r} and {m!r}")
     if n < 1 or m < 1:
         raise DomainError("n and m must be >= 1")
     return 2.0 ** (1 - n * m)

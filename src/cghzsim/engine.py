@@ -113,6 +113,12 @@ def _positive_real(x) -> bool:
             and math.isfinite(x) and x > 0)
 
 
+def _is_int(x) -> bool:
+    """An integer, as a Python or NumPy scalar, and not a ``bool``: a
+    count, cutoff or cap of ``True`` is a slip, not a request for 1."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def validate(circuit: Circuit) -> list[Diagnostic]:
     """Statically check a circuit; an empty list means it can run.
 

@@ -39,23 +39,28 @@ Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``coherent_fock`` and ``hadamard_fock_matrix`` are the building blocks
 they expose; the kernels themselves are private.
 
-The representation is dense, (n_max+1)^modes complex amplitudes, and
-its one size limit is MAX_FOCK_BYTES (2 GiB) for a tensor plus the one
-scratch copy a kernel may hold beside it: n_max <= 89, 35 and 19 at 4,
-5 and 6 modes.  A build's widest tensor has n*m modes.  A larger tensor
-raises ResourceLimitError before it is allocated.
+The representation is dense, (n_max+1)^modes amplitudes, whose dtype
+follows the data: a tensor is float64 while every amplitude that built
+it was real, and complex128 from the first prep of an amplitude with an
+imaginary part on.  The kernels are the same for both; NumPy promotes
+the tensor.  A circuit of real preps (every paper build) runs and is
+expanded in float64, half the bytes of complex arithmetic.  Its one size
+limit is MAX_FOCK_BYTES (2 GiB) for a tensor plus the one scratch copy a
+kernel may hold beside it, priced at complex128 since any circuit may
+turn complex: n_max <= 89, 35 and 19 at 4, 5 and 6 modes.  A build's
+widest tensor has n*m modes.  A larger tensor raises ResourceLimitError
+before it is allocated.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .coherent import CsState
+from .coherent import CsState, _as_real
 from .engine import (
     Circuit,
     Prep,
@@ -63,6 +68,7 @@ from .engine import (
     Split,
     _check_valid,
     _execute,
+    _is_int,
     validate,
 )
 from .errors import (
@@ -84,9 +90,11 @@ LOST_NORM_LIMIT = 1e-6
 class FockTensor:
     """Dense number-basis amplitudes on one or more modes.
 
-    ``amps`` has shape (n_max+1,) * mode_count and is a read-only
-    complex128 array in Fortran order (first mode varies fastest).  The
-    constructor always copies the array it is given, so the caller's
+    ``amps`` has shape (n_max+1,) * mode_count and is a read-only array
+    in Fortran order (first mode varies fastest): float64 when the
+    oracle computed it from real data, complex128 otherwise.  The
+    constructor always copies the array it is given, as float64 if that
+    array is real and as complex128 if it is complex, so the caller's
     array stays its own and writeable.  Truncation may lose norm but
     never gain it.  The squared norm is computed once, at construction.
     """
@@ -96,10 +104,10 @@ class FockTensor:
     _squared_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise DomainError("n_max must be >= 1")
-        amps = np.array(self.amps, dtype=np.complex128, order="F",
-                        copy=True)
+        _check_cutoff(self.n_max)
+        amps = np.asarray(self.amps)
+        amps = np.array(amps, dtype=np.result_type(amps.dtype, np.float64),
+                        order="F", copy=True)
         if amps.ndim < 1:
             raise ModeShapeError("fock tensors need at least one mode")
         if any(d != self.n_max + 1 for d in amps.shape):
@@ -113,8 +121,9 @@ class FockTensor:
     @classmethod
     def _adopt(cls, n_max: int, amps: np.ndarray,
                squared_norm: float) -> FockTensor:
-        """Wrap a Fortran-order complex128 tensor the oracle owns and
-        whose squared norm it already knows: no copy, no norm pass."""
+        """Wrap a Fortran-order float64 or complex128 tensor the oracle
+        owns and whose squared norm it already knows: no copy, no norm
+        pass."""
         t = object.__new__(cls)
         object.__setattr__(t, "n_max", n_max)
         t._freeze(amps, squared_norm)
@@ -140,15 +149,21 @@ def _sq_norm(x: np.ndarray) -> float:
     return float(np.vdot(flat, flat).real)
 
 
-def _check_tensor_size(n_max: int, modes: int):
-    """Raise DomainError unless n_max is an integer >= 1, and
-    ResourceLimitError if a tensor of this shape and the one scratch copy
-    a kernel holds beside it would exceed MAX_FOCK_BYTES; called before
-    the tensor is allocated."""
-    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool):
+def _check_cutoff(n_max: int):
+    """Raise DomainError unless n_max is an integer (not a bool) >= 1;
+    every public entry point takes its cutoff through this check."""
+    if not _is_int(n_max):
         raise DomainError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+
+
+def _check_tensor_size(n_max: int, modes: int):
+    """Check the cutoff (_check_cutoff), and raise ResourceLimitError if a
+    tensor of this shape and the one scratch copy a kernel holds beside
+    it would exceed MAX_FOCK_BYTES at complex128, the widest dtype a
+    circuit can reach; called before the tensor is allocated."""
+    _check_cutoff(n_max)
     per_amp = 2 * np.dtype(np.complex128).itemsize
     nbytes = (n_max + 1) ** modes * per_amp
     if nbytes > MAX_FOCK_BYTES:
@@ -166,11 +181,11 @@ def _check_tensor_size(n_max: int, modes: int):
 def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
     """Truncated coherent expansion exp(-|a|^2/2) a^n / sqrt(n!).
 
-    Raises FockTruncationError when the cutoff loses more than 1e-6 of
-    the norm.
+    A complex128 vector, even at real alpha, where its imaginary parts
+    are exactly zero.  Raises FockTruncationError when the cutoff loses
+    more than 1e-6 of the norm.
     """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    _check_cutoff(n_max)
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise DomainError("amplitude must be finite")
@@ -238,7 +253,8 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int, *,
     k and l photons on the two leading modes, and the rows (k, n-k) of
     block n are every (d-1)-th row, so each block is one real matrix
     product on a basic strided slice of the tensor viewed as float64
-    (real and imaginary parts as adjacent columns), written back in
+    (a complex tensor's real and imaginary parts as adjacent columns;
+    a real tensor is float64 already), written back in
     place through a reused (d, cols) scratch.  Every row belongs to
     exactly one block.  With j leading, the slice holds the block's
     photon numbers on mode i in reverse, so the block is applied
@@ -273,10 +289,11 @@ def _prep(amps: np.ndarray, amp: complex, n_max: int) -> np.ndarray:
 
     The new axis leads the output's memory, so a beam splitter between
     it and the mode leading the input's memory (a split of that mode)
-    needs no copy.
+    needs no copy.  A real amplitude's vector is taken as float64, so a
+    real tensor stays real and a complex amplitude promotes it.
     """
-    return np.moveaxis(np.multiply.outer(coherent_fock(amp, n_max), amps),
-                       0, -1)
+    vec = _as_real(coherent_fock(amp, n_max))
+    return np.moveaxis(np.multiply.outer(vec, amps), 0, -1)
 
 
 def _hadamard(amps: np.ndarray, i: int, cats: np.ndarray,
@@ -338,7 +355,8 @@ def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
 def _hadamard_factors(alpha_ref: float, n_max: int) -> tuple:
     """Read-only factors (cats, duals) of the coherent-qubit Hadamard.
 
-    Built purely from truncated coherent vectors.  ``cats`` is
+    Built purely from truncated coherent vectors, which are real since
+    alpha_ref is a positive real, so both factors are float64.  ``cats`` is
     (n_max+1, 2): the even and odd cat outputs, normalized numerically.
     Since the |-a> expansion is the |a> one with odd entries negated,
     the even cat is exactly zero on odd photon numbers and the odd cat
@@ -348,11 +366,11 @@ def _hadamard_factors(alpha_ref: float, n_max: int) -> tuple:
     """
     if not (math.isfinite(alpha_ref) and alpha_ref > 0):
         raise DomainError(f"alpha_ref must be positive, got {alpha_ref}")
-    va = coherent_fock(alpha_ref, n_max)
-    vm = coherent_fock(-alpha_ref, n_max)
-    gram = np.array([[np.vdot(va, va), np.vdot(va, vm)],
-                     [np.vdot(vm, va), np.vdot(vm, vm)]])
-    duals = np.linalg.solve(gram, np.stack([va.conj(), vm.conj()]))
+    va = coherent_fock(alpha_ref, n_max).real
+    vm = coherent_fock(-alpha_ref, n_max).real
+    gram = np.array([[va @ va, va @ vm],
+                     [vm @ va, vm @ vm]])
+    duals = np.linalg.solve(gram, np.stack([va, vm]))
     even = va + vm
     odd = va - vm
     cats = np.stack([even / np.linalg.norm(even),
@@ -362,11 +380,11 @@ def _hadamard_factors(alpha_ref: float, n_max: int) -> tuple:
     return cats, duals
 
 
-@lru_cache(maxsize=8)
 def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
-    """Coherent-qubit Hadamard as a read-only (n_max+1)^2 matrix: the
-    rank-2 product ``cats @ duals`` of its cached factors (even/odd cat
-    outputs times the input frame dual to {|a>, |-a>})."""
+    """Coherent-qubit Hadamard as a read-only float64 (n_max+1)^2 matrix:
+    the rank-2 product ``cats @ duals`` of its cached factors (even/odd
+    cat outputs times the input frame dual to {|a>, |-a>})."""
+    _check_cutoff(n_max)
     cats, duals = _hadamard_factors(alpha_ref, n_max)
     mat = cats @ duals
     mat.setflags(write=False)
@@ -402,7 +420,9 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     first half (``left``) and those of the second half (``right``) give
     the tensor as the one matrix product ``left.T @ right``, the sum over
     terms of their outer products; in C order over the reversed modes it
-    is the Fortran-order tensor.
+    is the Fortran-order tensor.  A mode whose labels are all real gets a
+    float64 table, and real coefficients stay float64, so a real state
+    expands as a float64 product into a float64 tensor.
     Terms are taken in blocks whose two factors hold at most
     EXPAND_BLOCK amplitudes, so memory beyond the tensor stays bounded;
     the oracle's states fit one block.
@@ -415,14 +435,15 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     vecs, where = [], []
     for col in s.amps.T[::-1]:
         labels, inverse = np.unique(col, return_inverse=True)
-        vecs.append(np.array([coherent_fock(a, n_max)
-                              for a in labels]).reshape(-1, d))
+        vecs.append(_as_real(np.array([coherent_fock(a, n_max)
+                                       for a in labels]).reshape(-1, d)))
         where.append(inverse)
+    coeffs = _as_real(s.coeffs)
     half = modes // 2
     step = max(1, EXPAND_BLOCK // (d ** half + d ** (modes - half)))
-    acc = _expand_block(vecs, where, s.coeffs, half, slice(0, step))
+    acc = _expand_block(vecs, where, coeffs, half, slice(0, step))
     for lo in range(step, s.term_count, step):
-        acc += _expand_block(vecs, where, s.coeffs, half,
+        acc += _expand_block(vecs, where, coeffs, half,
                              slice(lo, lo + step))
     acc = acc.reshape((d,) * modes).transpose()
     sq = _sq_norm(acc)
@@ -485,8 +506,9 @@ class _Fock:
 
     def __init__(self, n_max: int):
         self.n_max = n_max
-        # the empty tensor product: a zero-mode tensor of norm one
-        self.amps = np.ones((), dtype=np.complex128)
+        # the empty tensor product: a zero-mode tensor of norm one, real
+        # until a complex prep promotes it
+        self.amps = np.ones((), dtype=np.float64)
         self.probs: list[float] = []
 
     def prep(self, amp: complex):

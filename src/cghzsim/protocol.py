@@ -17,7 +17,6 @@ circuits approximate are built here as well.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import count
 
@@ -32,6 +31,7 @@ from .engine import (
     Prep,
     SelectVacuum,
     Split,
+    _is_int,
     _positive_real,
 )
 from .errors import DomainError
@@ -62,10 +62,9 @@ class ProtocolParams:
     cap: int = DEFAULT_NM_CAP
 
     def __post_init__(self):
-        for name in ("n_logical", "m_physical"):
+        for name in ("n_logical", "m_physical", "cap"):
             value = getattr(self, name)
-            if (not isinstance(value, numbers.Integral)
-                    or isinstance(value, bool)):
+            if not _is_int(value):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n_logical < 1 or self.m_physical < 1:
             raise DomainError("n_logical and m_physical must be >= 1")

@@ -87,6 +87,10 @@ def test_theoretical_p_product_identity():
 def test_theoretical_p_domain():
     with pytest.raises(DomainError):
         theoretical_p(0, 1)
+    # 2.5 x 2 used to give 0.0625, and True x True 1.0
+    for n, m in ((2.5, 2), (2, 2.0), (True, True), ("2", 2)):
+        with pytest.raises(DomainError, match="^n and m must be integers"):
+            theoretical_p(n, m)
 
 
 # ------------------------------------------------------------------- sweep
@@ -134,6 +138,14 @@ def test_sweep_turns_non_integer_shapes_into_diagnostics():
         "m_physical must be an integer, got True"]
     assert diags[-1].message == (
         "alpha must be a positive finite real, got True")
+
+
+def test_sweep_turns_a_non_integer_cap_into_diagnostics():
+    for cap in ("16", 2.5, True):
+        points, diags = sweep([1.0, 2.0], [(2, 2)], BRANCH, cap=cap)
+        assert points == []
+        assert [d.message for d in diags] == [
+            f"cap must be an integer, got {cap!r}"] * 2
 
 
 def test_evaluate_point_respects_explicit_cap():

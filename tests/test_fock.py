@@ -1,7 +1,10 @@
 import math
+from itertools import count
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cghzsim import (
     BeamSplitter,
@@ -15,6 +18,7 @@ from cghzsim import (
     Prep,
     ProtocolParams,
     ResourceLimitError,
+    RunError,
     SelectionMode,
     SelectVacuum,
     Split,
@@ -600,6 +604,12 @@ def test_run_fock_refuses_a_cutoff_below_one(n_max):
         run_fock(circuit, n_max=n_max)
     with pytest.raises(DomainError, match="^n_max must be >= 1$"):
         fock._check_tensor_size(n_max, 4)
+    # every other public entry point refuses it the same way
+    for call in (lambda: coherent_fock(1.0, n_max),
+                 lambda: hadamard_fock_matrix(1.0, n_max),
+                 lambda: FockTensor(n_max, np.zeros(1))):
+        with pytest.raises(DomainError, match="^n_max must be >= 1$"):
+            call()
 
 
 @pytest.mark.parametrize("n_max", [2.5, 30.0, True, "30"])
@@ -609,6 +619,15 @@ def test_a_non_integer_cutoff_is_refused_typed(n_max):
         run_fock(build_cghz_circuit(params), n_max=n_max)
     with pytest.raises(DomainError, match="^n_max must be an integer"):
         csstate_to_fock(ideal_cghz_state(params), n_max)
+    # and so does every other public entry point, even where the cache
+    # holds the equal integer cutoff (True == 1, 30.0 == 30)
+    for cached in (1, 30):
+        hadamard_fock_matrix(0.01, cached)
+    for call in (lambda: coherent_fock(1.0, n_max),
+                 lambda: hadamard_fock_matrix(0.01, n_max),
+                 lambda: FockTensor(n_max, np.zeros((2, 2)))):
+        with pytest.raises(DomainError, match="^n_max must be an integer"):
+            call()
 
 
 def test_oversized_tensors_are_refused_before_allocation(monkeypatch):
@@ -658,3 +677,160 @@ def test_run_fock_validates_once_before_the_width_check(monkeypatch):
     assert len(calls) == 2
     run_fock(build_cghz_circuit(ProtocolParams(2, 1, 1.0)), n_max=20)
     assert len(calls) == 3
+
+
+# ------------------------------------------------------------ tensor dtype
+# A tensor is float64 while every amplitude that built it was real, and
+# complex128 from the first complex prep on.
+
+def test_real_circuits_run_in_float64_and_complex_ones_in_complex128():
+    real = build_cghz_circuit(ProtocolParams(2, 2, 1.0))
+    assert run_fock(real, n_max=20).final.amps.dtype == np.float64
+    cplx = Circuit(1.0, (Prep("a", 0.6 + 0.8j), Prep("b", 1.0),
+                         BeamSplitter("a", "b")))
+    assert run_fock(cplx, n_max=20).final.amps.dtype == np.complex128
+    assert hadamard_fock_matrix(1.0, 20).dtype == np.float64
+
+
+def test_complex_prep_after_real_gates_promotes_the_tensor_mid_run():
+    alpha, n_max = 1.2, 30
+    circuit = Circuit(alpha, (
+        Prep("a", alpha), Prep("b", alpha), Hadamard("a"),
+        BeamSplitter("a", "b"), Prep("c", 0.5 - 0.7j), Hadamard("c", 0.9),
+        BeamSplitter("b", "c"), SelectVacuum("b"), Hadamard("a")))
+    analytic = run(circuit, SelectionMode.exact())
+    numeric = run_fock(circuit, n_max=n_max)
+    assert numeric.final.amps.dtype == np.complex128
+    assert numeric.mode_order == analytic.mode_order
+    assert abs(numeric.p_success - analytic.p_success) <= 1e-12
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, n_max),
+                            numeric.final)
+    assert abs(1.0 - overlap) <= 1e-12
+
+
+def complex_path(monkeypatch):
+    """Make the oracle keep every coherent vector and coefficient
+    complex, so that its kernels run on real data in complex128."""
+    monkeypatch.setattr(fock, "_as_real", lambda x: x)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (1, 4), (4, 1)])
+def test_real_expansion_matches_the_complex_one(n, m, monkeypatch):
+    params = ProtocolParams(n, m, 1.5)
+    final = run(build_cghz_circuit(params), SelectionMode.exact()).final_state
+    for s in (final, ideal_cghz_state(params)):
+        real = csstate_to_fock(s, CONVERT_NMAX)
+        assert real.amps.dtype == np.float64
+        with monkeypatch.context() as mp:
+            complex_path(mp)
+            forced = csstate_to_fock(s, CONVERT_NMAX)
+        assert forced.amps.dtype == np.complex128
+        assert np.max(np.abs(real.amps - forced.amps)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (1, 4), (4, 1)])
+def test_real_run_matches_the_complex_one(n, m, monkeypatch):
+    circuit = build_cghz_circuit(ProtocolParams(n, m, 1.5))
+    real = run_fock(circuit, n_max=CONVERT_NMAX)
+    with monkeypatch.context() as mp:
+        complex_path(mp)
+        forced = run_fock(circuit, n_max=CONVERT_NMAX)
+    assert forced.final.amps.dtype == np.complex128
+    assert np.max(np.abs(real.final.amps - forced.final.amps)) <= 1e-14
+    assert np.allclose(real.probabilities, forced.probabilities,
+                       rtol=0, atol=1e-14)
+
+
+def test_fock_fidelity_across_dtypes(rng):
+    n_max = 5
+    a = random_tensor(rng, 2, n_max)
+    real = FockTensor(n_max, a.real / np.linalg.norm(a.real))
+    cplx = FockTensor(n_max, real.amps * (0.6 + 0.8j))
+    assert real.amps.dtype == np.float64
+    assert cplx.amps.dtype == np.complex128
+    other = FockTensor(n_max, a)
+    expect = abs(np.vdot(real.amps, a)) ** 2
+    for x, y in ((real, other), (other, real), (cplx, other)):
+        assert fock_fidelity(x, y) == pytest.approx(expect, abs=1e-15)
+    assert fock_fidelity(real, cplx) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("given,kept", [
+    (np.float64, np.float64), (np.float32, np.float64),
+    (np.int64, np.float64), (np.complex64, np.complex128),
+    (np.complex128, np.complex128)])
+def test_fock_tensor_keeps_a_real_array_real(given, kept):
+    a = np.zeros((3, 3), dtype=given)
+    a[0, 0] = 1
+    t = FockTensor(2, a)
+    assert t.amps.dtype == kept
+    assert t.squared_norm() == 1.0
+    # a nested list follows the same rule
+    assert FockTensor(2, a.tolist()).amps.dtype == kept
+
+
+# ------------------------------------------------------- random circuits
+# Valid circuits of 3 to 9 instructions on at most 4 live modes, with
+# complex (or, drawn often, real) prep amplitudes and Hadamard references
+# off the circuit alpha: the complex Gram paths and both oracle dtypes,
+# which the protocol's real builds leave unexercised.
+
+REFS = st.floats(0.6, 1.4)
+PREP_AMPS = st.builds(complex, st.floats(-1.2, 1.2),
+                      st.just(0.0) | st.floats(-1.0, 1.0))
+RANDOM_NMAX = 30
+
+
+@st.composite
+def random_circuits(draw):
+    alpha = draw(REFS)
+    names = (f"m{k}" for k in count())
+    live, ins = [], []
+    for _ in range(draw(st.integers(3, 9))):
+        kinds = ["prep"] if len(live) < 4 else []
+        if live:
+            kinds += ["h"] + (["split"] if len(live) < 4 else [])
+        if len(live) > 1:
+            kinds += ["bs", "select"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "prep":
+            live.append(next(names))
+            ins.append(Prep(live[-1], draw(PREP_AMPS)))
+        elif kind == "h":
+            ref = draw(st.none() | REFS.filter(lambda r: r != alpha))
+            ins.append(Hadamard(draw(st.sampled_from(live)), ref))
+        elif kind == "bs":
+            a, b = draw(st.permutations(live))[:2]
+            ins.append(BeamSplitter(a, b))
+        elif kind == "split":
+            mode = draw(st.sampled_from(live))
+            live.append(next(names))
+            ins.append(Split(mode, live[-1]))
+        else:
+            mode = draw(st.sampled_from(live))
+            live.remove(mode)
+            ins.append(SelectVacuum(mode))
+    return Circuit(alpha, tuple(ins))
+
+
+@given(random_circuits())
+@settings(max_examples=100, deadline=None)
+def test_random_circuits_agree_with_the_oracle(circuit):
+    assert validate(circuit) == []
+    try:
+        analytic = run(circuit, SelectionMode.exact())
+    except RunError as exc:
+        with pytest.raises(RunError) as numeric_exc:
+            run_fock(circuit, n_max=RANDOM_NMAX)
+        assert numeric_exc.value.index == exc.index
+        return
+    numeric = run_fock(circuit, n_max=RANDOM_NMAX)
+    real = all(ins.amp.imag == 0 for ins in circuit.instructions
+               if isinstance(ins, Prep))
+    assert numeric.final.amps.dtype == (np.float64 if real
+                                        else np.complex128)
+    assert numeric.mode_order == analytic.mode_order
+    assert abs(numeric.p_success - analytic.p_success) <= 1e-10
+    overlap = fock_fidelity(
+        csstate_to_fock(analytic.final_state, RANDOM_NMAX), numeric.final)
+    assert abs(1.0 - overlap) <= 1e-10

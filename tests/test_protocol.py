@@ -382,3 +382,11 @@ def test_params_validation_and_cap():
 def test_params_refuse_non_integer_shapes_and_non_real_alpha(n, m, alpha):
     with pytest.raises(DomainError):
         ProtocolParams(n, m, alpha)
+
+
+@pytest.mark.parametrize("cap", ["16", 2.5, 16.0, True, None])
+def test_params_refuse_a_non_integer_cap(cap):
+    # "16" used to fail as a bare TypeError in n*m > cap, and 2.5 or 16.0
+    # passed as bounds
+    with pytest.raises(DomainError, match="^cap must be an integer"):
+        ProtocolParams(2, 2, 2.0, cap=cap)
