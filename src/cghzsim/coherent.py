@@ -40,7 +40,12 @@ arrays are real.  Complex coefficients promote the real Gram block or
 table they meet to complex.
 
 Amplitudes and coefficients are plain Python/NumPy complex numbers.
-All operations are pure; states are immutable after construction.
+All operations are pure; states are immutable after construction.  The
+public constructor copies its arguments into read-only complex128
+arrays.  Kernels build their output once, through ``CsState._adopt``,
+which wraps complex128 arrays the kernel just built, or read-only arrays
+of its input state, without copying them; it keeps the constructor's
+finiteness checks and sets both arrays read-only.
 """
 
 from __future__ import annotations
@@ -122,12 +127,32 @@ class CsState:
         if amps.ndim != 2 or amps.shape[0] != coeffs.shape[0]:
             raise ModeShapeError(
                 f"amps shape {amps.shape} does not match {len(coeffs)} terms")
-        if not np.isfinite(coeffs).all():
-            raise DomainError("non-finite coefficient in state")
-        if not np.isfinite(amps).all():
-            raise DomainError("non-finite amplitude in state")
-        coeffs.setflags(write=False)
-        amps.setflags(write=False)
+        self._freeze(coeffs, amps)
+
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray, amps: np.ndarray) -> "CsState":
+        """Wrap complex128 arrays (T,) and (T, M) without copying them.
+
+        For kernels: the arrays are ones the kernel just built, or
+        read-only arrays of its input state, of matching shapes.  They
+        pass the constructor's finiteness checks, so arithmetic that
+        overflowed still raises DomainError, and are set read-only.
+        """
+        self = object.__new__(cls)
+        self._freeze(coeffs, amps)
+        return self
+
+    def _freeze(self, coeffs: np.ndarray, amps: np.ndarray):
+        """Check that every entry is finite, set both arrays read-only and
+        keep them.  A read-only array is a state's, checked when that
+        state was made, and is not checked again."""
+        for x, what in ((coeffs, "coefficient"), (amps, "amplitude")):
+            if x.flags.writeable:
+                # count_nonzero: ndarray.all() costs twice as much on a
+                # few dozen entries
+                if np.count_nonzero(np.isfinite(x)) < x.size:
+                    raise DomainError(f"non-finite {what} in state")
+                x.setflags(write=False)
         self.coeffs = coeffs
         self.amps = amps
 
@@ -395,7 +420,7 @@ def normalize(s: CsState) -> CsState:
     n = state_norm(s)
     if n <= 1e-12:
         raise ZeroStateError(f"cannot normalize state with norm {n}")
-    return CsState(s.coeffs / n, s.amps)
+    return CsState._adopt(s.coeffs / n, s.amps)
 
 
 def merge_terms(s: CsState) -> CsState:
@@ -444,7 +469,7 @@ def merge_terms(s: CsState) -> CsState:
               + 1j * np.bincount(group, s.coeffs.imag, g))
     mags = np.abs(coeffs)
     keep = mags > DEFAULT_MERGE_TOL * mags.max()
-    return CsState(coeffs[keep], s.amps[is_rep][keep])
+    return CsState._adopt(coeffs[keep], s.amps[is_rep][keep])
 
 
 # -- closed-form normalization constants -------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -264,8 +264,9 @@ class _Coherent:
 
     def select(self, i: int, name: str):
         # the working state has unit norm (see _execute): no input Gram sum
-        state, record = select_vacuum(self.state, i, self.sel, norm_sq=1.0)
-        self.selections.append(replace(record, mode_name=name))
+        state, record = select_vacuum(self.state, i, self.sel, norm_sq=1.0,
+                                      mode_name=name)
+        self.selections.append(record)
         self._keep(state)
 
 

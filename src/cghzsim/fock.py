@@ -344,7 +344,9 @@ def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
     sliced = amps[(slice(None),) * i + (0,)].copy(order="K")
     kept = _sq_norm(sliced)
     prob = kept / total if total > 0 else 0.0
-    if prob <= 1e-14:
+    # the bound of the analytic select_vacuum, which refuses a kept norm
+    # of 1e-12 or less on the unit-norm state of a run: probability 1e-24
+    if prob <= 1e-24:
         raise ZeroProbabilityError(
             f"vacuum heralding on mode {i} has vanishing probability")
     sliced /= math.sqrt(kept)

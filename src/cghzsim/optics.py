@@ -15,13 +15,18 @@ Four physical operations drive the whole generation protocol:
   real no-click herald cannot distinguish; ``branch`` drops every
   non-vacuum term (the usual idealization).
 
-A mode split, |sqrt2 a> -> |a>|a>, is a vacuum prep plus a beam splitter.
+A mode split, |sqrt2 a> -> |a>|a>, is a vacuum prep plus a beam splitter,
+applied as one kernel.
+
+Each kernel builds its output state once, from arrays it owns or
+read-only arrays of its input (``CsState._adopt``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +80,7 @@ class SelectionMode:
         return cls("branch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SelectionRecord:
     """Bookkeeping for one vacuum selection.
 
@@ -84,13 +89,46 @@ class SelectionRecord:
     exact selection, which drops none), and ``false_vacuum_prob`` the
     probability that a non-vacuum branch nevertheless leaves the
     detector silent (weight |c <0|a>|^2 summed over non-vacuum labels).
+    All three are relative to the incoming squared norm.
+
+    Nothing in a run reads ``discarded_weight``, so the record keeps the
+    dropped terms, as the input state and the mask of its dropped rows,
+    with the incoming squared norm, and takes their Gram sum the first
+    time the weight is read; the float is cached.  Records compare and
+    hash by their five values, the weight included.
     """
 
     mode: int
     kept_prob: float
-    discarded_weight: float = 0.0
     false_vacuum_prob: float = 0.0
     mode_name: str | None = None
+    _dropped: tuple[CsState, np.ndarray] | None = None
+    _in_sq: float = 1.0
+
+    @cached_property
+    def discarded_weight(self) -> float:
+        if self._dropped is None:
+            return 0.0
+        s, rows = self._dropped
+        return state_norm(CsState._adopt(s.coeffs[rows], s.amps[rows])
+                          ) ** 2 / self._in_sq
+
+    def _values(self) -> tuple:
+        return (self.mode, self.kept_prob, self.discarded_weight,
+                self.false_vacuum_prob, self.mode_name)
+
+    def __eq__(self, other):
+        if not isinstance(other, SelectionRecord):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return ("SelectionRecord(mode={!r}, kept_prob={!r}, "
+                "discarded_weight={!r}, false_vacuum_prob={!r}, "
+                "mode_name={!r})".format(*self._values()))
 
 
 def _check_mode_index(s: CsState, i: int):
@@ -101,8 +139,11 @@ def _check_mode_index(s: CsState, i: int):
 
 def add_mode(s: CsState, amp: complex) -> CsState:
     """Append a mode in the coherent state |amp>: s (x) |amp>, same norm."""
-    col = np.full((s.term_count, 1), complex(amp))
-    return CsState(s.coeffs, np.concatenate([s.amps, col], axis=1))
+    t, m = s.amps.shape
+    amps = np.empty((t, m + 1), dtype=np.complex128)
+    amps[:, :m] = s.amps
+    amps[:, m] = complex(amp)
+    return CsState._adopt(s.coeffs, amps)
 
 
 def apply_bs(s: CsState, i: int, j: int) -> CsState:
@@ -117,21 +158,31 @@ def apply_bs(s: CsState, i: int, j: int) -> CsState:
     if i == j:
         raise ModeShapeError("beam splitter needs two distinct modes")
     amps = s.amps.copy()
-    ai = amps[:, i].copy()
-    aj = amps[:, j].copy()
+    ai, aj = s.amps[:, i], s.amps[:, j]
     inv = 1.0 / math.sqrt(2.0)
     amps[:, i] = (ai + aj) * inv
     amps[:, j] = (ai - aj) * inv
-    return CsState(s.coeffs, amps)
+    return CsState._adopt(s.coeffs, amps)
 
 
 def split_mode(s: CsState, i: int) -> CsState:
-    """Split mode i on a beam splitter against a fresh vacuum port.
+    """Split mode i on a beam splitter against a fresh vacuum port,
+    appended as the last mode: |sqrt2 a> -> |a>|a>.
 
-    The vacuum mode is appended by ``add_mode``; |sqrt2 a> -> |a>|a>.
+    The (T, M+1) labels are written in one step, byte for byte those of
+    ``apply_bs(add_mode(s, 0), i, M)``: the vacuum port's label 0 is
+    added to mode i (which turns a -0.0 component into +0.0) and
+    subtracted from the new mode (which changes nothing).
     """
     _check_mode_index(s, i)
-    return apply_bs(add_mode(s, 0), i, s.mode_count)
+    t, m = s.amps.shape
+    a = s.amps[:, i]
+    inv = 1.0 / math.sqrt(2.0)
+    amps = np.empty((t, m + 1), dtype=np.complex128)
+    amps[:, :m] = s.amps
+    amps[:, i] = (a + 0.0) * inv
+    amps[:, m] = a * inv
+    return CsState._adopt(s.coeffs, amps)
 
 
 def _cat_coords(beta, alpha_ref: float):
@@ -162,11 +213,12 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     The map is not an isometry on entangled inputs, so the image is
     divided by its norm: a unit-norm, merged input gives a unit-norm,
     merged output.  When mode i carries one label b in every term the
-    state is s' (x) |b>, the image norm is that of H|b>,
-    sqrt(|u|^2 + |v|^2), and no merge is needed (each output row is an
-    input row with label i set to +-a).  Otherwise the image is merged
-    and normalized by its Gram sum.  Raises ZeroStateError when the
-    image vanishes.
+    state is s' (x) |b>: u, v and the image norm, that of H|b>,
+    sqrt(|u|^2 + |v|^2), are computed once, as scalars, and no merge is
+    needed (each output row is an input row with label i set to +-a).
+    Otherwise the image is merged and normalized by its Gram sum.  Either
+    way the doubled coefficients and labels are written once.  Raises
+    ZeroStateError when the image vanishes.
 
     ``off_basis="raise"`` additionally demands every label be within
     1e-9 of +-alpha_ref and raises GateBasisError otherwise; under branch
@@ -179,40 +231,44 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     n_odd = cat_norm(alpha_ref, -1)
     if off_basis not in ("raise", "project"):
         raise DomainError(f"unknown off-basis policy {off_basis!r}")
-    if s.term_count == 0:
+    t = s.term_count
+    if t == 0:
         return s
 
     beta = s.amps[:, i]
+    uniform = not np.count_nonzero(beta != beta[0])
+    # the one label as a NumPy scalar, whose arithmetic rounds as the
+    # array kernels do, so both paths give the same bytes
+    b = beta[0] if uniform else beta
     if off_basis == "raise":
-        dist = np.minimum(np.abs(beta - alpha_ref), np.abs(beta + alpha_ref))
-        bad = np.nonzero(dist > GATE_BASIS_TOL)[0]
-        if bad.size:
+        dist = np.minimum(abs(b - alpha_ref), abs(b + alpha_ref))
+        if np.count_nonzero(dist > GATE_BASIS_TOL):
+            k = int(np.argmax(dist > GATE_BASIS_TOL))   # the first bad term
             raise GateBasisError(
-                f"mode {i} amplitude {complex(beta[bad[0]])} is not "
-                f"+-{alpha_ref} (off by {dist[bad[0]]:.3g})")
+                f"mode {i} amplitude {complex(beta[k])} is not "
+                f"+-{alpha_ref} (off by {np.ravel(dist)[k]:.3g})")
 
-    u, v = _cat_coords(beta, alpha_ref)
+    u, v = _cat_coords(b, alpha_ref)
 
     inv = 1.0 / math.sqrt(2.0)
-    c_plus = s.coeffs * (u * n_even + v * n_odd) * inv
-    c_minus = s.coeffs * (u * n_even - v * n_odd) * inv
-
-    amps_plus = s.amps.copy()
-    amps_plus[:, i] = alpha_ref
-    amps_minus = s.amps.copy()
-    amps_minus[:, i] = -alpha_ref
-    coeffs = np.concatenate([c_plus, c_minus])
-    amps = np.concatenate([amps_plus, amps_minus], axis=0)
-    if (beta == beta[0]).all():
-        n = math.sqrt(float(np.abs(u[0]) ** 2 + np.abs(v[0]) ** 2))
-        if n <= 1e-12:
-            raise ZeroStateError(f"cannot normalize state with norm {n}")
-        return CsState(coeffs / n, amps)
-    return normalize(merge_terms(CsState(coeffs, amps)))
+    coeffs = np.empty(2 * t, dtype=np.complex128)
+    np.multiply(s.coeffs, u * n_even + v * n_odd, out=coeffs[:t])
+    np.multiply(s.coeffs, u * n_even - v * n_odd, out=coeffs[t:])
+    coeffs *= inv
+    amps = np.concatenate((s.amps, s.amps))
+    amps[:t, i] = alpha_ref
+    amps[t:, i] = -alpha_ref
+    if not uniform:
+        return normalize(merge_terms(CsState._adopt(coeffs, amps)))
+    n = math.sqrt(float(np.abs(u) ** 2 + np.abs(v) ** 2))
+    if n <= 1e-12:
+        raise ZeroStateError(f"cannot normalize state with norm {n}")
+    coeffs /= n
+    return CsState._adopt(coeffs, amps)
 
 
 def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
-                  norm_sq: float | None = None
+                  norm_sq: float | None = None, mode_name: str | None = None
                   ) -> tuple[CsState, SelectionRecord]:
     """Post-select "no photon" on mode i and remove that mode.
 
@@ -232,7 +288,10 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
     when the caller already knows it (``run`` passes 1.0, since its
     working state has unit norm); left at None it is computed by a Gram
     sum.  A given ``norm_sq`` must be finite and non-negative
-    (DomainError), and a zero one raises ZeroProbabilityError.
+    (DomainError), and a zero one raises ZeroProbabilityError.  The
+    record keeps the dropped terms and that squared norm, and takes the
+    Gram sum of discarded_weight only when it is first read (see
+    SelectionRecord); ``mode_name`` is stored in it as given.
 
     The returned state is the kept portion divided by its norm.  Kept
     rows are merged first, so the norm is a Gram sum over the merged
@@ -252,32 +311,33 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
     if in_sq <= 1e-24:
         raise ZeroProbabilityError("selection on a zero-norm state")
 
-    keep_cols = [k for k in range(s.mode_count) if k != i]
     labels = s.amps[:, i]
     vac_overlap = np.exp(-0.5 * (labels.real**2 + labels.imag**2))
     silent = np.abs(labels) > VACUUM_LABEL_TOL
-    drop = silent if mode.kind == "branch" else np.zeros_like(silent)
-    keep = ~drop
-    if not keep.any():
+    projected = s.coeffs * vac_overlap
+    coeffs, amps, dropped = projected, s.amps, None
+    if mode.kind == "branch" and np.count_nonzero(silent):
+        keep = ~silent
+        coeffs, amps, labels = coeffs[keep], amps[keep], labels[keep]
+        dropped = (s, silent)
+    if not len(coeffs):
         raise ZeroProbabilityError(
             f"vacuum selection on mode {i} keeps no term")
 
-    kept = CsState(s.coeffs[keep] * vac_overlap[keep],
-                   s.amps[keep][:, keep_cols])
-    dropped = labels[keep]
-    if max(np.ptp(dropped.real), np.ptp(dropped.imag)) > DEFAULT_MERGE_TOL:
+    kept = CsState._adopt(
+        coeffs, amps[:, [k for k in range(s.mode_count) if k != i]])
+    # the kept mode-i labels' spread is only taken when they differ
+    if np.count_nonzero(labels != labels[0]) and max(
+            np.ptp(labels.real), np.ptp(labels.imag)) > DEFAULT_MERGE_TOL:
         kept = merge_terms(kept)
     kept_norm = state_norm(kept)
     kept_prob = min(max(kept_norm ** 2 / in_sq, 0.0), 1.0)
-    discarded_weight = (
-        state_norm(CsState(s.coeffs[drop], s.amps[drop])) ** 2 / in_sq
-        if drop.any() else 0.0)
-    false_prob = float(
-        np.sum(np.abs(s.coeffs[silent] * vac_overlap[silent]) ** 2)) / in_sq
+    false_prob = float((np.abs(projected[silent]) ** 2).sum()) / in_sq
     if kept_norm <= 1e-12:
         raise ZeroProbabilityError(
             f"vacuum selection on mode {i} has vanishing probability")
-    out = CsState(kept.coeffs / kept_norm, kept.amps)
+    out = CsState._adopt(kept.coeffs / kept_norm, kept.amps)
     return out, SelectionRecord(mode=i, kept_prob=kept_prob,
-                                discarded_weight=discarded_weight,
-                                false_vacuum_prob=false_prob)
+                                false_vacuum_prob=false_prob,
+                                mode_name=mode_name, _dropped=dropped,
+                                _in_sq=in_sq)

@@ -658,3 +658,37 @@ def test_state_arrays_are_read_only():
         s.coeffs[0] = 2.0
     with pytest.raises(ValueError):
         s.amps[0, 0] = 2.0
+
+
+def test_constructor_copies_and_adopt_wraps_without_copying():
+    coeffs = np.array([0.6, 0.8], dtype=np.complex128)
+    amps = np.array([[1.0, 2.0], [-1.0, 0.5j]])
+    public = CsState(coeffs, amps)
+    assert not np.shares_memory(public.coeffs, coeffs)
+    assert not np.shares_memory(public.amps, amps)
+    assert coeffs.flags.writeable and amps.flags.writeable
+    adopted = CsState._adopt(coeffs, amps)
+    assert adopted.coeffs is coeffs and adopted.amps is amps
+    assert not coeffs.flags.writeable and not amps.flags.writeable
+    # a state's own read-only arrays are taken as they are
+    shared = CsState._adopt(public.coeffs, public.amps)
+    assert shared.coeffs is public.coeffs and shared.amps is public.amps
+
+
+@pytest.mark.parametrize("bad", ["coeffs", "amps"])
+@pytest.mark.parametrize("value", [complex("inf"), complex("nan"),
+                                   complex(1.0, float("-inf"))])
+def test_adopt_keeps_the_finiteness_checks(bad, value):
+    arrays = {"coeffs": np.ones(2, dtype=np.complex128),
+              "amps": np.ones((2, 3), dtype=np.complex128)}
+    arrays[bad].flat[-1] = value
+    with pytest.raises(DomainError):
+        CsState._adopt(arrays["coeffs"], arrays["amps"])
+
+
+def test_merge_and_normalize_outputs_are_read_only(rng):
+    for _ in range(20):
+        s = random_state(rng, max_terms=16, modes=3, max_amp=2.0)
+        for out in (merge_terms(s), normalize(s)):
+            assert not out.coeffs.flags.writeable
+            assert not out.amps.flags.writeable

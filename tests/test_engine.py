@@ -26,7 +26,7 @@ from cghzsim import (
 )
 from cghzsim.coherent import merge_terms
 from cghzsim.engine import _Coherent, _execute
-from cghzsim.optics import select_vacuum
+from cghzsim.optics import VACUUM_LABEL_TOL, select_vacuum
 from conftest import hadamard_reference, random_complex, random_state
 
 BRANCH = SelectionMode.branch()
@@ -164,11 +164,13 @@ def test_no_selection_circuit_has_unit_probability_and_norm():
     lambda c: run_fock(c, n_max=60),
 ], ids=["run", "run_fock"])
 def test_run_aborts_with_instruction_index_on_dead_branch(execute):
-    # the difference port carries all photons: heralding cannot succeed
-    ins = (Prep("a", complex(5.0)), Prep("b", complex(-5.0)),
+    # the difference port carries all photons: vacuum heralds with
+    # probability exp(-2 * 5.5^2) = 5e-27, below the 1e-24 both pipelines
+    # refuse (at 5.0 it is 1.9e-22, which both compute)
+    ins = (Prep("a", complex(5.5)), Prep("b", complex(-5.5)),
            BeamSplitter("a", "b"), SelectVacuum("b"))
     with pytest.raises(RunError) as exc:
-        execute(Circuit(5.0, ins))
+        execute(Circuit(5.5, ins))
     assert exc.value.index == 3
 
 
@@ -382,3 +384,73 @@ def test_run_validates_once(monkeypatch):
     with pytest.raises(CircuitValidationError):
         run(Circuit(2.0, (Hadamard("a"),)), BRANCH)
     assert len(calls) == 2
+
+
+# ------------------------------------------------ deferred discarded weight
+
+SMALL_BUILDS = [(n, m) for n in range(1, 9) for m in range(1, 9)
+                if 2 <= n * m <= 8]
+
+
+def _dropped_rows(s, i):
+    return np.abs(s.amps[:, i]) > VACUUM_LABEL_TOL
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n,m", SMALL_BUILDS)
+def test_discarded_weight_read_late_is_the_eager_sum_bit_for_bit(
+        n, m, alpha, monkeypatch):
+    # the eager sum: the squared Gram norm of the terms branch selection
+    # drops, over the unit norm of the working state, taken at selection
+    from cghzsim import engine
+
+    eager = []
+
+    def selecting(s, i, sel, **kwargs):
+        drop = _dropped_rows(s, i)
+        eager.append(state_norm(CsState(s.coeffs[drop], s.amps[drop])) ** 2
+                     / 1.0 if drop.any() else 0.0)
+        return select_vacuum(s, i, sel, **kwargs)
+
+    monkeypatch.setattr(engine, "select_vacuum", selecting)
+    circuit = build_cghz_circuit(ProtocolParams(n, m, alpha))
+    records = run(circuit, BRANCH).selections
+    assert [r.discarded_weight.hex() for r in records] == [
+        w.hex() for w in eager]
+    assert all(r.discarded_weight == 0.0
+               for r in run(circuit, EXACT).selections)
+
+
+def test_branch_run_sums_the_discarded_weight_only_when_read(monkeypatch):
+    from cghzsim import coherent, engine, optics
+
+    sums, merging, dropping = [], [], []
+    norm_sq = coherent._norm_sq
+
+    def summing(s):
+        sums.append(s)
+        return norm_sq(s)
+
+    def normalizing(s):
+        # optics normalizes only the image of a merging Hadamard
+        merging.append(s)
+        return normalize(s)
+
+    def selecting(s, i, sel, **kwargs):
+        dropping.append(bool(_dropped_rows(s, i).any()))
+        return select_vacuum(s, i, sel, **kwargs)
+
+    monkeypatch.setattr(coherent, "_norm_sq", summing)
+    monkeypatch.setattr(optics, "normalize", normalizing)
+    monkeypatch.setattr(engine, "select_vacuum", selecting)
+    records = run(build_cghz_circuit(ProtocolParams(3, 3, 2.0)),
+                  BRANCH).selections
+    assert merging and any(dropping)
+    assert len(sums) == len(records) + len(merging)
+    taken = len(sums)
+    weights = [r.discarded_weight for r in records]
+    assert len(sums) == taken + sum(dropping)
+    # read again, and compared: the cached floats, no further sum
+    assert [r.discarded_weight for r in records] == weights
+    assert all(r == r for r in records)
+    assert len(sums) == taken + sum(dropping)

@@ -302,6 +302,37 @@ def test_kernels_never_write_the_callers_tensor(rng):
         assert x.tobytes(order="A") == before.tobytes(order="A")
 
 
+def _faint_vacuum_circuit(im):
+    """H|b> at b = -1 + i*im is nearly the odd cat, whose vacuum weight
+    is about 4.9 im^2 at alpha 1; the herald selects it."""
+    return Circuit(1.0, (Prep("a", 1.0), Prep("b", complex(-1.0, im)),
+                         Hadamard("b"), SelectVacuum("b")))
+
+
+@pytest.mark.parametrize("im,dp,gap", [(1e-8, 1e-14, 1e-14),
+                                       (1e-10, 1e-10, 1e-12),
+                                       (1e-11, 1e-8, 1e-10)])
+def test_both_pipelines_herald_a_faint_vacuum_alike(im, dp, gap):
+    # down to p = 4.9e-24, just above the 1e-24 that both refuse
+    circuit = _faint_vacuum_circuit(im)
+    analytic = run(circuit, SelectionMode.exact())
+    oracle = run_fock(circuit, n_max=40)
+    assert abs(analytic.p_success - oracle.p_success) <= dp * oracle.p_success
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, 40),
+                            oracle.final)
+    assert abs(1.0 - overlap) <= gap
+
+
+@pytest.mark.parametrize("execute", [
+    lambda c: run(c, SelectionMode.exact()),
+    lambda c: run_fock(c, n_max=40),
+], ids=["run", "run_fock"])
+def test_both_pipelines_refuse_a_vanishing_vacuum_alike(execute):
+    with pytest.raises(RunError) as exc:
+        execute(_faint_vacuum_circuit(1e-12))     # p = 4.9e-26
+    assert exc.value.index == 3
+
+
 def test_vacuum_project_zero_branch():
     d = 6
     amps = np.zeros((d, d), dtype=complex)

@@ -26,6 +26,7 @@ from cghzsim.coherent import cat_norm, ghz_norm, merge_terms
 from cghzsim.fock import coherent_fock, hadamard_fock_matrix
 from cghzsim.optics import (
     VACUUM_LABEL_TOL,
+    SelectionRecord,
     add_mode,
     apply_bs,
     apply_hadamard,
@@ -104,13 +105,21 @@ def test_add_mode_on_zero_mode_state():
 # -------------------------------------------------------------------- split
 
 def test_split_is_vacuum_prep_then_beam_splitter(rng):
-    for _ in range(20):
+    # signed zeros too: the vacuum port's +0 turns a -0.0 component of
+    # the split mode into +0.0
+    zeros = np.array([complex(-0.0, -0.0), complex(-0.0, 0.5),
+                      complex(0.5, -0.0), 0.0])
+    for _ in range(40):
         s = random_state(rng, max_terms=8, modes=3, max_amp=2.0)
-        i = int(rng.integers(0, 3))
-        ref = apply_bs(add_mode(s, 0), i, 3)
-        out = split_mode(s, i)
-        assert np.array_equal(out.coeffs, ref.coeffs)
-        assert np.array_equal(out.amps, ref.amps)
+        amps = s.amps.copy()
+        hit = rng.uniform(size=amps.shape) < 0.3
+        amps[hit] = rng.choice(zeros, size=hit.sum())
+        s = CsState(s.coeffs, amps)
+        for i in range(3):
+            ref = apply_bs(add_mode(s, 0), i, 3)
+            out = split_mode(s, i)
+            assert out.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert out.amps.tobytes() == ref.amps.tobytes()
 
 
 def test_split_halves_doubled_amplitude():
@@ -462,3 +471,84 @@ def test_select_branch_zero_survivors_with_a_given_norm():
 def test_selection_mode_validation():
     with pytest.raises(DomainError):
         SelectionMode("bogus")
+
+
+# ------------------------------------------------------ deferred weight
+
+def _weights_apart_state(dropped_coeff):
+    """A kept term |0>|1> and a dropped one |40>|1>: the dropped label is
+    so far from vacuum that its false-vacuum weight is exactly 0, so two
+    of these differ only in the weight of the dropped term."""
+    return CsState([0.6, dropped_coeff], [[0.0, 1.0], [40.0, 1.0]])
+
+
+def test_records_differing_only_in_discarded_weight_compare_unequal():
+    sel = SelectionMode.branch()
+    _, rec = select_vacuum(_weights_apart_state(0.8), 0, sel, norm_sq=1.0)
+    _, same = select_vacuum(_weights_apart_state(0.8), 0, sel, norm_sq=1.0)
+    _, other = select_vacuum(_weights_apart_state(0.5), 0, sel, norm_sq=1.0)
+    assert (rec.mode, rec.kept_prob, rec.false_vacuum_prob,
+            rec.mode_name) == (other.mode, other.kept_prob,
+                               other.false_vacuum_prob, other.mode_name)
+    assert rec.discarded_weight == pytest.approx(0.64, abs=1e-15)
+    assert other.discarded_weight == pytest.approx(0.25, abs=1e-15)
+    assert rec != other
+    assert rec == same and hash(rec) == hash(same)
+    assert "discarded_weight=0.64" in repr(rec)
+
+
+def test_record_takes_the_mode_name_it_is_given():
+    _, rec = select_vacuum(_weights_apart_state(0.8), 0,
+                           SelectionMode.exact(), mode_name="herald")
+    assert rec.mode_name == "herald"
+    assert rec.discarded_weight == 0.0
+
+
+# ------------------------------------------------------- owned outputs
+
+def _kernel_outputs(s):
+    """Every optics kernel applied to s, a 3-mode state whose mode 0 is
+    vacuum on some rows, mode 1 varies and mode 2 is 1.5 on every row."""
+    branch, exact = SelectionMode.branch(), SelectionMode.exact()
+    return {
+        "add_mode": add_mode(s, 0.5 - 1j),
+        "apply_bs": apply_bs(s, 0, 1),
+        "split_mode": split_mode(s, 1),
+        "apply_hadamard uniform": apply_hadamard(s, 2, 1.5),
+        "apply_hadamard merging": apply_hadamard(s, 1, 1.5,
+                                                 off_basis="project"),
+        "select_vacuum exact": select_vacuum(s, 0, exact)[0],
+        "select_vacuum branch": select_vacuum(s, 0, branch)[0],
+        "merge_terms": merge_terms(s),
+        "normalize": normalize(s),
+    }
+
+
+def test_kernel_outputs_are_read_only_and_share_no_caller_array(rng):
+    for _ in range(20):
+        t = int(rng.integers(2, 9))
+        coeffs = random_complex(rng, t, 1.0)
+        amps = random_complex(rng, 3 * t, 2.0).reshape(t, 3)
+        amps[rng.uniform(size=t) < 0.5, 0] = 0.0
+        amps[0, 0] = 0.0                    # at least one vacuum branch
+        amps[:, 2] = 1.5
+        s = CsState(coeffs, amps)
+        before = (s.coeffs.tobytes(), s.amps.tobytes())
+        for name, out in _kernel_outputs(s).items():
+            for x in (out.coeffs, out.amps):
+                assert x.dtype == np.complex128, name
+                assert not x.flags.writeable, name
+                assert not np.shares_memory(x, coeffs), name
+                assert not np.shares_memory(x, amps), name
+        # the kernels are pure, and the caller's arrays stay their own
+        assert (s.coeffs.tobytes(), s.amps.tobytes()) == before
+        assert coeffs.flags.writeable and amps.flags.writeable
+
+
+def test_kernel_arithmetic_that_overflows_raises_domain_error():
+    s = CsState([1.0], [[1.5e308, -1.5e308]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DomainError):
+        apply_bs(s, 0, 1)
+    with pytest.raises(DomainError):
+        add_mode(s, complex(math.inf, 0.0))
