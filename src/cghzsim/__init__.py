@@ -8,7 +8,6 @@ The names below are the documented API; everything else stays importable
 from its own module."""
 
 from .analysis import (
-    error_report,
     evaluate_point,
     fidelity,
     sweep,
@@ -57,7 +56,7 @@ __all__ = [
     # state algebra
     "CsState", "state_inner", "state_norm", "normalize",
     # analysis
-    "sweep", "evaluate_point", "theoretical_p", "error_report",
+    "sweep", "evaluate_point", "theoretical_p",
     # errors
     "SimulationError", "CircuitValidationError", "DomainError",
     "FockTruncationError", "GateBasisError", "ModeShapeError",

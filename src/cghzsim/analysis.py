@@ -1,5 +1,6 @@
-"""Fidelity, success-probability and heralding-error metrics, plus
-parameter sweeps over (alpha, n, m).
+"""Fidelity and success-probability metrics, plus parameter sweeps over
+(alpha, n, m) whose points also carry each run's false-vacuum heralding
+error.
 
 The asymptotic heralding success probability of a full (n, m) build is
 2^(1 - n*m): one factor 1/2 per vacuum selection.  Fidelities are always
@@ -10,12 +11,11 @@ error from the encoding's intrinsic nonorthogonality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coherent import CsState, state_inner
-from .engine import RunResult, _is_int, run
+from .engine import _is_int, run
 from .errors import DomainError, ModeShapeError, SimulationError
 from .optics import SelectionMode
 from .protocol import (
@@ -130,28 +130,3 @@ def sweep(alphas: Sequence[float], pairs: Iterable[tuple[int, int]],
                                     message=str(exc)))
     return points, diagnostics
 
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Summary of the false-vacuum heralding error of one run.
-
-    ``dominant_scale`` is exp(-2 alpha^2), the nonorthogonality scale
-    that controls how fast the error vanishes with growing alpha.
-    """
-
-    total_false_vacuum: float
-    max_selection_error: float
-    dominant_scale: float
-    per_selection: tuple[float, ...]
-
-
-def error_report(result: RunResult, alpha: float) -> ErrorReport:
-    """Collect the per-selection false-vacuum probabilities of a run."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    per = tuple(rec.false_vacuum_prob for rec in result.selections)
-    return ErrorReport(
-        total_false_vacuum=sum(per),
-        max_selection_error=max(per) if per else 0.0,
-        dominant_scale=math.exp(-2.0 * alpha * alpha),
-        per_selection=per)

@@ -35,6 +35,11 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_VALIDATION = 3
 
+# Most alpha values a sweep range may hold; the count is checked before
+# the list is built, so a huge range is refused instead of exhausting
+# memory.
+MAX_ALPHA_VALUES = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -74,6 +79,9 @@ def _parse_alpha_range(spec: str) -> list[float]:
     if not math.isfinite(steps):
         raise ValueError(f"alpha range {spec!r} has too many steps")
     count = int(math.floor(steps + 1e-9)) + 1
+    if count > MAX_ALPHA_VALUES:
+        raise ValueError(f"alpha range {spec!r} has {count} values, "
+                         f"more than {MAX_ALPHA_VALUES}")
     return [start + k * step for k in range(count)]
 
 

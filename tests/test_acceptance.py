@@ -19,7 +19,6 @@ from cghzsim import (
     SelectionMode,
     build_cghz_circuit,
     csstate_to_fock,
-    error_report,
     fidelity,
     fock_fidelity,
     ideal_cghz_state,
@@ -220,7 +219,7 @@ def test_heralding_error_behavior():
     totals = []
     for alpha in alphas:
         r = run(build_cghz_circuit(ProtocolParams(2, 2, alpha)), BRANCH)
-        totals.append(error_report(r, alpha).total_false_vacuum)
+        totals.append(r.total_false_vacuum)
     monotone = all(b < a for a, b in zip(totals, totals[1:]))
 
     # independent recomputation at alpha = 2 by stepping the primitives

@@ -10,7 +10,6 @@ from cghzsim import (
     ProtocolParams,
     SelectionMode,
     build_cghz_circuit,
-    error_report,
     evaluate_point,
     fidelity,
     ideal_cghz_state,
@@ -162,15 +161,12 @@ def test_sweep_point_dict_schema():
         "p_success_theory", "false_vacuum_total", "term_count"]
 
 
-# ------------------------------------------------------------ error report
+# -------------------------------------------------------- false vacuum
 
 def test_error_report_empty_run():
     r = run(build_cghz_circuit(ProtocolParams(1, 1, 1.0)), BRANCH)
-    rep = error_report(r, 1.0)
-    assert rep.total_false_vacuum == 0.0
-    assert rep.max_selection_error == 0.0
-    assert rep.per_selection == ()
-    assert rep.dominant_scale == pytest.approx(math.exp(-2.0))
+    assert r.selections == ()
+    assert r.total_false_vacuum == 0.0
 
 
 def test_error_report_matches_manual_gram_computation():
@@ -218,21 +214,16 @@ def test_error_report_matches_manual_gram_computation():
             order.pop(i)
         state = merge_terms(state)
 
-    rep = error_report(result, alpha)
-    np.testing.assert_allclose(rep.per_selection, manual, atol=1e-12)
-    assert rep.total_false_vacuum == pytest.approx(sum(manual), abs=1e-12)
-    assert rep.max_selection_error == pytest.approx(max(manual), abs=1e-12)
+    np.testing.assert_allclose(
+        [rec.false_vacuum_prob for rec in result.selections], manual,
+        atol=1e-12)
+    assert result.total_false_vacuum == pytest.approx(sum(manual),
+                                                      abs=1e-12)
 
 
 def test_error_totals_decrease_with_alpha():
     totals = []
     for alpha in (1.0, 2.0):
         r = run(build_cghz_circuit(ProtocolParams(2, 2, alpha)), BRANCH)
-        totals.append(error_report(r, alpha).total_false_vacuum)
+        totals.append(r.total_false_vacuum)
     assert totals[1] < totals[0]
-
-
-def test_error_report_rejects_bad_alpha():
-    r = run(build_cghz_circuit(ProtocolParams(1, 1, 1.0)), BRANCH)
-    with pytest.raises(DomainError):
-        error_report(r, 0.0)

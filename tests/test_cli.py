@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cghzsim
 from cghzsim import cli, parse
 from cghzsim.analysis import SweepPoint
 from cghzsim.cli import main
@@ -149,6 +153,36 @@ def test_sweep_non_finite_range_is_usage_error(capsys, spec):
     assert out == ""
     assert err.count("\n") == 1
     assert f"alpha range {spec!r}" in err
+
+
+def test_sweep_range_of_the_bound_parses_and_one_more_is_refused():
+    bound = cli.MAX_ALPHA_VALUES
+    assert len(cli._parse_alpha_range(f"0:{bound - 1}:1")) == bound
+    with pytest.raises(ValueError, match=f"has {bound + 1} values"):
+        cli._parse_alpha_range(f"0:{bound}:1")
+
+
+# The child caps its own address space before it imports anything, so a
+# range that would be built in full fails there and not in the test process.
+HUGE_SWEEP_CHILD = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.path.insert(0, sys.argv[1])
+from cghzsim.cli import main
+sys.exit(main(["sweep", "--n", "1", "--m", "2", "--alpha", "1:1e12:1"]))
+"""
+
+
+def test_huge_sweep_range_is_refused_before_it_is_built():
+    src = str(Path(cghzsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", HUGE_SWEEP_CHILD, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "alpha range '1:1e12:1' has 1000000000000 values" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_target_json(capsys):

@@ -239,6 +239,77 @@ def test_unstructured_labels_take_the_dense_path(rng, paths):
     assert abs(factored_norm(s) - got) <= 1e-12 * got
 
 
+def test_a_mode_that_splits_the_terms_as_an_earlier_one_joins_its_group(
+        rng):
+    # modes 0 and 2 carry different labels that split the terms alike;
+    # mode 1 is independent of both
+    a, b = np.meshgrid(np.arange(4), np.arange(3), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    first = random_complex(rng, 4, 2.0)
+    amps = np.stack([first[a], random_complex(rng, 3, 2.0)[b],
+                     random_complex(rng, 4, 2.0)[a]], axis=1)
+    s = CsState(random_complex(rng, 12, 1.0), amps)
+    groups = coherent._label_groups(s.amps)
+    assert sorted((modes, size) for _, size, modes in groups) == [
+        ([0, 2], 4), ([1], 3)]
+    assert_norm_parity(s)
+
+
+def exact_final_state(n, m, alpha=2.0, extra=""):
+    """The final state of the exact (n, m) build, run with ``extra``
+    circuit lines appended, and its RunResult."""
+    from cghzsim import ProtocolParams, SelectionMode, build_cghz_circuit
+    from cghzsim import parse, run, serialize
+    text = serialize(build_cghz_circuit(ProtocolParams(n, m, alpha)))
+    result = run(parse(text + extra).circuit, SelectionMode.exact())
+    return result.final_state, result
+
+
+@pytest.mark.parametrize("n, m, sizes", [(2, 6, [48, 48]),
+                                         (4, 4, [12, 12, 12, 12])])
+def test_exact_final_states_group_into_their_blocks(paths, n, m, sizes):
+    s, _ = exact_final_state(n, m)
+    assert sorted(size for _, size, _ in coherent._label_groups(s.amps)) \
+        == sizes
+    paths.update(factored=0, dense=0)
+    got = state_norm(s)
+    assert paths == {"factored": 1, "dense": 0}
+    if (n, m) == (2, 6):
+        assert abs(got - dense_norm(s)) <= 1e-12 * got
+
+
+def row_by_row_norm_sq(coeffs, amps):
+    """sum_ij conj(c_i) c_j prod_k <a_ik|a_jk>, one row i at a time."""
+    half = 0.5 * (np.abs(amps) ** 2).sum(axis=1)
+    total = 0.0
+    for i in range(len(coeffs)):
+        expo = amps[i].conj() @ amps.T - half[i] - half
+        total += coeffs[i].conjugate() * (np.exp(expo) @ coeffs)
+    return total.real
+
+
+def test_complex_labels_past_the_row_block_bound_from_a_circuit(paths):
+    # a complex prep mixed into the exact (2,6) build gives its final
+    # 2304 terms complex labels; their norms take the factored path
+    s, result = exact_final_state(2, 6, extra="prep z 0.3+0.4i\n"
+                                  "bs q1_1 z\nselect0 z\n")
+    assert s.term_count == 2304 > 1024
+    assert np.count_nonzero(s.amps.imag)
+    assert paths["factored"] > 0
+    before, unselected = exact_final_state(2, 6, extra="prep z 0.3+0.4i\n"
+                                           "bs q1_1 z\n")
+    assert unselected.mode_order[-1] == "z"
+    z = before.amps[:, -1]
+    kept = row_by_row_norm_sq(before.coeffs * np.exp(-0.5 * np.abs(z) ** 2),
+                              before.amps[:, :-1])
+    kept_prob = kept / row_by_row_norm_sq(before.coeffs, before.amps)
+    assert abs(result.selections[-1].kept_prob - kept_prob) <= 1e-12
+    paths.update(factored=0, dense=0)
+    assert abs(state_norm(s) ** 2 - row_by_row_norm_sq(s.coeffs, s.amps)) \
+        <= 1e-12
+    assert paths == {"factored": 1, "dense": 0}
+
+
 def test_labels_1e_13_apart_get_distinct_codes():
     near = 1.0 + 1e-13
     s = CsState([1.0, 0.5, 0.25j, 2.0],
