@@ -109,6 +109,25 @@ def test_parse_bad_numbers():
         assert not res.ok, bad
 
 
+@pytest.mark.parametrize("line,expected", [
+    ("h a 1.5",
+     "3:1: error: 'h' takes a mode name and an optional 'ref <value>'"),
+    ("h a ref",
+     "3:1: error: 'h' takes a mode name and an optional 'ref <value>'"),
+    ("h a foo 1.5", "3:5: error: expected 'ref', got 'foo'"),
+    ("bs a", "3:1: error: 'bs' takes two mode names"),
+    ("select0 a b", "3:1: error: 'select0' takes one mode name"),
+    ("split a", "3:1: error: 'split' takes a source mode and a new mode name"),
+    ("prep a", "3:1: error: 'prep' takes a mode name and an amplitude"),
+    ("prep 1a +", "3:6: error: '1a' is not a valid mode name"),
+    ("h a ref x", "3:9: error: 'x' is not a valid reference amplitude"),
+])
+def test_instruction_diagnostics_are_pinned(line, expected):
+    res = parse(f"alpha 2.0\nprep a +\n{line}\n")
+    assert res.circuit is None
+    assert [str(d) for d in res.diagnostics] == [expected]
+
+
 def test_parse_negative_alpha_rejected_by_validation():
     res = parse("alpha -2.0\nprep a +\n")
     assert not res.ok
