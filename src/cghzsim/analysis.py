@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .coherent import CsState, state_inner
 from .engine import _is_int, run
-from .errors import DomainError, ModeShapeError, SimulationError
+from .errors import DomainError, SimulationError
 from .optics import SelectionMode
 from .protocol import (
     DEFAULT_NM_CAP,
@@ -32,11 +32,9 @@ def fidelity(s: CsState, target: CsState) -> float:
     """Squared overlap |<target|s>|^2 for normalized states.
 
     Clamped into [0, 1]; an excursion beyond the 1e-10 round-off slack
-    means a caller handed in unnormalized states.
+    means a caller handed in unnormalized states.  States on different
+    mode counts raise ModeShapeError, from ``state_inner``.
     """
-    if s.mode_count != target.mode_count:
-        raise ModeShapeError(
-            f"mode counts differ: {s.mode_count} vs {target.mode_count}")
     f = abs(state_inner(target, s)) ** 2
     if f > 1.0 + FIDELITY_SLACK:
         raise DomainError(

@@ -67,6 +67,11 @@ NEGATIVE_NORM_TOL = 1e-12
 
 DEFAULT_MERGE_TOL = 1e-12
 
+# A norm at or below this is refused as vanishing, and a probability at
+# or below its square (1e-24), by both the analytic and the number-basis
+# pipelines.
+ZERO_NORM = 1e-12
+
 # Overlaps a dense Gram sum holds at once (16 MiB of complex128, 8 MiB
 # of float64); it is evaluated in blocks of rows below this bound.  The
 # factored norm uses it too, as the largest zero-padded coefficient
@@ -399,7 +404,7 @@ def state_norm(s: CsState) -> float:
 def normalize(s: CsState) -> CsState:
     """Scale to unit norm; a vanishing norm signals a dead branch."""
     n = state_norm(s)
-    if n <= 1e-12:
+    if n <= ZERO_NORM:
         raise ZeroStateError(f"cannot normalize state with norm {n}")
     return CsState._adopt(s.coeffs / n, s.amps)
 

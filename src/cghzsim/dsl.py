@@ -14,14 +14,16 @@ per line with a mandatory header declaring the base amplitude::
 ``#`` starts a comment.  Parsing never raises on malformed input: every
 problem becomes a diagnostic with a line/column span, and any error
 suppresses circuit emission.  Serialization is canonical (lowercase
-keywords, shortest round-tripping number format), and
-``parse(serialize(c))`` reproduces the circuit exactly.
+keywords, shortest round-tripping number format); it refuses a circuit
+that ``validate`` rejects, and ``parse(serialize(c))`` reproduces every
+circuit it accepts exactly.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from .engine import (
     BeamSplitter,
@@ -32,6 +34,7 @@ from .engine import (
     SelectVacuum,
     Split,
     _IDENT_OK,
+    _check_valid,
     validate,
 )
 
@@ -66,6 +69,73 @@ class ParseResult:
         return self.circuit is not None
 
 
+def _fmt_real(x: float) -> str:
+    """Shortest representation that round-trips the double exactly."""
+    return repr(float(x))
+
+
+def _fmt_amp(z: complex, alpha: float) -> str:
+    if z == complex(alpha, 0.0):
+        return "+"
+    if z == complex(-alpha, 0.0):
+        return "-"
+    if z.imag == 0.0:
+        return _fmt_real(z.real)
+    sign = "+" if z.imag > 0 else "-"
+    return f"{_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}i"
+
+
+def _read_real(tok: str, what: str) -> float:
+    if not _REAL_RE.match(tok):
+        raise ValueError(f"'{tok}' is not a valid {what}")
+    return float(tok)
+
+
+def _read_mode(tok: str, alpha: float) -> str:
+    if not _IDENT_OK(tok):
+        raise ValueError(f"'{tok}' is not a valid mode name")
+    return tok
+
+
+def _read_amp(tok: str, alpha: float) -> complex:
+    if tok in ("+", "-"):
+        return complex(alpha if tok == "+" else -alpha, 0.0)
+    m = _COMPLEX_RE.match(tok)
+    if not m:
+        raise ValueError(f"'{tok}' is not a valid amplitude (use +, -, RE, "
+                         f"RE+IMi or RE-IMi)")
+    return complex(float(m.group("re")),
+                   float(m.group("im")) if m.group("im") else 0.0)
+
+
+class _Kind(NamedTuple):
+    """How one kind of field is read from its token and written back,
+    given the circuit alpha; ``read`` raises ValueError with the
+    diagnostic's message."""
+    read: Callable[[str, float], object]
+    write: Callable[[object, float], str]
+
+
+_MODE = _Kind(_read_mode, lambda name, alpha: name)
+_AMP = _Kind(_read_amp, _fmt_amp)
+_REF = _Kind(lambda tok, alpha: _read_real(tok, "reference amplitude"),
+             lambda ref, alpha: f"ref {_fmt_real(ref)}")
+
+
+# The one place each instruction keyword is spelled: parse reads and
+# serialize writes every instruction through its entry, which holds the
+# instruction class, the kind of each of its fields in field order, and
+# what the keyword takes, for the arity diagnostic.
+_SYNTAX = {
+    "prep": (Prep, (_MODE, _AMP), "a mode name and an amplitude"),
+    "h": (Hadamard, (_MODE, _REF),
+          "a mode name and an optional 'ref <value>'"),
+    "bs": (BeamSplitter, (_MODE, _MODE), "two mode names"),
+    "split": (Split, (_MODE, _MODE), "a source mode and a new mode name"),
+    "select0": (SelectVacuum, (_MODE,), "one mode name"),
+}
+
+
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Whitespace-split tokens with their 1-based start columns; text
     from the first '#' on is a comment."""
@@ -92,18 +162,6 @@ def parse(text: str) -> ParseResult:
     def err(line_no, col, msg):
         diags.append(ParseDiagnostic(SourceSpan(line_no, col), msg))
 
-    def want_ident(line_no, tok, col):
-        if not _IDENT_OK(tok):
-            err(line_no, col, f"'{tok}' is not a valid mode name")
-            return None
-        return tok
-
-    def want_real(line_no, tok, col, what):
-        if not _REAL_RE.match(tok):
-            err(line_no, col, f"'{tok}' is not a valid {what}")
-            return None
-        return float(tok)
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw)
         if not toks:
@@ -112,90 +170,50 @@ def parse(text: str) -> ParseResult:
 
         if alpha is None:
             alpha_line = line_no
+            # a bad header still lets later lines get diagnostics
+            alpha = float("nan")
             if kw != "alpha":
                 err(line_no, kw_col,
                     "circuit must start with an 'alpha <value>' header")
-                # keep scanning so later lines still get diagnostics
-                alpha = float("nan")
             elif len(args) != 1:
                 err(line_no, kw_col, "'alpha' takes exactly one value")
-                alpha = float("nan")
             else:
-                val = want_real(line_no, args[0][0], args[0][1], "real number")
-                alpha = float("nan") if val is None else val
+                try:
+                    alpha = _read_real(args[0][0], "real number")
+                except ValueError as exc:
+                    err(line_no, args[0][1], str(exc))
             if kw == "alpha":
                 continue
 
         if kw == "alpha":
             err(line_no, kw_col, "duplicate 'alpha' header")
             continue
-
-        if kw == "prep":
-            if len(args) != 2:
-                err(line_no, kw_col, "'prep' takes a mode name and an "
-                                     "amplitude")
-                continue
-            name = want_ident(line_no, args[0][0], args[0][1])
-            amp_tok, amp_col = args[1]
-            if name is None:
-                continue
-            if amp_tok == "+":
-                amp = complex(alpha, 0.0)
-            elif amp_tok == "-":
-                amp = complex(-alpha, 0.0)
-            else:
-                m = _COMPLEX_RE.match(amp_tok)
-                if not m:
-                    err(line_no, amp_col,
-                        f"'{amp_tok}' is not a valid amplitude (use +, -, "
-                        f"RE, RE+IMi or RE-IMi)")
-                    continue
-                amp = complex(float(m.group("re")),
-                              float(m.group("im")) if m.group("im") else 0.0)
-            instructions.append(Prep(name, amp))
-            ins_lines.append(line_no)
-        elif kw == "h":
-            if len(args) not in (1, 3):
-                err(line_no, kw_col, "'h' takes a mode name and an optional "
-                                     "'ref <value>'")
-                continue
-            name = want_ident(line_no, args[0][0], args[0][1])
-            if name is None:
-                continue
-            ref = None
-            if len(args) == 3:
-                if args[1][0] != "ref":
-                    err(line_no, args[1][1], f"expected 'ref', got "
-                                             f"'{args[1][0]}'")
-                    continue
-                ref = want_real(line_no, args[2][0], args[2][1],
-                                "reference amplitude")
-                if ref is None:
-                    continue
-            instructions.append(Hadamard(name, ref))
-            ins_lines.append(line_no)
-        elif kw in ("bs", "split"):
-            if len(args) != 2:
-                err(line_no, kw_col, "'bs' takes two mode names" if kw == "bs"
-                    else "'split' takes a source mode and a new mode name")
-                continue
-            a = want_ident(line_no, args[0][0], args[0][1])
-            b = want_ident(line_no, args[1][0], args[1][1])
-            if a is None or b is None:
-                continue
-            instructions.append((BeamSplitter if kw == "bs" else Split)(a, b))
-            ins_lines.append(line_no)
-        elif kw == "select0":
-            if len(args) != 1:
-                err(line_no, kw_col, "'select0' takes one mode name")
-                continue
-            name = want_ident(line_no, args[0][0], args[0][1])
-            if name is None:
-                continue
-            instructions.append(SelectVacuum(name))
-            ins_lines.append(line_no)
-        else:
+        if kw not in _SYNTAX:
             err(line_no, kw_col, f"unknown keyword '{kw}'")
+            continue
+        cls, kinds, usage = _SYNTAX[kw]
+        # the optional 'ref <value>' clause, last, takes two tokens or none
+        optional = kinds[-1] is _REF
+        fixed = len(kinds) - optional
+        if len(args) not in ((fixed, fixed + 2) if optional else (fixed,)):
+            err(line_no, kw_col, f"'{kw}' takes {usage}")
+            continue
+        # a present clause's first token is its word; the value is read as
+        # the field
+        word, word_col = args.pop(fixed) if len(args) > fixed else ("ref", 0)
+        values = []
+        for kind, (tok, col) in zip(kinds, args):
+            if kind is _REF and word != "ref":
+                err(line_no, word_col, f"expected 'ref', got '{word}'")
+                break
+            try:
+                values.append(kind.read(tok, alpha))
+            except ValueError as exc:
+                err(line_no, col, str(exc))
+        if len(values) == len(args):
+            # an absent clause leaves its field at the default, None
+            instructions.append(cls(*values))
+            ins_lines.append(line_no)
 
     if alpha is None:
         err(1, 1, "missing 'alpha' header")
@@ -210,39 +228,20 @@ def parse(text: str) -> ParseResult:
     return ParseResult(None if diags else circuit, diags)
 
 
-def _fmt_real(x: float) -> str:
-    """Shortest representation that round-trips the double exactly."""
-    return repr(float(x))
-
-
-def _fmt_amp(z: complex, alpha: float) -> str:
-    if z == complex(alpha, 0.0):
-        return "+"
-    if z == complex(-alpha, 0.0):
-        return "-"
-    if z.imag == 0.0:
-        return _fmt_real(z.real)
-    sign = "+" if z.imag > 0 else "-"
-    return f"{_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}i"
-
-
 def serialize(circuit: Circuit) -> str:
-    """Canonical text form; parse(serialize(c)) reproduces c exactly."""
+    """Canonical text form; parse(serialize(c)) reproduces c exactly.
+
+    Raises CircuitValidationError if validate() reports anything: parse
+    would refuse the text, and a foreign instruction has no text form.
+    """
+    _check_valid(validate(circuit))
     lines = [f"alpha {_fmt_real(circuit.alpha)}"]
     for ins in circuit.instructions:
-        if isinstance(ins, Prep):
-            lines.append(f"prep {ins.mode} {_fmt_amp(ins.amp, circuit.alpha)}")
-        elif isinstance(ins, Hadamard):
-            if ins.alpha_ref is None:
-                lines.append(f"h {ins.mode}")
-            else:
-                lines.append(f"h {ins.mode} ref {_fmt_real(ins.alpha_ref)}")
-        elif isinstance(ins, BeamSplitter):
-            lines.append(f"bs {ins.mode_a} {ins.mode_b}")
-        elif isinstance(ins, Split):
-            lines.append(f"split {ins.mode} {ins.new_mode}")
-        elif isinstance(ins, SelectVacuum):
-            lines.append(f"select0 {ins.mode}")
-        else:
-            raise TypeError(f"cannot serialize {ins!r}")
+        kw, cls, kinds = next((kw, cls, kinds)
+                              for kw, (cls, kinds, _) in _SYNTAX.items()
+                              if isinstance(ins, cls))
+        values = (getattr(ins, f.name) for f in fields(cls))
+        lines.append(" ".join([kw] + [
+            kind.write(v, circuit.alpha)
+            for kind, v in zip(kinds, values) if v is not None]))
     return "\n".join(lines) + "\n"

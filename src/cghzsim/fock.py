@@ -50,6 +50,16 @@ kernel may hold beside it, priced at complex128 since any circuit may
 turn complex: n_max <= 89, 35 and 19 at 4, 5 and 6 modes.  A build's
 widest tensor has n*m modes.  A larger tensor raises ResourceLimitError
 before it is allocated.
+
+The cutoff leaks norm, and the oracle refuses a run it makes inaccurate
+with FockTruncationError: a prep whose vector loses more than
+LOST_NORM_LIMIT (1e-6) of its norm, and a tensor whose squared norm has
+fallen by more than that since it was last renormalized, which beam
+splitters cause.  The tensor is checked where its norm is taken anyway,
+at each vacuum selection and at the final renormalization.  A leak
+before a Hadamard goes unchecked: the Hadamard renormalizes from its
+small coefficient tensor, and checking its input would cost one more
+pass over the tensor per Hadamard.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import CsState, _as_real
+from .coherent import ZERO_NORM, CsState, _as_real
 from .engine import (
     Circuit,
     Prep,
@@ -244,8 +254,8 @@ def _memory_order(x: np.ndarray) -> tuple:
     return tuple(np.argsort([-st for st in x.strides], kind="stable"))
 
 
-def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int, *,
-                    overwrite: bool = False) -> np.ndarray:
+def _apply_two_mode(amps: np.ndarray, i: int, j: int,
+                    n_max: int) -> np.ndarray:
     """Apply the cached beam-splitter blocks on axes (i, j).
 
     The tensor is laid out with axes i and j leading, then the others,
@@ -260,9 +270,8 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int, *,
     photon numbers on mode i in reverse, so the block is applied
     reversed in both indices.
 
-    The blocks run on one C-ordered copy of ``amps``, or on ``amps``
-    itself when ``overwrite`` is set and axes i and j already lead its
-    memory; a caller's array is otherwise never written.  Returns a view
+    The blocks run on ``amps`` itself when axes i and j already lead its
+    memory, and on one C-ordered copy of it otherwise.  Returns a view
     with the input's axis order.
     """
     d = n_max + 1
@@ -270,7 +279,7 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int, n_max: int, *,
     lead = tuple(ax for ax in mem if ax in (i, j))
     order = lead + tuple(ax for ax in mem if ax not in lead)
     work = amps.transpose(order)
-    if not (overwrite and work.flags.c_contiguous):
+    if not work.flags.c_contiguous:
         work = work.copy()
     flat = work.reshape(d * d, -1).view(np.float64)
     scratch = np.empty((d, flat.shape[1]))
@@ -297,7 +306,7 @@ def _prep(amps: np.ndarray, amp: complex, n_max: int) -> np.ndarray:
 
 
 def _hadamard(amps: np.ndarray, i: int, cats: np.ndarray,
-              duals: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+              duals: np.ndarray) -> np.ndarray:
     """Apply the rank-2 Hadamard ``cats @ duals`` on axis i and
     renormalize.
 
@@ -306,10 +315,8 @@ def _hadamard(amps: np.ndarray, i: int, cats: np.ndarray,
     coefficient tensor; because the columns of ``cats`` are orthonormal,
     that small tensor has the norm of the output and is normalized
     before ``cats`` expands it.  On the last memory axis (c = 1) both
-    steps are single 2-D products.  With ``overwrite`` the output is
-    written into ``amps`` when its memory allows; a caller's array is
-    otherwise never written.  Returns a tensor with the input's axis
-    order.
+    steps are single 2-D products, and the output is written into
+    ``amps``.  Returns a tensor with the input's axis order.
     """
     order = _memory_order(amps)
     mem = amps.transpose(order)
@@ -321,32 +328,43 @@ def _hadamard(amps: np.ndarray, i: int, cats: np.ndarray,
     else:
         coef = np.matmul(duals, x)
     n = math.sqrt(_sq_norm(coef))
-    if n <= 1e-12:
+    if n <= ZERO_NORM:
         raise ZeroProbabilityError("hadamard annihilated the state")
     coef /= n
-    out = x if overwrite else None
     if x.ndim == 2:
-        out = np.matmul(coef, cats.T, out=out)
+        np.matmul(coef, cats.T, out=x)
     else:
-        out = np.matmul(cats, coef, out=out)
-    return out.reshape(mem.shape).transpose(np.argsort(order))
+        np.matmul(cats, coef, out=x)
+    return x.reshape(mem.shape).transpose(np.argsort(order))
+
+
+def _check_leak(sq_norm: float, n_max: int):
+    """Raise FockTruncationError when a tensor renormalized to 1 has since
+    leaked more than LOST_NORM_LIMIT of its squared norm past the cutoff,
+    the limit ``coherent_fock`` applies to one prep."""
+    lost = 1.0 - sq_norm
+    if lost > LOST_NORM_LIMIT:
+        raise FockTruncationError(
+            f"cutoff {n_max} loses {lost:.3g} of the norm since the state "
+            f"was last renormalized")
 
 
 def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
     """Slice axis i at photon number zero; returns the renormalized slice
     and the heralding probability relative to the input norm.
 
-    The slice is a view; only it is copied, in the input's memory order.
+    The input is a tensor renormalized to 1 before its last gates, so a
+    squared norm lost past the cutoff is refused (_check_leak).  The slice
+    is a view; only it is copied, in the input's memory order.
     """
     if amps.ndim == 1:
         raise ModeShapeError("cannot remove the last fock mode")
     total = _sq_norm(amps)
+    _check_leak(total, amps.shape[0] - 1)
     sliced = amps[(slice(None),) * i + (0,)].copy(order="K")
     kept = _sq_norm(sliced)
-    prob = kept / total if total > 0 else 0.0
-    # the bound of the analytic select_vacuum, which refuses a kept norm
-    # of 1e-12 or less on the unit-norm state of a run: probability 1e-24
-    if prob <= 1e-24:
+    prob = kept / total
+    if prob <= ZERO_NORM ** 2:
         raise ZeroProbabilityError(
             f"vacuum heralding on mode {i} has vanishing probability")
     sliced /= math.sqrt(kept)
@@ -518,12 +536,10 @@ class _Fock:
 
     def hadamard(self, i: int, alpha_ref: float):
         self.amps = _hadamard(self.amps, i,
-                              *_hadamard_factors(alpha_ref, self.n_max),
-                              overwrite=True)
+                              *_hadamard_factors(alpha_ref, self.n_max))
 
     def bs(self, i: int, j: int):
-        self.amps = _apply_two_mode(self.amps, i, j, self.n_max,
-                                    overwrite=True)
+        self.amps = _apply_two_mode(self.amps, i, j, self.n_max)
 
     def split(self, i: int):
         self.prep(0)
@@ -543,7 +559,9 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     pipelines are comparable point by point.  Only circuits whose widest
     tensor and its scratch copy fit MAX_FOCK_BYTES at this cutoff can
     run; invalid, oversized or empty circuits raise before anything is
-    allocated.
+    allocated.  A selection or the final renormalization that finds more
+    than LOST_NORM_LIMIT of the norm leaked past the cutoff raises
+    FockTruncationError, wrapped in RunError at a selection.
     """
     _check_fits(circuit, n_max)
     backend = _Fock(n_max)
@@ -551,7 +569,9 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     # the backend owns its tensor, Fortran order on every paper build:
     # normalized in place and handed over with its unit norm
     amps = np.asfortranarray(backend.amps)
-    amps /= math.sqrt(_sq_norm(amps))
+    sq = _sq_norm(amps)
+    _check_leak(sq, n_max)
+    amps /= math.sqrt(sq)
     return FockRunResult(final=FockTensor._adopt(n_max, amps, 1.0),
                          mode_order=order,
                          probabilities=tuple(backend.probs),

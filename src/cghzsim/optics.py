@@ -32,6 +32,7 @@ import numpy as np
 
 from .coherent import (
     DEFAULT_MERGE_TOL,
+    ZERO_NORM,
     CsState,
     cat_norm,
     merge_terms,
@@ -261,7 +262,7 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     if not uniform:
         return normalize(merge_terms(CsState._adopt(coeffs, amps)))
     n = math.sqrt(float(np.abs(u) ** 2 + np.abs(v) ** 2))
-    if n <= 1e-12:
+    if n <= ZERO_NORM:
         raise ZeroStateError(f"cannot normalize state with norm {n}")
     coeffs /= n
     return CsState._adopt(coeffs, amps)
@@ -308,7 +309,7 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
         if not (math.isfinite(in_sq) and in_sq >= 0.0):
             raise DomainError(
                 f"norm_sq must be finite and non-negative, got {norm_sq!r}")
-    if in_sq <= 1e-24:
+    if in_sq <= ZERO_NORM ** 2:
         raise ZeroProbabilityError("selection on a zero-norm state")
 
     labels = s.amps[:, i]
@@ -333,7 +334,7 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
     kept_norm = state_norm(kept)
     kept_prob = min(max(kept_norm ** 2 / in_sq, 0.0), 1.0)
     false_prob = float((np.abs(projected[silent]) ** 2).sum()) / in_sq
-    if kept_norm <= 1e-12:
+    if kept_norm <= ZERO_NORM:
         raise ZeroProbabilityError(
             f"vacuum selection on mode {i} has vanishing probability")
     out = CsState._adopt(kept.coeffs / kept_norm, kept.amps)

@@ -211,12 +211,25 @@ def test_oracle_reports_agreement(tmp_path, capsys):
 
 
 def test_oracle_disagreement_exits_two(tmp_path, capsys):
-    # |4 sqrt2> after the first splitter does not fit below 40 photons
+    # |4 sqrt2> after the first splitter does not fit below 40 photons;
+    # the Hadamard renormalizes before that leak is checked
     path = tmp_path / "lossy.cir"
-    path.write_text("alpha 4.0\nprep a +\nprep b +\nbs a b\nbs a b\n")
+    path.write_text("alpha 4.0\nprep a +\nprep b +\nbs a b\nbs a b\n"
+                    "h a\n")
     code, out, _ = run_cli(["oracle", str(path), "--nmax", "40"], capsys)
     assert code == 2
     assert "agreement within 1e-6: NO" in out
+
+
+def test_oracle_refuses_a_leak_past_the_cutoff(tmp_path, capsys):
+    # without the Hadamard the leak reaches the final renormalization
+    path = tmp_path / "lossy.cir"
+    path.write_text("alpha 4.0\nprep a +\nprep b +\nbs a b\nbs a b\n")
+    code, out, err = run_cli(["oracle", str(path), "--nmax", "40"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("cghzsim oracle: error: cutoff 40 loses 0.0707 of the "
+                   "norm since the state was last renormalized\n")
 
 
 def test_oracle_rejects_wide_circuit(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from cghzsim import (
     BeamSplitter,
     Circuit,
+    CircuitValidationError,
     Hadamard,
     Prep,
     ProtocolParams,
@@ -128,6 +129,16 @@ def test_instruction_diagnostics_are_pinned(line, expected):
     assert [str(d) for d in res.diagnostics] == [expected]
 
 
+def test_every_bad_argument_of_a_line_is_reported():
+    res = parse("alpha 2.0\nprep a +\nprep 1a 1+i\nh 2b foo 1.5\n")
+    assert [str(d) for d in res.diagnostics] == [
+        "3:6: error: '1a' is not a valid mode name",
+        "3:9: error: '1+i' is not a valid amplitude (use +, -, RE, RE+IMi "
+        "or RE-IMi)",
+        "4:3: error: '2b' is not a valid mode name",
+        "4:6: error: expected 'ref', got 'foo'"]
+
+
 def test_parse_negative_alpha_rejected_by_validation():
     res = parse("alpha -2.0\nprep a +\n")
     assert not res.ok
@@ -163,14 +174,29 @@ def test_serialize_complex_amplitude():
     assert back.circuit.instructions[0].amp == complex(0.5, -0.25)
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 3), (2, 6),
-                                 (12, 1), (1, 12)])
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 17)
+                                 for m in range(1, 16 // n + 1)])
 def test_round_trip_builder_circuits(n, m):
     for alpha in (1.0, 2.0, 1.7320508075688772):
         c = build_cghz_circuit(ProtocolParams(n, m, alpha))
         res = parse(serialize(c))
         assert res.ok, res.diagnostics
         assert res.circuit == c
+
+
+def test_serialize_refuses_a_non_finite_amplitude():
+    with pytest.raises(CircuitValidationError, match="not finite"):
+        serialize(Circuit(2.0, (Prep("a", complex("nan")),)))
+
+
+def test_serialize_refuses_an_unbound_mode():
+    with pytest.raises(CircuitValidationError, match="'b' is unbound"):
+        serialize(Circuit(2.0, (Prep("a", 2.0), SelectVacuum("b"))))
+
+
+def test_serialize_refuses_a_foreign_instruction_typed():
+    with pytest.raises(CircuitValidationError, match="unknown instruction"):
+        serialize(Circuit(2.0, (Prep("a", 2.0), "h a")))
 
 
 def test_round_trip_awkward_numbers():

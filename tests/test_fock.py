@@ -69,10 +69,12 @@ def random_tensor(rng, modes, n_max):
 def kernel_layouts(amps, n_max):
     """``amps`` in C order and in the permuted layouts the backend's
     kernels hand each other: a beam splitter's output (its pair leading
-    the memory) and the reversed axis order that preps grow."""
+    the memory), renormalized, and the reversed axis order that preps
+    grow.  Each is the caller's to write."""
     yield amps
     if amps.ndim > 1:
-        yield _apply_two_mode(amps, 0, amps.ndim - 1, n_max)
+        mixed = _apply_two_mode(amps.copy(), 0, amps.ndim - 1, n_max)
+        yield mixed / np.linalg.norm(mixed)
         yield np.asfortranarray(amps)
 
 
@@ -148,7 +150,8 @@ def test_bs_fock_norm_loss_negligible_below_cutoff():
     n_max = 40
     t = FockTensor(n_max, tensor_from_vectors(coherent_fock(1.5, n_max),
                                               coherent_fock(-1.5, n_max)))
-    out = FockTensor(n_max, _apply_two_mode(t.amps, 0, 1, n_max))
+    out = FockTensor(n_max, _apply_two_mode(t.amps.copy(order="K"), 0, 1,
+                                            n_max))
     assert abs(out.squared_norm() - t.squared_norm()) <= 1e-8
 
 
@@ -189,10 +192,8 @@ def test_bs_kernel_matches_dense_reference_on_every_axis_pair(rng, modes):
                 expect = np.moveaxis(
                     np.tensordot(mat, x, axes=([2, 3], [i, j])),
                     (0, 1), (i, j))
-                got = _apply_two_mode(x, i, j, n_max)
-                assert np.max(np.abs(got - expect)) <= 1e-13, (i, j)
                 own = x.copy(order="K")
-                got = _apply_two_mode(own, i, j, n_max, overwrite=True)
+                got = _apply_two_mode(own, i, j, n_max)
                 assert np.max(np.abs(got - expect)) <= 1e-13, (i, j)
                 # in place exactly when the pair leads the memory
                 leads = set(_memory_order(own)[:2]) == {i, j}
@@ -284,22 +285,30 @@ def test_vacuum_project_views_match_a_normalized_take(rng, modes):
             assert np.max(np.abs(got - expect / math.sqrt(kept))) <= 1e-15
 
 
-def test_kernels_never_write_the_callers_tensor(rng):
+def test_kernels_in_place_match_their_result_on_a_copy(rng):
+    # the gates write the tensor they are handed where its memory allows
+    # (the Hadamard always); the result is the one they compute on a copy
+    # in another layout, and heralding only reads its input
     n_max = 6
     amps = random_tensor(rng, 3, n_max)
     cats, duals = _hadamard_factors(0.5, n_max)
-    # a read-only FockTensor, and writeable permuted views
-    inputs = [FockTensor(n_max, amps).amps,
-              *list(kernel_layouts(amps.copy(), n_max))[1:]]
-    for x in inputs:
-        before = x.copy(order="K")
+    for x in kernel_layouts(amps, n_max):
+        other = np.ascontiguousarray if x.flags.f_contiguous \
+            else np.asfortranarray
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    _apply_two_mode(x, i, j, n_max)
+                    got = _apply_two_mode(x.copy(order="K"), i, j, n_max)
+                    expect = _apply_two_mode(other(x), i, j, n_max)
+                    assert np.max(np.abs(got - expect)) <= 1e-15, (i, j)
+            own = x.copy(order="K")
+            got = _hadamard(own, i, cats, duals)
+            assert np.shares_memory(got, own)
+            expect = _hadamard(other(x), i, cats, duals)
+            assert np.max(np.abs(got - expect)) <= 1e-15, i
+            before = x.copy(order="K")
             _vacuum_project(x, i)
-            _hadamard(x, i, cats, duals)
-        assert x.tobytes(order="A") == before.tobytes(order="A")
+            assert x.tobytes(order="A") == before.tobytes(order="A")
 
 
 def _faint_vacuum_circuit(im):
@@ -474,9 +483,7 @@ def test_rank_two_hadamard_matches_dense_matrix_on_every_axis(rng, modes,
         for i in range(modes):
             expect = np.moveaxis(np.tensordot(mat, x, axes=([1], [i])), 0, i)
             expect /= np.linalg.norm(expect)
-            got = _hadamard(x, i, *factors)
-            assert np.max(np.abs(got - expect)) <= 1e-13, i
-            got = _hadamard(x.copy(order="K"), i, *factors, overwrite=True)
+            got = _hadamard(x.copy(order="K"), i, *factors)
             assert np.max(np.abs(got - expect)) <= 1e-13, i
 
 
@@ -487,7 +494,7 @@ def test_hadamard_fock_matches_analytic_gate_on_entangled_state():
     analytic = normalize(apply_hadamard(pair, 0, 1.0))
     # a circuit cannot prepare this pair's unequal weights
     numeric = FockTensor(n_max, _hadamard(
-        csstate_to_fock(pair, n_max).amps, 0,
+        csstate_to_fock(pair, n_max).amps.copy(order="K"), 0,
         *_hadamard_factors(1.0, n_max)))
     assert fock_fidelity(csstate_to_fock(analytic, n_max),
                          numeric) == pytest.approx(1.0, abs=1e-10)
@@ -515,6 +522,32 @@ def test_truncation_convergence_between_cutoffs():
         res = run_fock(circuit, n_max=n_max)
         fids.append(fock_fidelity(csstate_to_fock(target, n_max), res.final))
     assert abs(fids[0] - fids[1]) <= 1e-8
+
+
+def test_a_leak_past_the_cutoff_after_a_beam_splitter_is_refused():
+    # each prep fits n_max 60, but |5 sqrt2> after the splitter does not:
+    # 0.072 of the norm is lost by the selection, which would report
+    # p_success 7.8 % high
+    circuit = Circuit(5.0, (Prep("a", 5.0), Prep("b", -5.0),
+                            BeamSplitter("a", "b"), SelectVacuum("b")))
+    with pytest.raises(RunError, match="cutoff 60 loses 0.072") as exc:
+        run_fock(circuit, n_max=60)
+    assert exc.value.index == 3
+    assert isinstance(exc.value.__cause__, FockTruncationError)
+    analytic = run(circuit, SelectionMode.exact())
+    numeric = run_fock(circuit, n_max=100)
+    # p_success is about 1.9e-22, so it is compared relatively
+    assert abs(numeric.p_success / analytic.p_success - 1.0) <= 1e-6
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, 100),
+                            numeric.final)
+    assert abs(1.0 - overlap) <= 1e-6
+
+
+def test_a_leak_at_the_final_renormalization_is_refused():
+    circuit = Circuit(5.0, (Prep("a", 5.0), Prep("b", -5.0),
+                            BeamSplitter("a", "b")))
+    with pytest.raises(FockTruncationError, match="cutoff 60 loses"):
+        run_fock(circuit, n_max=60)
 
 
 def test_selection_probability_matches_analytic_exact_mode():
@@ -573,9 +606,10 @@ def test_oracle_build_reaches_the_analytic_target_fidelity(n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (1, 4), (2, 3)])
 def test_oracle_tensors_are_fortran_order(n, m):
+    # n_max 12 is the smallest cutoff that holds these builds to 1e-6
     params = ProtocolParams(n, m, 1.0)
-    final = run_fock(build_cghz_circuit(params), n_max=10).final
-    converted = csstate_to_fock(ideal_cghz_state(params), 10)
+    final = run_fock(build_cghz_circuit(params), n_max=12).final
+    converted = csstate_to_fock(ideal_cghz_state(params), 12)
     for t in (final, converted):
         assert t.mode_count == n * m
         assert t.amps.flags.f_contiguous
@@ -592,11 +626,11 @@ def test_each_tensor_norm_is_taken_once(n, m, monkeypatch):
 
     monkeypatch.setattr(fock, "_sq_norm", counting)
     params = ProtocolParams(n, m, 1.0)
-    csstate_to_fock(ideal_cghz_state(params), 10)
+    csstate_to_fock(ideal_cghz_state(params), 12)
     assert len(calls) == 1
     calls.clear()
     circuit = build_cghz_circuit(params)
-    run_fock(circuit, n_max=10)
+    run_fock(circuit, n_max=12)
     kinds = [type(ins) for ins in circuit.instructions]
     # one per Hadamard's coefficients, the input and the kept slice of
     # each selection, and the final tensor
