@@ -12,26 +12,30 @@ the instruction loop, ``engine._execute``, is shared with the analytic
 engine; the kernels it drives here share no arithmetic with it.
 
 Every ``FockTensor`` is stored in Fortran order (first mode varies
-fastest), the layout the kernels leave: each prep puts its new mode
-first in memory, so the backend's final tensor is already Fortran
-order on every paper build and ``run_fock`` hands it over without a
-copy.  The kernels compute on the tensor the backend owns, in whatever
-axis order its memory holds.  The beam-splitter blocks are real
-orthogonal matrices, each applied in place by one matrix product on a
-strided slice of rows of the tensor viewed as float64, with no index
-gather or scatter; the tensor is copied once only when the two modes
-do not already lead its memory.  A new mode is prepared leading the
-memory, so splitting a mode (a vacuum prep and a beam splitter) needs
-no copy when that mode leads.  The Hadamard contracts one axis with
-its two dual vectors, normalizes the small coefficient tensor and
-expands it with the two cat vectors in place.  Heralding copies only
-the vacuum slice.  An analytic state is expanded by one matrix product
-of two tables of row-wise Kronecker products of coherent vectors,
-taken over the modes in reverse so that the product is the
-Fortran-order tensor.  Norms are single-pass dot products, and each
-tensor's squared norm is taken once: ``run_fock`` and
-``csstate_to_fock`` hand the one they computed to the ``FockTensor``
-they return.
+fastest), the layout the kernels leave, so the backend's final tensor is
+already Fortran order on every paper build and ``run_fock`` hands it
+over without a copy.  The backend holds the last prepared mode as a
+vector of its own until a gate entangles it: a Hadamard on that mode
+acts on the vector alone, and a beam splitter with it as the second
+mode writes its output once, with that mode leading the memory, then
+the first, then the others as they were.  Anything else multiplies the
+vector into the tensor first, the new axis leading the memory.  The
+beam-splitter blocks are real orthogonal matrices; on the tensor, each
+is applied in place by one matrix product on a strided slice of rows
+of the tensor viewed as float64, with no index gather or scatter, and
+the tensor is copied once only when the two modes do not already lead
+its memory.  Onto a held mode, each block's columns are scaled by the
+vector's entries and only those inside its nonzero support are used:
+one for the vacuum of a split, which so costs one pass over its
+output.  The Hadamard contracts one axis with its two dual vectors,
+normalizes the small coefficient tensor and expands it with the two cat
+vectors in place.  Heralding copies only the vacuum slice.  An analytic
+state is expanded by one matrix product of two tables of row-wise
+Kronecker products of coherent vectors, taken over the modes in reverse
+so that the product is the Fortran-order tensor.  Norms are single-pass
+dot products, and each tensor's squared norm is taken once: ``run_fock``
+and ``csstate_to_fock`` hand the one they computed to the
+``FockTensor`` they return.
 
 Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``csstate_to_fock`` expands an analytic state for comparison and
@@ -56,8 +60,10 @@ with FockTruncationError: a prep whose vector loses more than
 LOST_NORM_LIMIT (1e-6) of its norm, and a tensor whose squared norm has
 fallen by more than that since it was last renormalized, which beam
 splitters cause.  The tensor is checked where its norm is taken anyway,
-at each vacuum selection and at the final renormalization.  A leak
-before a Hadamard goes unchecked: the Hadamard renormalizes from its
+at each vacuum selection and at the final renormalization.  A Hadamard
+on a held mode normalizes only that mode's vector, so a leak before it
+is caught at the next check.  Only a Hadamard on a mode already in the
+tensor renormalizes a leak away unchecked: it renormalizes from its
 small coefficient tensor, and checking its input would cost one more
 pass over the tensor per Hadamard.
 """
@@ -254,21 +260,31 @@ def _memory_order(x: np.ndarray) -> tuple:
     return tuple(np.argsort([-st for st in x.strides], kind="stable"))
 
 
+def _block_rows(n_max: int):
+    """Yield (n, lo, hi, u, rows) for each block of ``_bs_blocks``: its
+    total photon number, its photon-number range on the first mode, its
+    matrix and the rows that hold it in a two-mode tensor flattened to
+    (d*d, cols).  Row k*d + l holds k and l photons on the two modes, so
+    the rows (k, n-k) for k = lo..hi are every (d-1)-th row."""
+    d = n_max + 1
+    for n, (lo, hi, u) in enumerate(_bs_blocks(n_max)):
+        yield n, lo, hi, u, slice(n + lo * (d - 1), n + hi * (d - 1) + 1,
+                                  d - 1)
+
+
 def _apply_two_mode(amps: np.ndarray, i: int, j: int,
                     n_max: int) -> np.ndarray:
     """Apply the cached beam-splitter blocks on axes (i, j).
 
     The tensor is laid out with axes i and j leading, then the others,
-    each group in memory order, and flattened.  Row k*d + l then holds
-    k and l photons on the two leading modes, and the rows (k, n-k) of
-    block n are every (d-1)-th row, so each block is one real matrix
-    product on a basic strided slice of the tensor viewed as float64
-    (a complex tensor's real and imaginary parts as adjacent columns;
-    a real tensor is float64 already), written back in
-    place through a reused (d, cols) scratch.  Every row belongs to
-    exactly one block.  With j leading, the slice holds the block's
-    photon numbers on mode i in reverse, so the block is applied
-    reversed in both indices.
+    each group in memory order, and flattened to the rows of
+    ``_block_rows``, so each block is one real matrix product on a basic
+    strided slice of the tensor viewed as float64 (a complex tensor's
+    real and imaginary parts as adjacent columns; a real tensor is
+    float64 already), written back in place through a reused (d, cols)
+    scratch.  Every row belongs to exactly one block.  With j leading,
+    the slice holds the block's photon numbers on mode i in reverse, so
+    the block is applied reversed in both indices.
 
     The blocks run on ``amps`` itself when axes i and j already lead its
     memory, and on one C-ordered copy of it otherwise.  Returns a view
@@ -283,25 +299,60 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int,
         work = work.copy()
     flat = work.reshape(d * d, -1).view(np.float64)
     scratch = np.empty((d, flat.shape[1]))
-    for n, (lo, hi, u) in enumerate(_bs_blocks(n_max)):
+    for n, lo, hi, u, rows in _block_rows(n_max):
         if lead[0] == j:
             u = u[::-1, ::-1]
-        rows = flat[n + lo * (d - 1):n + hi * (d - 1) + 1:d - 1]
         block = scratch[:hi - lo + 1]
-        np.matmul(u, rows, out=block)
-        rows[...] = block
+        np.matmul(u, flat[rows], out=block)
+        flat[rows] = block
     return work.transpose(np.argsort(order))
 
 
-def _prep(amps: np.ndarray, amp: complex, n_max: int) -> np.ndarray:
-    """Append an axis in the coherent state |amp>: amps (x) |amp>.
+def _bs_fresh(amps: np.ndarray, i: int, vec: np.ndarray,
+              n_max: int) -> np.ndarray:
+    """Beam splitter on (i, j) where mode j, axis ``amps.ndim``, is in
+    the single-mode state ``vec`` and not yet multiplied into ``amps``:
+    ``_apply_two_mode(_prep(amps, vec), i, amps.ndim, n_max)``, with the
+    output written once and no product tensor formed.
+
+    The output is laid out with j leading its memory, then i, then the
+    other axes in the input's memory order, and flattened to the rows of
+    ``_block_rows`` with j as the first mode: block n's slice holds j's
+    photon numbers lo..hi, so i's in reverse, and the block's rows are
+    taken reversed.  Its input is k photons on mode i, a row of ``amps``
+    with axis i leading, times vec[n - k]: block n's column k scaled by
+    vec[n - k].  Only the k with n - k inside vec's nonzero support are
+    taken, one for the vacuum of a split.  ``amps`` is read, not
+    written.
+    """
+    d = n_max + 1
+    rest = tuple(ax for ax in _memory_order(amps) if ax != i)
+    # a view when axis i leads the memory, else one copy of the input
+    src = np.ascontiguousarray(amps.transpose((i,) + rest).reshape(d, -1))
+    out = np.empty((d, d) + tuple(amps.shape[ax] for ax in rest),
+                   dtype=np.result_type(amps, vec))
+    flat = out.reshape(d * d, -1)
+    support = np.flatnonzero(vec)
+    first, last = int(support[0]), int(support[-1])
+    for n, lo, hi, u, rows in _block_rows(n_max):
+        k_lo, k_hi = max(lo, n - last), min(hi, n - first)
+        if k_lo > k_hi:
+            flat[rows] = 0
+            continue
+        weights = vec[n - k_hi:n - k_lo + 1][::-1]
+        np.matmul(u[::-1, k_lo - lo:k_hi - lo + 1] * weights,
+                  src[k_lo:k_hi + 1], out=flat[rows])
+    return out.transpose(np.argsort((amps.ndim, i) + rest))
+
+
+def _prep(amps: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Append an axis in the single-mode state ``vec``: amps (x) vec.
 
     The new axis leads the output's memory, so a beam splitter between
-    it and the mode leading the input's memory (a split of that mode)
-    needs no copy.  A real amplitude's vector is taken as float64, so a
-    real tensor stays real and a complex amplitude promotes it.
+    it and the mode leading the input's memory needs no copy.  A real
+    tensor stays real under a float64 vector and a complex one promotes
+    it.
     """
-    vec = _as_real(coherent_fock(amp, n_max))
     return np.moveaxis(np.multiply.outer(vec, amps), 0, -1)
 
 
@@ -522,31 +573,57 @@ def _check_fits(circuit: Circuit, n_max: int):
 
 
 class _Fock:
-    """Backend of ``run_fock``: the number-basis kernels on a dense tensor."""
+    """Backend of ``run_fock``: the number-basis kernels on a dense tensor
+    and, until a gate entangles it, the last prepared mode as a vector of
+    its own."""
 
     def __init__(self, n_max: int):
         self.n_max = n_max
         # the empty tensor product: a zero-mode tensor of norm one, real
         # until a complex prep promotes it
         self.amps = np.ones((), dtype=np.float64)
+        # the state of mode amps.ndim, the last prepared one, while it is
+        # still a product factor; None once it is multiplied in
+        self.fresh: np.ndarray | None = None
         self.probs: list[float] = []
 
+    def _is_fresh(self, i: int) -> bool:
+        return self.fresh is not None and i == self.amps.ndim
+
+    def dense(self) -> np.ndarray:
+        """The whole state as one tensor: multiplies the fresh mode in."""
+        if self.fresh is not None:
+            self.amps = _prep(self.amps, self.fresh)
+            self.fresh = None
+        return self.amps
+
     def prep(self, amp: complex):
-        self.amps = _prep(self.amps, amp, self.n_max)
+        self.dense()
+        # a real amplitude's vector is float64, so a real tensor stays real
+        self.fresh = _as_real(coherent_fock(amp, self.n_max))
 
     def hadamard(self, i: int, alpha_ref: float):
-        self.amps = _hadamard(self.amps, i,
-                              *_hadamard_factors(alpha_ref, self.n_max))
+        factors = _hadamard_factors(alpha_ref, self.n_max)
+        if self._is_fresh(i):
+            # normalizes the vector only: a leak in the tensor is still
+            # refused at the next selection or at the end
+            self.fresh = _hadamard(self.fresh, 0, *factors)
+        else:
+            self.amps = _hadamard(self.amps, i, *factors)
 
     def bs(self, i: int, j: int):
-        self.amps = _apply_two_mode(self.amps, i, j, self.n_max)
+        if self._is_fresh(j):
+            self.amps = _bs_fresh(self.amps, i, self.fresh, self.n_max)
+            self.fresh = None
+        else:
+            self.amps = _apply_two_mode(self.dense(), i, j, self.n_max)
 
     def split(self, i: int):
         self.prep(0)
-        self.bs(i, self.amps.ndim - 1)
+        self.bs(i, self.amps.ndim)
 
     def select(self, i: int, name: str):
-        self.amps, prob = _vacuum_project(self.amps, i)
+        self.amps, prob = _vacuum_project(self.dense(), i)
         self.probs.append(prob)
 
 
@@ -568,7 +645,7 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     order = _execute(circuit, backend)
     # the backend owns its tensor, Fortran order on every paper build:
     # normalized in place and handed over with its unit norm
-    amps = np.asfortranarray(backend.amps)
+    amps = np.asfortranarray(backend.dense())
     sq = _sq_norm(amps)
     _check_leak(sq, n_max)
     amps /= math.sqrt(sq)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -219,6 +220,32 @@ def test_oracle_disagreement_exits_two(tmp_path, capsys):
     code, out, _ = run_cli(["oracle", str(path), "--nmax", "40"], capsys)
     assert code == 2
     assert "agreement within 1e-6: NO" in out
+
+
+def test_oracle_gates_a_tiny_p_success_relative_to_its_size(
+        tmp_path, capsys, monkeypatch):
+    # p_success is about 1.9e-22 here: an oracle 7.8 % high differs by
+    # 1.5e-23, far below any absolute tolerance, and still disagrees
+    path = tmp_path / "faint.cir"
+    path.write_text("alpha 5.0\nprep a 5\nprep b -5\nbs a b\n"
+                    "select0 b\n")
+    run_fock = cli.run_fock
+
+    def high(circuit, n_max):
+        res = run_fock(circuit, n_max=n_max)
+        return dataclasses.replace(res, p_success=1.078 * res.p_success)
+
+    code, out, _ = run_cli(["oracle", str(path), "--nmax", "100"], capsys)
+    assert code == 0
+    assert "agreement within 1e-6: yes" in out
+    monkeypatch.setattr(cli, "run_fock", high)
+    code, out, _ = run_cli(["oracle", str(path), "--nmax", "100"], capsys)
+    assert code == 2
+    assert "agreement within 1e-6: NO" in out
+    p = [float(line.split()[-1]) for line in out.splitlines()
+         if line.startswith("p_success")]
+    assert p[0] < 1e-21
+    assert p[1] / p[0] == pytest.approx(1.078, rel=1e-6)
 
 
 def test_oracle_refuses_a_leak_past_the_cutoff(tmp_path, capsys):

@@ -38,9 +38,11 @@ from cghzsim.fock import (
     FockTensor,
     _apply_two_mode,
     _bs_blocks,
+    _bs_fresh,
     _hadamard,
     _hadamard_factors,
     _memory_order,
+    _prep,
     _vacuum_project,
     coherent_fock,
     hadamard_fock_matrix,
@@ -198,6 +200,34 @@ def test_bs_kernel_matches_dense_reference_on_every_axis_pair(rng, modes):
                 # in place exactly when the pair leads the memory
                 leads = set(_memory_order(own)[:2]) == {i, j}
                 assert np.shares_memory(got, own) == leads, (i, j)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_fresh_mode_beam_splitter_matches_prep_then_kernel(rng, kind):
+    # the beam splitter onto a freshly prepared mode writes its output
+    # once, with no product tensor; the result is that of multiplying the
+    # mode in first.  The odd cat's support starts at 1 and, at an even
+    # cutoff, ends at n_max - 1; the vacuum's is the one entry 0
+    n_max = 6
+    amps = random_tensor(rng, 3, n_max)
+    if kind == "real":
+        amps = amps.real / np.linalg.norm(amps.real)
+    vecs = {"coherent": coherent_fock(0.5, n_max).real,
+            "complex coherent": coherent_fock(0.3 - 0.4j, n_max),
+            "vacuum": coherent_fock(0.0, n_max).real,
+            "odd cat": _hadamard_factors(0.5, n_max)[0][:, 1]}
+    for x in kernel_layouts(amps, n_max):
+        for name, vec in vecs.items():
+            for i in range(3):
+                before = x.copy(order="K")
+                got = _bs_fresh(x, i, vec, n_max)
+                expect = _apply_two_mode(_prep(x, vec), i, 3, n_max)
+                assert got.dtype == expect.dtype
+                assert np.max(np.abs(got - expect)) <= 1e-13, (name, i)
+                # the new mode, then mode i, then the others as they were
+                rest = tuple(ax for ax in _memory_order(x) if ax != i)
+                assert _memory_order(got) == (3, i) + rest, (name, i)
+                assert x.tobytes(order="A") == before.tobytes(order="A")
 
 
 def test_bs_blocks_are_real_orthogonal():
@@ -613,6 +643,30 @@ def test_oracle_tensors_are_fortran_order(n, m):
     for t in (final, converted):
         assert t.mode_count == n * m
         assert t.amps.flags.f_contiguous
+
+
+# every oracle_xcheck build of the benchmark, and the 6-mode builds
+@pytest.mark.parametrize("n,m,alpha,n_max", [
+    (3, 1, 2.0, 40), (2, 2, 2.0, 40), (4, 1, 2.0, 40), (1, 4, 2.0, 40),
+    (2, 3, 1.0, 14), (3, 2, 1.0, 14), (1, 6, 1.0, 14), (6, 1, 1.0, 14)])
+def test_backend_hands_over_a_fortran_tensor(n, m, alpha, n_max,
+                                             monkeypatch):
+    # run_fock's result is Fortran order whatever the backend leaves; on
+    # these builds the backend's own tensor already is, so the handover
+    # copies nothing
+    handed = []
+
+    class Recording(fock._Fock):
+        def dense(self):
+            amps = super().dense()
+            handed.append(amps)
+            return amps
+
+    monkeypatch.setattr(fock, "_Fock", Recording)
+    circuit = build_cghz_circuit(ProtocolParams(n, m, alpha))
+    final = run_fock(circuit, n_max=n_max).final
+    assert handed[-1].flags.f_contiguous
+    assert np.shares_memory(final.amps, handed[-1])
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (1, 4), (2, 3)])
