@@ -18,7 +18,7 @@ import sys
 
 from .analysis import SweepPoint, sweep, theoretical_p
 from .coherent import CsState
-from .dsl import parse, serialize
+from .dsl import _fmt_real, parse, serialize
 from .engine import RunResult, run
 from .errors import SimulationError
 from .fock import DEFAULT_NMAX, csstate_to_fock, fock_fidelity, run_fock
@@ -120,10 +120,6 @@ def _run_payload(result: RunResult) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _cmd_build(args) -> int:
     params = ProtocolParams(args.n, args.m, args.alpha, cap=_nm_cap())
     circuit = build_cghz_circuit(params)
@@ -164,11 +160,11 @@ def _cmd_run(args) -> int:
         print(json.dumps(_run_payload(outcome), indent=2))
         return EXIT_OK
     print(f"modes: {' '.join(outcome.mode_order)}")
-    print(f"p_success: {_fmt(outcome.p_success)}")
-    print(f"total_false_vacuum: {_fmt(outcome.total_false_vacuum)}")
+    print(f"p_success: {_fmt_real(outcome.p_success)}")
+    print(f"total_false_vacuum: {_fmt_real(outcome.total_false_vacuum)}")
     for rec in outcome.selections:
-        print(f"select0 {rec.mode_name}: kept_prob={_fmt(rec.kept_prob)} "
-              f"false_vacuum={_fmt(rec.false_vacuum_prob)}")
+        print(f"select0 {rec.mode_name}: kept_prob={_fmt_real(rec.kept_prob)} "
+              f"false_vacuum={_fmt_real(rec.false_vacuum_prob)}")
     print(f"final state: {outcome.final_state.term_count} terms")
     _print_terms(outcome.final_state, 9)
     return EXIT_OK
@@ -180,7 +176,7 @@ def _sweep_rows(points):
     # a blank point names the columns even when every point failed
     fields = dataclasses.fields(SweepPoint)
     header = list(SweepPoint(**{f.name: None for f in fields}).as_dict())
-    rows = [[_fmt(v) if isinstance(v, float) else str(v)
+    rows = [[_fmt_real(v) if isinstance(v, float) else str(v)
              for v in p.as_dict().values()] for p in points]
     return header, rows
 
@@ -216,10 +212,11 @@ def _cmd_target(args) -> int:
     if args.json:
         print(json.dumps(_state_payload(state), indent=2))
         return EXIT_OK
-    print(f"ideal target for n={args.n} m={args.m} alpha={_fmt(args.alpha)}: "
+    print(f"ideal target for n={args.n} m={args.m} "
+          f"alpha={_fmt_real(args.alpha)}: "
           f"{state.term_count} terms on {state.mode_count} modes")
     print(f"asymptotic heralding probability: "
-          f"{_fmt(theoretical_p(args.n, args.m))}")
+          f"{_fmt_real(theoretical_p(args.n, args.m))}")
     _print_terms(state, 12)
     return EXIT_OK
 
@@ -236,14 +233,14 @@ def _cmd_oracle(args) -> int:
     overlap = fock_fidelity(converted, reference.final)
     dp = abs(analytic.p_success - reference.p_success)
     print(f"modes: {' '.join(reference.mode_order)}")
-    print(f"p_success analytic:  {_fmt(analytic.p_success)}")
-    print(f"p_success fock:      {_fmt(reference.p_success)}")
-    print(f"|delta p_success|:   {_fmt(dp)}")
+    print(f"p_success analytic:  {_fmt_real(analytic.p_success)}")
+    print(f"p_success fock:      {_fmt_real(reference.p_success)}")
+    print(f"|delta p_success|:   {_fmt_real(dp)}")
     per = [abs(a.kept_prob - b) for a, b in
            zip(analytic.selections, reference.probabilities)]
     if per:
-        print(f"max |delta kept_prob|: {_fmt(max(per))}")
-    print(f"final-state overlap |<fock|analytic>|^2: {_fmt(overlap)}")
+        print(f"max |delta kept_prob|: {_fmt_real(max(per))}")
+    print(f"final-state overlap |<fock|analytic>|^2: {_fmt_real(overlap)}")
     # relative, so a circuit with a tiny p_success is held to its digits
     agree = (dp <= 1e-6 * max(analytic.p_success, reference.p_success)
              and (1.0 - overlap) <= 1e-6)

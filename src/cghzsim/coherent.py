@@ -51,7 +51,6 @@ finiteness checks and sets both arrays read-only.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -91,29 +90,6 @@ _GROUPING_COST = 3000
 _TABLE_COST = 1600
 _MAC_COST = 0.05
 _REAL_DENSE_COST = 0.15
-
-
-def _require_finite(z: complex, what: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{what} must be finite, got {z!r}")
-    return z
-
-
-def coherent_overlap(a: complex, b: complex) -> complex:
-    """Overlap <a|b> of two single-mode coherent states.
-
-    Evaluated as exp(-(|a|^2+|b|^2)/2 + conj(a)*b) in a single exponential
-    call; |<a|b>| <= 1 always.  Magnitudes below 1e-300 are flushed to 0.
-    """
-    a = _require_finite(a, "amplitude a")
-    b = _require_finite(b, "amplitude b")
-    expo = -0.5 * (a.real * a.real + a.imag * a.imag
-                   + b.real * b.real + b.imag * b.imag) + a.conjugate() * b
-    val = np.exp(complex(expo))
-    if abs(val) < OVERLAP_FLUSH:
-        return 0.0 + 0.0j
-    return complex(val)
 
 
 class CsState:
@@ -162,11 +138,6 @@ class CsState:
                 x.setflags(write=False)
         self.coeffs = coeffs
         self.amps = amps
-
-    @classmethod
-    def single(cls, amps: Sequence[complex]) -> "CsState":
-        """The product coherent state |a_1>...|a_M> (unit norm)."""
-        return cls([1.0 + 0.0j], [list(amps)])
 
     @property
     def mode_count(self) -> int:

@@ -205,7 +205,7 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
     method leaves the working state at unit norm (the Hadamard and
     selection kernels renormalize their output), so the loop runs each
     instruction once and never renormalizes, and the coherent backend
-    hands ``select_vacuum`` that unit norm instead of summing it again.
+    meets ``select_vacuum``'s unit-norm precondition.
 
     Raises RunError (with the instruction index) for any SimulationError
     the backend raises.
@@ -263,8 +263,7 @@ class _Coherent:
         self._keep(split_mode(self.state, i))
 
     def select(self, i: int, name: str):
-        # the working state has unit norm (see _execute): no input Gram sum
-        state, record = select_vacuum(self.state, i, self.sel, norm_sq=1.0,
+        state, record = select_vacuum(self.state, i, self.sel,
                                       mode_name=name)
         self.selections.append(record)
         self._keep(state)
@@ -277,8 +276,8 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     unit norm after every instruction: prep and beam splitter (so split)
     are unitary, and apply_hadamard (not an isometry on entangled inputs)
     and select_vacuum return unit-norm states.  So the final state is
-    returned as the executor leaves it, each selection is told its input
-    norm is 1 (``norm_sq=1.0``) rather than computing it, each recorded
+    returned as the executor leaves it, each selection gets the
+    unit-norm input ``select_vacuum`` requires, each recorded
     ``kept_prob`` is the conditional heralding probability of that
     selection, and ``p_success`` is their product.  Exact selection lets
     vacuum residue into gate modes, so Hadamards then run with the

@@ -39,9 +39,9 @@ and ``csstate_to_fock`` hand the one they computed to the
 
 Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``csstate_to_fock`` expands an analytic state for comparison and
-``fock_fidelity`` compares two tensors.  ``FockTensor``,
-``coherent_fock`` and ``hadamard_fock_matrix`` are the building blocks
-they expose; the kernels themselves are private.
+``fock_fidelity`` compares two tensors.  ``FockTensor`` and
+``coherent_fock`` are the building blocks they expose; the kernels
+themselves are private.
 
 The representation is dense, (n_max+1)^modes amplitudes, whose dtype
 follows the data: a tensor is float64 while every amplitude that built
@@ -59,13 +59,12 @@ The cutoff leaks norm, and the oracle refuses a run it makes inaccurate
 with FockTruncationError: a prep whose vector loses more than
 LOST_NORM_LIMIT (1e-6) of its norm, and a tensor whose squared norm has
 fallen by more than that since it was last renormalized, which beam
-splitters cause.  The tensor is checked where its norm is taken anyway,
-at each vacuum selection and at the final renormalization.  A Hadamard
-on a held mode normalizes only that mode's vector, so a leak before it
-is caught at the next check.  Only a Hadamard on a mode already in the
-tensor renormalizes a leak away unchecked: it renormalizes from its
-small coefficient tensor, and checking its input would cost one more
-pass over the tensor per Hadamard.
+splitters cause.  Every renormalization first refuses a loss above
+LOST_NORM_LIMIT: each vacuum selection and the final renormalization
+check the norm they take anyway, and a Hadamard on a mode already in
+the tensor, which renormalizes from its small coefficient tensor, takes
+one more pass over the tensor to check its input.  A Hadamard on a held
+mode normalizes only that mode's vector and leaves the tensor as it is.
 """
 
 from __future__ import annotations
@@ -451,17 +450,6 @@ def _hadamard_factors(alpha_ref: float, n_max: int) -> tuple:
     return cats, duals
 
 
-def hadamard_fock_matrix(alpha_ref: float, n_max: int) -> np.ndarray:
-    """Coherent-qubit Hadamard as a read-only float64 (n_max+1)^2 matrix:
-    the rank-2 product ``cats @ duals`` of its cached factors (even/odd
-    cat outputs times the input frame dual to {|a>, |-a>})."""
-    _check_cutoff(n_max)
-    cats, duals = _hadamard_factors(alpha_ref, n_max)
-    mat = cats @ duals
-    mat.setflags(write=False)
-    return mat
-
-
 def _row_kron(tables: list, weights: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker products: row t is weights[t] times the outer
     product of row t of each (T, d) table, flattened in C order."""
@@ -606,9 +594,10 @@ class _Fock:
         factors = _hadamard_factors(alpha_ref, self.n_max)
         if self._is_fresh(i):
             # normalizes the vector only: a leak in the tensor is still
-            # refused at the next selection or at the end
+            # refused at its next renormalization
             self.fresh = _hadamard(self.fresh, 0, *factors)
         else:
+            _check_leak(_sq_norm(self.amps), self.n_max)
             self.amps = _hadamard(self.amps, i, *factors)
 
     def bs(self, i: int, j: int):
@@ -636,9 +625,9 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     pipelines are comparable point by point.  Only circuits whose widest
     tensor and its scratch copy fit MAX_FOCK_BYTES at this cutoff can
     run; invalid, oversized or empty circuits raise before anything is
-    allocated.  A selection or the final renormalization that finds more
-    than LOST_NORM_LIMIT of the norm leaked past the cutoff raises
-    FockTruncationError, wrapped in RunError at a selection.
+    allocated.  A renormalization that finds more than LOST_NORM_LIMIT
+    of the norm leaked past the cutoff raises FockTruncationError,
+    wrapped in RunError at an instruction and bare at the end of the run.
     """
     _check_fits(circuit, n_max)
     backend = _Fock(n_max)

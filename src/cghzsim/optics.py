@@ -25,7 +25,7 @@ read-only arrays of its input (``CsState._adopt``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -81,7 +81,7 @@ class SelectionMode:
         return cls("branch")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class SelectionRecord:
     """Bookkeeping for one vacuum selection.
 
@@ -90,46 +90,28 @@ class SelectionRecord:
     exact selection, which drops none), and ``false_vacuum_prob`` the
     probability that a non-vacuum branch nevertheless leaves the
     detector silent (weight |c <0|a>|^2 summed over non-vacuum labels).
-    All three are relative to the incoming squared norm.
+    All three are relative to the unit-norm input state.
 
     Nothing in a run reads ``discarded_weight``, so the record keeps the
     dropped terms, as the input state and the mask of its dropped rows,
-    with the incoming squared norm, and takes their Gram sum the first
-    time the weight is read; the float is cached.  Records compare and
-    hash by their five values, the weight included.
+    and takes their Gram sum the first time the weight is read; the
+    float is cached.  Records compare, hash and print by the fields they
+    store, not by the weight, so none of these takes that Gram sum.
     """
 
     mode: int
     kept_prob: float
     false_vacuum_prob: float = 0.0
     mode_name: str | None = None
-    _dropped: tuple[CsState, np.ndarray] | None = None
-    _in_sq: float = 1.0
+    _dropped: tuple[CsState, np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     @cached_property
     def discarded_weight(self) -> float:
         if self._dropped is None:
             return 0.0
         s, rows = self._dropped
-        return state_norm(CsState._adopt(s.coeffs[rows], s.amps[rows])
-                          ) ** 2 / self._in_sq
-
-    def _values(self) -> tuple:
-        return (self.mode, self.kept_prob, self.discarded_weight,
-                self.false_vacuum_prob, self.mode_name)
-
-    def __eq__(self, other):
-        if not isinstance(other, SelectionRecord):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return ("SelectionRecord(mode={!r}, kept_prob={!r}, "
-                "discarded_weight={!r}, false_vacuum_prob={!r}, "
-                "mode_name={!r})".format(*self._values()))
+        return state_norm(CsState._adopt(s.coeffs[rows], s.amps[rows])) ** 2
 
 
 def _check_mode_index(s: CsState, i: int):
@@ -269,9 +251,10 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
 
 
 def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
-                  norm_sq: float | None = None, mode_name: str | None = None
+                  mode_name: str | None = None
                   ) -> tuple[CsState, SelectionRecord]:
-    """Post-select "no photon" on mode i and remove that mode.
+    """Post-select "no photon" on mode i of a unit-norm state and remove
+    that mode.
 
     Both modes apply the same projection: every kept term's coefficient
     is scaled by its vacuum overlap <0|a_i> = exp(-|a_i|^2/2).  The mode
@@ -283,16 +266,13 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
     kept_prob is the squared norm of the projected kept terms,
     discarded_weight that of the dropped terms (0 when none are), and
     false_vacuum_prob the probability that the non-vacuum terms herald
-    silently anyway (the selection error of a no-click detector).  All
-    three are relative to the incoming squared norm, so callers need not
-    renormalize between selections.  ``norm_sq`` is that squared norm
-    when the caller already knows it (``run`` passes 1.0, since its
-    working state has unit norm); left at None it is computed by a Gram
-    sum.  A given ``norm_sq`` must be finite and non-negative
-    (DomainError), and a zero one raises ZeroProbabilityError.  The
-    record keeps the dropped terms and that squared norm, and takes the
-    Gram sum of discarded_weight only when it is first read (see
-    SelectionRecord); ``mode_name`` is stored in it as given.
+    silently anyway (the selection error of a no-click detector).  The
+    input must have unit norm, as ``run``'s working state does, so these
+    are probabilities as they stand; the input norm is not checked,
+    since that would cost a Gram sum over every input term.  The record
+    keeps the dropped terms and takes the Gram sum of discarded_weight
+    only when it is first read (see SelectionRecord); ``mode_name`` is
+    stored in it as given.
 
     The returned state is the kept portion divided by its norm.  Kept
     rows are merged first, so the norm is a Gram sum over the merged
@@ -302,16 +282,6 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
     a vanishing norm, raises ZeroProbabilityError.
     """
     _check_mode_index(s, i)
-    if norm_sq is None:
-        in_sq = state_norm(s) ** 2
-    else:
-        in_sq = float(norm_sq)
-        if not (math.isfinite(in_sq) and in_sq >= 0.0):
-            raise DomainError(
-                f"norm_sq must be finite and non-negative, got {norm_sq!r}")
-    if in_sq <= ZERO_NORM ** 2:
-        raise ZeroProbabilityError("selection on a zero-norm state")
-
     labels = s.amps[:, i]
     vac_overlap = np.exp(-0.5 * (labels.real**2 + labels.imag**2))
     silent = np.abs(labels) > VACUUM_LABEL_TOL
@@ -332,13 +302,12 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
             np.ptp(labels.real), np.ptp(labels.imag)) > DEFAULT_MERGE_TOL:
         kept = merge_terms(kept)
     kept_norm = state_norm(kept)
-    kept_prob = min(max(kept_norm ** 2 / in_sq, 0.0), 1.0)
-    false_prob = float((np.abs(projected[silent]) ** 2).sum()) / in_sq
+    kept_prob = min(kept_norm ** 2, 1.0)
+    false_prob = float((np.abs(projected[silent]) ** 2).sum())
     if kept_norm <= ZERO_NORM:
         raise ZeroProbabilityError(
             f"vacuum selection on mode {i} has vanishing probability")
     out = CsState._adopt(kept.coeffs / kept_norm, kept.amps)
     return out, SelectionRecord(mode=i, kept_prob=kept_prob,
                                 false_vacuum_prob=false_prob,
-                                mode_name=mode_name, _dropped=dropped,
-                                _in_sq=in_sq)
+                                mode_name=mode_name, _dropped=dropped)

@@ -46,14 +46,8 @@ class ProtocolParams:
     The n*m product is capped (default 16).  The cap bounds intermediate
     term growth only under ``branch`` selection.  ``exact`` selection
     keeps every false-vacuum term, so its term count still grows
-    exponentially in n*m inside the cap.  Measured at alpha 2 with one
-    BLAS thread on a 2-vCPU x86 VM, with no term dropped: exact (4, 4)
-    peaks at 20736 terms and runs in 0.37 s and 80 MB, its norms factored
-    over per-block Gram tables, and (2, 8) at 35376 terms in 0.39 s.  The
-    costliest builds inside the cap are (8, 2), with the most terms
-    (190238, 4.5 s, about 360 MB; 373504, 8.7 s and 0.7 GB at alpha 1),
-    and (16, 1) and (1, 16), whose 49152-term states do not factor, so
-    ``run`` spends about 11 s on each in dense Gram sums.
+    exponentially in n*m inside the cap; the README gives the measured
+    peaks and times of the costliest builds.
     """
 
     n_logical: int

@@ -2,8 +2,72 @@ import numpy as np
 import pytest
 
 from cghzsim import CsState, normalize, state_norm
-from cghzsim.coherent import coherent_overlap, ghz_norm, merge_terms
-from cghzsim.fock import coherent_fock
+from cghzsim.coherent import ghz_norm, merge_terms
+from cghzsim.engine import BeamSplitter, Hadamard, Prep, SelectVacuum, Split
+from cghzsim.fock import _hadamard_factors, coherent_fock
+from cghzsim.optics import apply_bs, apply_hadamard, split_mode
+
+
+def coherent_overlap(a, b):
+    """<a|b> of two single-mode coherent states, one pair at a time:
+    exp(-(|a|^2 + |b|^2)/2 + conj(a) b) in one exponential, the scalar
+    reference for the Gram kernels."""
+    a, b = complex(a), complex(b)
+    expo = -0.5 * (a.real * a.real + a.imag * a.imag
+                   + b.real * b.real + b.imag * b.imag) + a.conjugate() * b
+    return complex(np.exp(expo))
+
+
+def coherent_product(amps):
+    """The one-term product coherent state |a_1>...|a_M> (unit norm)."""
+    return CsState([1.0], [list(amps)])
+
+
+def hadamard_matrix(alpha_ref, n_max):
+    """The oracle's coherent-qubit Hadamard as a dense (n_max+1)^2
+    matrix: the product ``cats @ duals`` of its cached factors."""
+    cats, duals = _hadamard_factors(alpha_ref, n_max)
+    return cats @ duals
+
+
+def false_vacuum_weights(circuit):
+    """Step a circuit through the optics primitives one instruction at a
+    time, with branch selection written out by hand, merging after every
+    instruction; return the false-vacuum weight of each selection, the
+    silent-heralding weight sum |c|^2 exp(-|a|^2) of its non-vacuum terms
+    relative to the state's squared norm."""
+    state = CsState(np.ones(1), np.zeros((1, 0)))
+    order, weights = [], []
+    for ins in circuit.instructions:
+        if isinstance(ins, Prep):
+            col = np.full((state.term_count, 1), complex(ins.amp))
+            state = CsState(state.coeffs,
+                            np.concatenate([state.amps, col], axis=1))
+            order.append(ins.mode)
+        elif isinstance(ins, Hadamard):
+            ref = circuit.alpha if ins.alpha_ref is None else ins.alpha_ref
+            state = normalize(apply_hadamard(
+                state, order.index(ins.mode), ref))
+        elif isinstance(ins, BeamSplitter):
+            state = apply_bs(state, order.index(ins.mode_a),
+                             order.index(ins.mode_b))
+        elif isinstance(ins, Split):
+            state = split_mode(state, order.index(ins.mode))
+            order.append(ins.new_mode)
+        elif isinstance(ins, SelectVacuum):
+            i = order.index(ins.mode)
+            labels = state.amps[:, i]
+            dead = np.abs(labels) > 1e-9
+            weights.append(float(np.sum(
+                np.abs(state.coeffs[dead]) ** 2
+                * np.exp(-np.abs(labels[dead]) ** 2)))
+                / state_norm(state) ** 2)
+            cols = [k for k in range(state.mode_count) if k != i]
+            state = normalize(CsState(state.coeffs[~dead],
+                                      state.amps[~dead][:, cols]))
+            order.pop(i)
+        state = merge_terms(state)
+    return weights
 
 
 def random_complex(rng, n, max_mag):

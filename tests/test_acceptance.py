@@ -22,7 +22,6 @@ from cghzsim import (
     fidelity,
     fock_fidelity,
     ideal_cghz_state,
-    normalize,
     parse,
     run,
     run_fock,
@@ -31,14 +30,14 @@ from cghzsim import (
     state_norm,
     theoretical_p,
 )
-from cghzsim.coherent import (
-    cat_norm,
-    coherent_overlap,
-    ghz_norm,
-    merge_terms,
+from cghzsim.coherent import cat_norm, ghz_norm
+from cghzsim.optics import apply_bs, apply_hadamard
+from conftest import (
+    coherent_product,
+    false_vacuum_weights,
+    random_complex,
+    random_state,
 )
-from cghzsim.optics import apply_bs, apply_hadamard, split_mode
-from conftest import random_complex, random_state
 
 BRANCH = SelectionMode.branch()
 EXACT = SelectionMode.exact()
@@ -181,7 +180,7 @@ def test_primitive_invariant_suite():
     for _ in range(cases):
         alpha = float(rng.uniform(0.5, 3.0))
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        out = apply_hadamard(CsState.single([sign * alpha]), 0, alpha)
+        out = apply_hadamard(coherent_product([sign * alpha]), 0, alpha)
         worst_h = max(worst_h, abs(state_norm(out) ** 2 - 1.0))
 
     worst_neg = 0.0
@@ -201,8 +200,9 @@ def test_primitive_invariant_suite():
     a = random_complex(rng, cases, 4.0)
     b = random_complex(rng, cases, 4.0)
     for x, y in zip(a, b):
+        sx, sy = coherent_product([x]), coherent_product([y])
         worst_conj = max(worst_conj, abs(
-            coherent_overlap(x, y) - coherent_overlap(y, x).conjugate()))
+            state_inner(sx, sy) - state_inner(sy, sx).conjugate()))
 
     ok = (worst_bs_norm <= 1e-10 and worst_involution <= 1e-12
           and worst_h <= 1e-12 and worst_neg >= -1e-12
@@ -223,42 +223,8 @@ def test_heralding_error_behavior():
     monotone = all(b < a for a, b in zip(totals, totals[1:]))
 
     # independent recomputation at alpha = 2 by stepping the primitives
-    alpha = 2.0
-    circuit = build_cghz_circuit(ProtocolParams(2, 2, alpha))
-    from cghzsim.engine import (
-        BeamSplitter, Hadamard, Prep, SelectVacuum, Split)
-    state = CsState(np.ones(1, dtype=complex),
-                    np.zeros((1, 0), dtype=complex))
-    order = []
-    manual_total = 0.0
-    for ins in circuit.instructions:
-        if isinstance(ins, Prep):
-            col = np.full((state.term_count, 1), complex(ins.amp))
-            state = CsState(state.coeffs,
-                            np.concatenate([state.amps, col], axis=1))
-            order.append(ins.mode)
-        elif isinstance(ins, Hadamard):
-            state = normalize(
-                apply_hadamard(state, order.index(ins.mode), alpha))
-        elif isinstance(ins, BeamSplitter):
-            state = apply_bs(state, order.index(ins.mode_a),
-                             order.index(ins.mode_b))
-        elif isinstance(ins, Split):
-            state = split_mode(state, order.index(ins.mode))
-            order.append(ins.new_mode)
-        elif isinstance(ins, SelectVacuum):
-            i = order.index(ins.mode)
-            total = state_norm(state) ** 2
-            labels = state.amps[:, i]
-            dead = np.abs(labels) > 1e-9
-            manual_total += float(np.sum(
-                np.abs(state.coeffs[dead]) ** 2
-                * np.exp(-np.abs(labels[dead]) ** 2))) / total
-            cols = [k for k in range(state.mode_count) if k != i]
-            state = normalize(CsState(state.coeffs[~dead],
-                                      state.amps[~dead][:, cols]))
-            order.pop(i)
-        state = merge_terms(state)
+    manual_total = sum(false_vacuum_weights(
+        build_cghz_circuit(ProtocolParams(2, 2, 2.0))))
     engine_total = totals[3]  # alpha = 2.0 entry
     agree = abs(engine_total - manual_total) <= 1e-12
 

@@ -18,8 +18,8 @@ from cghzsim import (
     sweep,
     theoretical_p,
 )
-from cghzsim.coherent import cat_norm, merge_terms
-from cghzsim.optics import apply_bs, apply_hadamard, split_mode
+from cghzsim.coherent import cat_norm
+from conftest import coherent_product, false_vacuum_weights
 
 BRANCH = SelectionMode.branch()
 EXACT = SelectionMode.exact()
@@ -49,7 +49,7 @@ def test_fidelity_vacuum_against_cat_closed_form():
         cat = normalize(CsState([1, 1], [[alpha], [-alpha]]))
         n0 = cat_norm(alpha, 1)
         expect = 2 * n0 ** 2 * math.exp(-alpha ** 2)
-        assert fidelity(CsState.single([0.0]), cat) == pytest.approx(
+        assert fidelity(coherent_product([0.0]), cat) == pytest.approx(
             expect, abs=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_fidelity_regression_full_build_alpha_one():
 
 def test_fidelity_mode_mismatch():
     with pytest.raises(ModeShapeError):
-        fidelity(CsState.single([1.0]), CsState.single([1.0, 1.0]))
+        fidelity(coherent_product([1.0]), coherent_product([1.0, 1.0]))
 
 
 # ------------------------------------------------------------ theoretical_p
@@ -169,50 +169,12 @@ def test_error_report_empty_run():
     assert r.total_false_vacuum == 0.0
 
 
-def test_error_report_matches_manual_gram_computation():
+def test_false_vacuum_weights_match_a_step_by_step_recomputation():
     # independently re-run the build step by step and accumulate the
     # discarded branches' silent-heralding weights
-    alpha = 2.0
-    circuit = build_cghz_circuit(ProtocolParams(2, 2, alpha))
+    circuit = build_cghz_circuit(ProtocolParams(2, 2, 2.0))
     result = run(circuit, BRANCH)
-
-    from cghzsim import state_norm
-    from cghzsim.engine import (
-        BeamSplitter, Hadamard, Prep, SelectVacuum, Split)
-
-    state = CsState(np.ones(1, dtype=complex), np.zeros((1, 0),
-                                                        dtype=complex))
-    order = []
-    manual = []
-    for ins in circuit.instructions:
-        if isinstance(ins, Prep):
-            col = np.full((state.term_count, 1), complex(ins.amp))
-            state = CsState(state.coeffs,
-                            np.concatenate([state.amps, col], axis=1))
-            order.append(ins.mode)
-        elif isinstance(ins, Hadamard):
-            state = normalize(apply_hadamard(
-                state, order.index(ins.mode), alpha))
-        elif isinstance(ins, BeamSplitter):
-            state = apply_bs(state, order.index(ins.mode_a),
-                             order.index(ins.mode_b))
-        elif isinstance(ins, Split):
-            state = split_mode(state, order.index(ins.mode))
-            order.append(ins.new_mode)
-        elif isinstance(ins, SelectVacuum):
-            i = order.index(ins.mode)
-            total = state_norm(state) ** 2
-            labels = state.amps[:, i]
-            dead = np.abs(labels) > 1e-9
-            weights = np.abs(state.coeffs[dead]) ** 2 * np.exp(
-                -np.abs(labels[dead]) ** 2)
-            manual.append(float(weights.sum()) / total)
-            keep = ~dead
-            cols = [k for k in range(state.mode_count) if k != i]
-            state = normalize(CsState(state.coeffs[keep],
-                                      state.amps[keep][:, cols]))
-            order.pop(i)
-        state = merge_terms(state)
+    manual = false_vacuum_weights(circuit)
 
     np.testing.assert_allclose(
         [rec.false_vacuum_prob for rec in result.selections], manual,

@@ -213,13 +213,15 @@ def test_oracle_reports_agreement(tmp_path, capsys):
 
 def test_oracle_disagreement_exits_two(tmp_path, capsys):
     # |4 sqrt2> after the first splitter does not fit below 40 photons;
-    # the Hadamard renormalizes before that leak is checked
+    # the Hadamard checks that leak before it renormalizes, so the oracle
+    # refuses the cutoff typed instead of comparing a lossy state
     path = tmp_path / "lossy.cir"
     path.write_text("alpha 4.0\nprep a +\nprep b +\nbs a b\nbs a b\n"
                     "h a\n")
-    code, out, _ = run_cli(["oracle", str(path), "--nmax", "40"], capsys)
+    code, out, err = run_cli(["oracle", str(path), "--nmax", "40"], capsys)
     assert code == 2
-    assert "agreement within 1e-6: NO" in out
+    assert "instruction 4: cutoff 40 loses 0.0707 of the norm" in err
+    assert "agreement" not in out
 
 
 def test_oracle_gates_a_tiny_p_success_relative_to_its_size(

@@ -15,14 +15,14 @@ from cghzsim import (
     state_norm,
 )
 from cghzsim import coherent
-from cghzsim.coherent import (
-    cat_norm,
-    coherent_overlap,
-    ghz_norm,
-    merge_terms,
-)
+from cghzsim.coherent import cat_norm, ghz_norm, merge_terms
 from cghzsim.fock import coherent_fock
-from conftest import random_complex, random_state
+from conftest import (
+    coherent_overlap,
+    coherent_product,
+    random_complex,
+    random_state,
+)
 
 E2 = math.exp(-2.0)
 
@@ -32,19 +32,25 @@ finite_complex = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
 
 # ---------------------------------------------------------------- overlap
 
+def overlap(a, b):
+    """<a|b> from the Gram kernel, as the inner product of two one-term
+    single-mode states."""
+    return state_inner(coherent_product([a]), coherent_product([b]))
+
+
 def test_overlap_identity():
-    assert coherent_overlap(1.0, 1.0) == pytest.approx(1.0)
+    assert overlap(1.0, 1.0) == pytest.approx(1.0)
 
 
 def test_overlap_opposite_amplitudes():
     # <-a|a> = exp(-2 a^2) for real a
-    assert coherent_overlap(1.0, -1.0) == pytest.approx(E2, abs=1e-15)
-    assert coherent_overlap(-1.0, 1.0) == pytest.approx(E2, abs=1e-15)
+    assert overlap(1.0, -1.0) == pytest.approx(E2, abs=1e-15)
+    assert overlap(-1.0, 1.0) == pytest.approx(E2, abs=1e-15)
 
 
 def test_overlap_complex_pair_against_number_basis_oracle():
     # independent oracle: truncated number-basis expansion at n_max=60
-    got = coherent_overlap(1 + 1j, 1 - 1j)
+    got = overlap(1 + 1j, 1 - 1j)
     oracle = complex(np.vdot(coherent_fock(1 + 1j, 60),
                              coherent_fock(1 - 1j, 60)))
     frozen = -0.05631934999212784 - 0.12306002480577669j
@@ -56,39 +62,44 @@ def test_overlap_magnitude_never_exceeds_one(rng):
     a = random_complex(rng, 500, 4.0)
     b = random_complex(rng, 500, 4.0)
     for x, y in zip(a, b):
-        assert abs(coherent_overlap(x, y)) <= 1.0 + 1e-15
+        assert abs(overlap(x, y)) <= 1.0 + 1e-15
 
 
 def test_overlap_agrees_with_fock_oracle_on_grid(rng):
     for _ in range(200):
         a, b = random_complex(rng, 2, 2.0)
         oracle = complex(np.vdot(coherent_fock(a, 60), coherent_fock(b, 60)))
-        assert coherent_overlap(a, b) == pytest.approx(oracle, abs=1e-8)
+        assert overlap(a, b) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_overlap_rejects_non_finite():
     with pytest.raises(DomainError):
-        coherent_overlap(float("nan"), 1.0)
+        overlap(float("nan"), 1.0)
     with pytest.raises(DomainError):
-        coherent_overlap(1.0, complex(float("inf"), 0))
+        overlap(1.0, complex(float("inf"), 0))
 
 
 def test_overlap_deep_suppression_flushes_to_zero():
-    assert coherent_overlap(40.0, -40.0) == 0.0
+    assert overlap(40.0, -40.0) == 0.0
+    # exp(-2 a^2) is about 2e-304 at a = 18.7, a normal double below the
+    # 1e-300 flush, and about 5e-298 at a = 18.5, above it
+    assert overlap(18.7, -18.7) == 0.0
+    assert overlap(18.5, -18.5) == pytest.approx(math.exp(-2 * 18.5 ** 2),
+                                                 rel=1e-12)
 
 
 @given(finite_complex, finite_complex)
 @settings(max_examples=200, deadline=None)
 def test_overlap_conjugate_symmetry(a, b):
-    lhs = coherent_overlap(a, b)
-    rhs = coherent_overlap(b, a)
+    lhs = overlap(a, b)
+    rhs = overlap(b, a)
     assert abs(lhs - rhs.conjugate()) <= 1e-12
 
 
 # ------------------------------------------------------------ inner / norm
 
 def test_inner_single_normalized_term():
-    s = CsState.single([0.3 + 0.7j, -1.2])
+    s = coherent_product([0.3 + 0.7j, -1.2])
     assert state_inner(s, s) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -105,11 +116,11 @@ def test_inner_two_mode_even_superposition():
 
 def test_inner_mode_mismatch():
     with pytest.raises(ModeShapeError):
-        state_inner(CsState.single([1.0]), CsState.single([1.0, 1.0]))
+        state_inner(coherent_product([1.0]), coherent_product([1.0, 1.0]))
 
 
 def test_norm_trivial_cases():
-    assert state_norm(CsState.single([2.0])) == pytest.approx(1.0)
+    assert state_norm(coherent_product([2.0])) == pytest.approx(1.0)
     assert state_norm(CsState([], np.zeros((0, 3)))) == 0.0
     cat = CsState([1, 1], [[1.0], [-1.0]])
     assert state_norm(cat) == pytest.approx(math.sqrt(2 * (1 + E2)),
@@ -724,7 +735,7 @@ def test_state_rejects_non_finite():
 
 
 def test_state_arrays_are_read_only():
-    s = CsState.single([1.0])
+    s = coherent_product([1.0])
     with pytest.raises(ValueError):
         s.coeffs[0] = 2.0
     with pytest.raises(ValueError):

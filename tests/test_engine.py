@@ -19,6 +19,7 @@ from cghzsim import (
     fidelity,
     ideal_cghz_state,
     normalize,
+    parse,
     run,
     run_fock,
     state_norm,
@@ -454,3 +455,29 @@ def test_branch_run_sums_the_discarded_weight_only_when_read(monkeypatch):
     assert [r.discarded_weight for r in records] == weights
     assert all(r == r for r in records)
     assert len(sums) == taken + sum(dropping)
+
+
+def test_every_selection_of_a_run_gets_a_unit_norm_state(monkeypatch):
+    # select_vacuum does not check its unit-norm precondition, which
+    # would cost a Gram sum over its input; run must meet it
+    from cghzsim import engine
+
+    def selecting(s, i, sel, **kwargs):
+        assert abs(state_norm(s) ** 2 - 1.0) <= 1e-12
+        return select_vacuum(s, i, sel, **kwargs)
+
+    monkeypatch.setattr(engine, "select_vacuum", selecting)
+    for n in range(1, 13):
+        for m in range(1, 12 // n + 1):
+            for alpha in (1.0, 2.0):
+                circuit = build_cghz_circuit(ProtocolParams(n, m, alpha))
+                run(circuit, BRANCH)
+                run(circuit, EXACT)
+    # the oracle smoke circuits of CI: complex preps, a Hadamard on a
+    # complex mode and selections of fresh modes
+    for text in ("alpha 1.5\nprep a +\nprep b 0.6+0.8i\nh a\nbs a b\n"
+                 "prep d +\nh d\nbs b d\nselect0 b\nh a\n",
+                 "alpha 1.5\nprep a +\nh a\nprep b 0.6+0.8i\nh b\n"
+                 "bs b a\nprep c +\nselect0 c\nprep d +\nh d\nbs a d\n"
+                 "select0 a\n"):
+        run(parse(text).circuit, EXACT)

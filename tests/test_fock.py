@@ -45,12 +45,17 @@ from cghzsim.fock import (
     _prep,
     _vacuum_project,
     coherent_fock,
-    hadamard_fock_matrix,
 )
 from cghzsim.coherent import cat_norm
 from cghzsim.optics import apply_bs, apply_hadamard, select_vacuum
 
-from conftest import fock_expansion_reference, random_complex, random_state
+from conftest import (
+    coherent_product,
+    fock_expansion_reference,
+    hadamard_matrix,
+    random_complex,
+    random_state,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -383,7 +388,7 @@ def test_vacuum_project_zero_branch():
 # -------------------------------------------------------- state conversion
 
 def test_csstate_to_fock_single_term():
-    v = csstate_to_fock(CsState.single([1.0]), 40)
+    v = csstate_to_fock(coherent_product([1.0]), 40)
     np.testing.assert_allclose(v.amps, coherent_fock(1.0, 40), atol=1e-14)
 
 
@@ -401,7 +406,7 @@ def test_csstate_to_fock_full_target_norm():
 
 
 def test_csstate_to_fock_byte_budget():
-    s = CsState.single([0.1] * 6)
+    s = coherent_product([0.1] * 6)
     # 21^6 amplitudes and their scratch copy take 2.6 GiB
     with pytest.raises(ResourceLimitError,
                        match="largest n_max that fits 6 modes is 19"):
@@ -425,7 +430,7 @@ CONVERT_NMAX = 20
 
 @pytest.mark.parametrize("modes", [1, 2, 3, 4])
 def test_csstate_to_fock_matches_term_by_term_loop(rng, modes):
-    states = [CsState.single(random_complex(rng, modes, 1.5)),
+    states = [coherent_product(random_complex(rng, modes, 1.5)),
               random_state(rng, max_terms=12, modes=modes, max_amp=1.5,
                            normalized=True)]
     # unmerged duplicate rows add up like any other terms
@@ -488,8 +493,6 @@ def test_hadamard_matrix_is_the_product_of_its_factors():
         assert cats.shape == (n_max + 1, 2)
         assert duals.shape == (2, n_max + 1)
         assert not cats.flags.writeable and not duals.flags.writeable
-        np.testing.assert_array_equal(hadamard_fock_matrix(alpha, n_max),
-                                      cats @ duals)
         # disjoint even/odd photon support, exactly: the coefficient
         # tensor's norm is then the output's norm
         assert not np.any(cats[1::2, 0]) and not np.any(cats[0::2, 1])
@@ -506,7 +509,7 @@ def test_rank_two_hadamard_matches_dense_matrix_on_every_axis(rng, modes,
                                                               n_max):
     # alpha 0.5 keeps the n_max 5 truncation loss below 1e-6
     alpha = 0.5 if n_max == 5 else 1.5
-    mat = hadamard_fock_matrix(alpha, n_max)
+    mat = hadamard_matrix(alpha, n_max)
     factors = _hadamard_factors(alpha, n_max)
     amps = random_tensor(rng, modes, n_max)
     for x in kernel_layouts(amps, n_max):
@@ -580,9 +583,27 @@ def test_a_leak_at_the_final_renormalization_is_refused():
         run_fock(circuit, n_max=60)
 
 
+@pytest.mark.parametrize("n_max,lost", [(40, "0.0707"), (60, "3.31e-06")])
+def test_a_leak_before_a_hadamard_on_a_tensor_mode_is_refused(n_max, lost):
+    # |4 sqrt2> after the first splitter does not fit below 70 photons;
+    # the Hadamard on a, already in the tensor, renormalizes, so it
+    # checks its input first
+    circuit = Circuit(4.0, (Prep("a", 4.0), Prep("b", 4.0),
+                            BeamSplitter("a", "b"), BeamSplitter("a", "b"),
+                            Hadamard("a")))
+    with pytest.raises(RunError, match=f"cutoff {n_max} loses {lost}") as exc:
+        run_fock(circuit, n_max=n_max)
+    assert exc.value.index == 4
+    assert isinstance(exc.value.__cause__, FockTruncationError)
+    analytic = run(circuit, SelectionMode.exact())
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, 70),
+                            run_fock(circuit, n_max=70).final)
+    assert abs(1.0 - overlap) <= 1e-6
+
+
 def test_selection_probability_matches_analytic_exact_mode():
     alpha = 1.0
-    s = CsState.single([alpha, alpha])
+    s = coherent_product([alpha, alpha])
     s = apply_hadamard(s, 0, alpha)
     s = normalize(apply_hadamard(s, 1, alpha))
     s = apply_bs(s, 0, 1)
@@ -686,20 +707,25 @@ def test_each_tensor_norm_is_taken_once(n, m, monkeypatch):
     circuit = build_cghz_circuit(params)
     run_fock(circuit, n_max=12)
     kinds = [type(ins) for ins in circuit.instructions]
-    # one per Hadamard's coefficients, the input and the kept slice of
-    # each selection, and the final tensor
-    assert len(calls) == (1 + kinds.count(Hadamard)
+    # the Hadamards on a mode already in the tensor, not on the last
+    # prepared one, which the backend holds as a vector: at (2,2) h s1
+    # after prep s2, h s2 after its split and h c1
+    tensor_hadamards = {(2, 2): 3, (2, 3): 3, (1, 4): 0}[n, m]
+    # one per Hadamard's coefficients, the input of each Hadamard on the
+    # tensor, the input and the kept slice of each selection, and the
+    # final tensor
+    assert len(calls) == (1 + kinds.count(Hadamard) + tensor_hadamards
                           + 2 * kinds.count(SelectVacuum))
 
 
 def test_fock_fidelity_rejects_incomparable_tensors():
-    one = csstate_to_fock(CsState.single([1.0]), 20)
-    two = csstate_to_fock(CsState.single([1.0, 1.0]), 20)
+    one = csstate_to_fock(coherent_product([1.0]), 20)
+    two = csstate_to_fock(coherent_product([1.0, 1.0]), 20)
     assert fock_fidelity(one, one) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ModeShapeError):
         fock_fidelity(one, two)
     with pytest.raises(ModeShapeError):
-        fock_fidelity(one, csstate_to_fock(CsState.single([1.0]), 30))
+        fock_fidelity(one, csstate_to_fock(coherent_product([1.0]), 30))
 
 
 def test_run_fock_rejects_wide_circuits():
@@ -725,7 +751,6 @@ def test_run_fock_refuses_a_cutoff_below_one(n_max):
         fock._check_tensor_size(n_max, 4)
     # every other public entry point refuses it the same way
     for call in (lambda: coherent_fock(1.0, n_max),
-                 lambda: hadamard_fock_matrix(1.0, n_max),
                  lambda: FockTensor(n_max, np.zeros(1))):
         with pytest.raises(DomainError, match="^n_max must be >= 1$"):
             call()
@@ -738,12 +763,8 @@ def test_a_non_integer_cutoff_is_refused_typed(n_max):
         run_fock(build_cghz_circuit(params), n_max=n_max)
     with pytest.raises(DomainError, match="^n_max must be an integer"):
         csstate_to_fock(ideal_cghz_state(params), n_max)
-    # and so does every other public entry point, even where the cache
-    # holds the equal integer cutoff (True == 1, 30.0 == 30)
-    for cached in (1, 30):
-        hadamard_fock_matrix(0.01, cached)
+    # and so does every other public entry point
     for call in (lambda: coherent_fock(1.0, n_max),
-                 lambda: hadamard_fock_matrix(0.01, n_max),
                  lambda: FockTensor(n_max, np.zeros((2, 2)))):
         with pytest.raises(DomainError, match="^n_max must be an integer"):
             call()
@@ -808,7 +829,7 @@ def test_real_circuits_run_in_float64_and_complex_ones_in_complex128():
     cplx = Circuit(1.0, (Prep("a", 0.6 + 0.8j), Prep("b", 1.0),
                          BeamSplitter("a", "b")))
     assert run_fock(cplx, n_max=20).final.amps.dtype == np.complex128
-    assert hadamard_fock_matrix(1.0, 20).dtype == np.float64
+    assert all(f.dtype == np.float64 for f in _hadamard_factors(1.0, 20))
 
 
 def test_complex_prep_after_real_gates_promotes_the_tensor_mid_run():

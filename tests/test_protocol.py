@@ -22,8 +22,9 @@ from cghzsim import (
     state_norm,
     validate,
 )
-from cghzsim.coherent import coherent_overlap, ghz_norm
+from cghzsim.coherent import ghz_norm
 from cghzsim.protocol import ideal_ghz_state
+from conftest import coherent_overlap, coherent_product
 
 BRANCH = SelectionMode.branch()
 
@@ -82,11 +83,11 @@ def test_ideal_cghz_1x1_collapses_toward_coherent_state():
     # |alpha>; the residual follows exp(-4 alpha^2)/4
     for alpha in (1.0, 2.0):
         s = ideal_cghz_state(ProtocolParams(1, 1, alpha))
-        f = fidelity(CsState.single([alpha]), s)
+        f = fidelity(coherent_product([alpha]), s)
         assert 1 - f == pytest.approx(math.exp(-4 * alpha ** 2) / 4,
                                       rel=1e-2)
     s = ideal_cghz_state(ProtocolParams(1, 1, 6.0))
-    assert fidelity(CsState.single([6.0]), s) == pytest.approx(1.0,
+    assert fidelity(coherent_product([6.0]), s) == pytest.approx(1.0,
                                                                abs=1e-12)
 
 
@@ -204,7 +205,7 @@ def test_build_1x1_is_single_prep():
     assert len(c.instructions) == 1
     assert isinstance(c.instructions[0], Prep)
     r = run(c, BRANCH)
-    assert fidelity(r.final_state, CsState.single([2.0])) == pytest.approx(
+    assert fidelity(r.final_state, coherent_product([2.0])) == pytest.approx(
         1.0, abs=1e-12)
 
 
