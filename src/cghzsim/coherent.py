@@ -33,23 +33,31 @@ sizes says is cheaper.
 
 Both ways compute in real arithmetic what is real.  For real labels
 conj(a) b - (|a|^2 + |b|^2)/2 = -|a - b|^2/2, so the overlaps are
-positive float64 values, computed on the real parts, and real
-coefficients are summed as float64.  Protocol circuits at real alpha
-have only real labels and coefficients.  One pass per call finds which
-arrays are real.  Complex coefficients promote the real Gram block or
-table they meet to complex.
+positive float64 values, and real coefficients are summed as float64.
+Complex coefficients promote the real Gram block or table they meet to
+complex.
 
-Amplitudes and coefficients are plain Python/NumPy complex numbers.
+A state's dtype follows its data, and is decided once, when the state
+is made: each of its two arrays is float64 while every entry of it is
+real, and complex128 otherwise.  Protocol circuits at real alpha have
+only real labels and coefficients, so they run in float64 end to end.
+The kernels keep an array's dtype through NumPy promotion: a complex
+prep amplitude or a complex Hadamard image promotes a state, and
+nothing demotes one, so once complex an array stays complex128, even
+after a selection removes its last complex label.  The Gram, merge and
+grouping code reads realness from the dtype.
+
 All operations are pure; states are immutable after construction.  The
-public constructor copies its arguments into read-only complex128
-arrays.  Kernels build their output once, through ``CsState._adopt``,
-which wraps complex128 arrays the kernel just built, or read-only arrays
-of its input state, without copying them; it keeps the constructor's
-finiteness checks and sets both arrays read-only.
+public constructor copies its arguments into read-only arrays of the
+dtype their data needs.  Kernels build their output once, through
+``CsState._adopt``, which wraps arrays the kernel just built, or
+read-only arrays of its input state, without copying them; it keeps the
+constructor's finiteness checks and sets both arrays read-only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -96,14 +104,15 @@ class CsState:
     """Finite coherent superposition over a fixed number of modes.
 
     Term data is held in two read-only arrays: ``coeffs`` with shape (T,)
-    and ``amps`` with shape (T, M).
+    and ``amps`` with shape (T, M).  Each is float64 when none of its
+    entries has an imaginary part, and complex128 otherwise.
     """
 
     __slots__ = ("coeffs", "amps")
 
     def __init__(self, coeffs, amps):
-        coeffs = np.array(coeffs, dtype=np.complex128).reshape(-1)
-        amps = np.array(amps, dtype=np.complex128)
+        coeffs = _as_real(np.array(coeffs, dtype=np.complex128).reshape(-1))
+        amps = _as_real(np.array(amps, dtype=np.complex128))
         if amps.size == 0:
             amps = amps.reshape(len(coeffs), 0 if amps.ndim < 2
                                 else amps.shape[1])
@@ -114,10 +123,12 @@ class CsState:
 
     @classmethod
     def _adopt(cls, coeffs: np.ndarray, amps: np.ndarray) -> "CsState":
-        """Wrap complex128 arrays (T,) and (T, M) without copying them.
+        """Wrap float64 or complex128 arrays (T,) and (T, M) without
+        copying them.
 
         For kernels: the arrays are ones the kernel just built, or
-        read-only arrays of its input state, of matching shapes.  They
+        read-only arrays of its input state, of matching shapes, each of
+        the dtype NumPy promotion gave it from the kernel's inputs.  They
         pass the constructor's finiteness checks, so arithmetic that
         overflowed still raises DomainError, and are set read-only.
         """
@@ -153,10 +164,12 @@ class CsState:
 
 def _as_real(x: np.ndarray) -> np.ndarray:
     """x, or a contiguous float64 copy of its real part when x is complex
-    with no imaginary part; one pass over x decides.  The copy lets BLAS
-    take the label products: NumPy runs products of the strided .real
-    view in its own loop, which took 6.0 against 3.2 ms for a 21 x 49150
-    block at 16 modes (one thread)."""
+    with no imaginary part; one pass over x decides.  The one realness
+    test: the CsState constructor and the oracle's coherent vectors take
+    their dtype from it.  The copy is contiguous so that BLAS can take
+    label products: NumPy runs products of the strided .real view in its
+    own loop, which took 6.0 against 3.2 ms for a 21 x 49150 block at 16
+    modes (one thread)."""
     if x.dtype.kind == "c" and not np.count_nonzero(x.imag):
         return np.ascontiguousarray(x.real)
     return x
@@ -177,7 +190,7 @@ def _overlap_matrix(a: np.ndarray, ha: np.ndarray,
     deeply suppressed products never underflow partway.  When a and b are
     both real arrays K is float64 (conj(a) b - (|a|^2 + |b|^2)/2 is then
     -|a - b|^2/2, so every overlap is positive); otherwise K is
-    complex128.  Callers pass real labels as real arrays (_as_real).
+    complex128.  A state's real labels are float64 arrays already.
     """
     # np.conjugate returns a new array even for real a, so a self-product
     # runs as a gemm: NumPy sends a @ a.T to BLAS syrk, which took 3-5x
@@ -193,16 +206,16 @@ def _overlap_matrix(a: np.ndarray, ha: np.ndarray,
 def state_inner(s1: CsState, s2: CsState) -> complex:
     """Gram inner product <s1|s2> = sum_ij conj(c_i) d_j prod_k <a_ik|b_jk>.
 
-    Labels and coefficients without an imaginary part are used as real
-    arrays, so a real Gram block is computed and summed in float64.
+    Real (float64) labels and coefficients give a Gram block computed and
+    summed in float64.  A sum that overflows raises DomainError.
     """
     if s1.mode_count != s2.mode_count:
         raise ModeShapeError(
             f"mode counts differ: {s1.mode_count} vs {s2.mode_count}")
-    a, c = _as_real(s1.amps), _as_real(s1.coeffs)
-    if s2 is s1:
-        return _gram_sum(a, c, a, c)
-    return _gram_sum(a, c, _as_real(s2.amps), _as_real(s2.coeffs))
+    total = _gram_sum(s1.amps, s1.coeffs, s2.amps, s2.coeffs)
+    if not cmath.isfinite(total):
+        raise DomainError(f"inner product {total} is not finite")
+    return total
 
 
 def _gram_sum(a: np.ndarray, c: np.ndarray,
@@ -282,7 +295,9 @@ def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
     every term is in no group.
     """
     a = np.ascontiguousarray(amps.T)
-    order = np.lexsort((a.imag, a.real), axis=-1)
+    # equal labels get one code whatever their order, so the sort need
+    # not be stable; complex labels sort by real, then imaginary part
+    order = np.argsort(a, axis=-1)
     srt = np.take_along_axis(a, order, axis=-1)
     ids = np.zeros(a.shape, dtype=np.intp)
     np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=ids[:, 1:])
@@ -310,7 +325,7 @@ def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
 def _factored_norm_sq(amps: np.ndarray, coeffs: np.ndarray,
                       groups) -> float:
     """<s|s> from per-group Gram tables, for the labels and coefficients
-    of s as _as_real gives them.
+    of s, float64 or complex128 arrays as s holds them.
 
     The coefficients are scattered into a zero-padded tensor C over the
     groups' distinct rows; <s|s> = sum_xy conj(C[x]) C[y] prod_g K_g[x_g,
@@ -339,19 +354,19 @@ def _factored_norm_sq(amps: np.ndarray, coeffs: np.ndarray,
 def _norm_sq(s: CsState) -> float:
     """<s|s> by whichever of the factored and dense sums costs less.
 
-    One pass over the labels and coefficients finds which are real.  The
-    dense sum costs T^2 Gram elements, each weighted by _REAL_DENSE_COST
-    when the labels are real.  Grouping the modes is tried only when it
-    costs less than the dense sum, and the factored sum is taken when its
-    tables (sum L^2 elements), its contraction (prod(L) * sum(L)
-    multiply-adds) and its per-group overhead cost less too, and its
-    zero-padded tensor (prod(L) entries) fits in GRAM_BLOCK.
+    The dense sum costs T^2 Gram elements, each weighted by
+    _REAL_DENSE_COST when the labels are real (float64).  Grouping the
+    modes is tried only when it costs less than the dense sum, and the
+    factored sum is taken when its tables (sum L^2 elements), its
+    contraction (prod(L) * sum(L) multiply-adds) and its per-group
+    overhead cost less too, and its zero-padded tensor (prod(L) entries)
+    fits in GRAM_BLOCK.
     """
-    t, m = s.amps.shape
-    a, c = _as_real(s.amps), _as_real(s.coeffs)
+    a, c = s.amps, s.coeffs
+    t, m = a.shape
     dense = t * t * (_REAL_DENSE_COST if a.dtype.kind == "f" else 1.0)
     if dense > _GROUPING_COST * m:
-        groups = _label_groups(s.amps)
+        groups = _label_groups(a)
         sizes = [size for _, size, _ in groups]
         cells = math.prod(sizes)
         factored = (sum(size * size + t + _TABLE_COST for size in sizes)
@@ -362,8 +377,11 @@ def _norm_sq(s: CsState) -> float:
 
 
 def state_norm(s: CsState) -> float:
-    """Euclidean norm sqrt(<s|s>); tiny negative round-off is clamped to 0."""
+    """Euclidean norm sqrt(<s|s>); tiny negative round-off is clamped to
+    0, and a sum that overflows raises DomainError."""
     sq = _norm_sq(s)
+    if not math.isfinite(sq):
+        raise DomainError(f"squared norm {sq} is not finite")
     if sq < 0.0:
         if sq < -NEGATIVE_NORM_TOL:
             raise DomainError(
@@ -383,20 +401,22 @@ def normalize(s: CsState) -> CsState:
 def merge_terms(s: CsState) -> CsState:
     """Combine terms with coinciding amplitude labels.
 
-    Each real and imaginary component of the labels is sorted on its own
-    and cut into clusters wherever two neighbouring values differ by more
-    than tol = DEFAULT_MERGE_TOL (1e-12), so the tolerance chains within
-    a component.  Terms whose components all fall in the same clusters
-    are summed into the earliest of them, and the merged terms keep the
-    order of their earliest rows; afterwards terms with |coeff| <=
-    tol * max|coeff| are dropped.  Protocol circuits produce exactly
-    coinciding labels, so the tolerance is lossless.  Cost: one sort per
-    component, O(M T log T) for T terms on M modes.
+    Each real and (for complex labels) imaginary component of the labels
+    is sorted on its own and cut into clusters wherever two neighbouring
+    values differ by more than tol = DEFAULT_MERGE_TOL (1e-12), so the
+    tolerance chains within a component.  Terms whose components all
+    fall in the same clusters are summed into the earliest of them, and
+    the merged terms keep the order of their earliest rows; afterwards
+    terms with |coeff| <= tol * max|coeff| are dropped.  Protocol
+    circuits produce exactly coinciding labels, so the tolerance is
+    lossless.  Cost: one sort per component, O(M T log T) for T terms on
+    M modes.
     """
     t = s.term_count
     if t == 0:
         return s
-    comps = np.ascontiguousarray(s.amps).view(np.float64)  # re, im columns
+    # real labels, or the re, im columns of complex ones
+    comps = np.ascontiguousarray(s.amps).view(np.float64)
     starts = np.zeros(t, dtype=bool)         # first row of a group in rows
     starts[0] = True
     if comps.shape[1]:
@@ -422,8 +442,9 @@ def merge_terms(s: CsState) -> CsState:
     # renumber the groups in order of their earliest rows
     group = (np.cumsum(is_rep) - 1)[first][lex_group]
     g = first.size
-    coeffs = (np.bincount(group, s.coeffs.real, g)
-              + 1j * np.bincount(group, s.coeffs.imag, g))
+    coeffs = np.bincount(group, s.coeffs.real, g)
+    if s.coeffs.dtype.kind == "c":
+        coeffs = coeffs + 1j * np.bincount(group, s.coeffs.imag, g)
     mags = np.abs(coeffs)
     keep = mags > DEFAULT_MERGE_TOL * mags.max()
     return CsState._adopt(coeffs[keep], s.amps[is_rep][keep])

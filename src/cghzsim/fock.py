@@ -480,8 +480,8 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     the tensor as the one matrix product ``left.T @ right``, the sum over
     terms of their outer products; in C order over the reversed modes it
     is the Fortran-order tensor.  A mode whose labels are all real gets a
-    float64 table, and real coefficients stay float64, so a real state
-    expands as a float64 product into a float64 tensor.
+    float64 table, and a state's real coefficients are float64, so a real
+    state expands as a float64 product into a float64 tensor.
     Terms are taken in blocks whose two factors hold at most
     EXPAND_BLOCK amplitudes, so memory beyond the tensor stays bounded;
     the oracle's states fit one block.
@@ -497,12 +497,11 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
         vecs.append(_as_real(np.array([coherent_fock(a, n_max)
                                        for a in labels]).reshape(-1, d)))
         where.append(inverse)
-    coeffs = _as_real(s.coeffs)
     half = modes // 2
     step = max(1, EXPAND_BLOCK // (d ** half + d ** (modes - half)))
-    acc = _expand_block(vecs, where, coeffs, half, slice(0, step))
+    acc = _expand_block(vecs, where, s.coeffs, half, slice(0, step))
     for lo in range(step, s.term_count, step):
-        acc += _expand_block(vecs, where, coeffs, half,
+        acc += _expand_block(vecs, where, s.coeffs, half,
                              slice(lo, lo + step))
     acc = acc.reshape((d,) * modes).transpose()
     sq = _sq_norm(acc)

@@ -19,12 +19,15 @@ A mode split, |sqrt2 a> -> |a>|a>, is a vacuum prep plus a beam splitter,
 applied as one kernel.
 
 Each kernel builds its output state once, from arrays it owns or
-read-only arrays of its input (``CsState._adopt``).
+read-only arrays of its input (``CsState._adopt``), of the dtype NumPy
+promotion gives: a real (float64) state stays real unless a complex
+prep amplitude or a complex Hadamard image promotes it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -115,17 +118,31 @@ class SelectionRecord:
 
 
 def _check_mode_index(s: CsState, i: int):
-    if not (0 <= i < s.mode_count):
+    """Refuse an index that is not an integer in range; an integer is a
+    Python or NumPy one, and not a ``bool`` (the rule of engine._is_int,
+    checked without an ABC isinstance, as the kernels run thousands of
+    times a sweep)."""
+    try:
+        ok = not isinstance(i, bool) and 0 <= operator.index(i) < s.mode_count
+    except TypeError:
+        ok = False
+    if not ok:
         raise ModeShapeError(
-            f"mode index {i} out of range for {s.mode_count} modes")
+            f"mode index {i!r} is not an integer in range for "
+            f"{s.mode_count} modes")
 
 
 def add_mode(s: CsState, amp: complex) -> CsState:
-    """Append a mode in the coherent state |amp>: s (x) |amp>, same norm."""
+    """Append a mode in the coherent state |amp>: s (x) |amp>, same norm.
+    An amplitude with no imaginary part is taken as real, so a real
+    state stays float64."""
+    amp = complex(amp)
+    if not amp.imag:
+        amp = amp.real
     t, m = s.amps.shape
-    amps = np.empty((t, m + 1), dtype=np.complex128)
+    amps = np.empty((t, m + 1), dtype=np.result_type(s.amps, amp))
     amps[:, :m] = s.amps
-    amps[:, m] = complex(amp)
+    amps[:, m] = amp
     return CsState._adopt(s.coeffs, amps)
 
 
@@ -161,7 +178,7 @@ def split_mode(s: CsState, i: int) -> CsState:
     t, m = s.amps.shape
     a = s.amps[:, i]
     inv = 1.0 / math.sqrt(2.0)
-    amps = np.empty((t, m + 1), dtype=np.complex128)
+    amps = np.empty((t, m + 1), dtype=s.amps.dtype)
     amps[:, :m] = s.amps
     amps[:, i] = (a + 0.0) * inv
     amps[:, m] = a * inv
@@ -234,7 +251,7 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
     u, v = _cat_coords(b, alpha_ref)
 
     inv = 1.0 / math.sqrt(2.0)
-    coeffs = np.empty(2 * t, dtype=np.complex128)
+    coeffs = np.empty(2 * t, dtype=np.result_type(s.coeffs, u, v))
     np.multiply(s.coeffs, u * n_even + v * n_odd, out=coeffs[:t])
     np.multiply(s.coeffs, u * n_even - v * n_odd, out=coeffs[t:])
     coeffs *= inv

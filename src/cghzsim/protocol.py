@@ -79,9 +79,7 @@ def ideal_ghz_state(k: int, alpha: float, sign: int) -> CsState:
     small alpha, which raises a DomainError.
     """
     c = ghz_norm(k, alpha, sign)
-    return CsState(
-        np.array([c, sign * c], dtype=np.complex128),
-        np.array([[alpha] * k, [-alpha] * k], dtype=np.complex128))
+    return CsState([c, sign * c], [[alpha] * k, [-alpha] * k])
 
 
 def ideal_cghz_state(params: ProtocolParams) -> CsState:

@@ -92,6 +92,12 @@ def random_state(rng, max_terms=64, modes=None, max_amp=4.0,
     return s
 
 
+def complex_twin(s):
+    """s with both arrays stored as complex128 whatever its data: the
+    reference that a real state's float64 arithmetic is checked against."""
+    return CsState._adopt(s.coeffs.astype(complex), s.amps.astype(complex))
+
+
 def hadamard_image(s, i, alpha):
     """The coherent-qubit Hadamard on mode i written term by term from its
     defining map, neither merged nor normalized: the in-span part of |b>

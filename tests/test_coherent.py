@@ -9,6 +9,7 @@ from cghzsim import (
     CsState,
     DomainError,
     ModeShapeError,
+    SelectionMode,
     ZeroStateError,
     normalize,
     state_inner,
@@ -17,9 +18,11 @@ from cghzsim import (
 from cghzsim import coherent
 from cghzsim.coherent import cat_norm, ghz_norm, merge_terms
 from cghzsim.fock import coherent_fock
+from cghzsim.optics import select_vacuum
 from conftest import (
     coherent_overlap,
     coherent_product,
+    complex_twin,
     random_complex,
     random_state,
 )
@@ -168,8 +171,7 @@ def dense_norm(s):
 def factored_norm(s):
     """The factored contraction alone, whatever state_norm would pick."""
     groups = coherent._label_groups(s.amps)
-    sq = coherent._factored_norm_sq(coherent._as_real(s.amps),
-                                    coherent._as_real(s.coeffs), groups)
+    sq = coherent._factored_norm_sq(s.amps, s.coeffs, groups)
     return math.sqrt(max(sq, 0.0))
 
 
@@ -446,8 +448,8 @@ def test_common_phase_takes_the_complex_path_to_the_same_sums(
         return CsState(x.coeffs, x.amps * turn)
 
     r, r_other = rotated(s), rotated(other)
-    assert coherent._as_real(s.amps).dtype == np.float64
-    assert coherent._as_real(r.amps).dtype == np.complex128
+    assert s.amps.dtype == np.float64
+    assert r.amps.dtype == np.complex128
     want = state_norm(s)
     for got in (state_norm(r), factored_norm(r), factored_norm(s)):
         assert abs(got - want) <= 1e-12 * want
@@ -732,6 +734,69 @@ def test_state_rejects_non_finite():
         CsState([complex("inf")], [[1.0]])
     with pytest.raises(DomainError):
         CsState([1.0], [[float("nan")]])
+
+
+@pytest.mark.parametrize("coeffs,amps,want", [
+    ([1, -2], [[0, 3], [1, -1]], (np.float64, np.float64)),
+    ([0.5, -0.25], [[1.5, 0.0], [-1.5, 2.0]], (np.float64, np.float64)),
+    (np.array([1 + 0j, -0.0j]), np.array([[1.5 - 0.0j], [0j]]),
+     (np.float64, np.float64)),
+    ([1j, 1.0], [[1.5], [-1.5]], (np.complex128, np.float64)),
+    ([1.0, 1.0], [[1.5], [0.5 + 1e-300j]], (np.float64, np.complex128)),
+    (np.array([1, 2], dtype=np.complex64), [[1.0], [2.0]],
+     (np.float64, np.float64)),
+    ([], np.zeros((0, 3), dtype=complex), (np.float64, np.float64)),
+])
+def test_constructor_stores_float64_exactly_when_the_data_is_real(
+        coeffs, amps, want):
+    s = CsState(coeffs, amps)
+    assert (s.coeffs.dtype, s.amps.dtype) == want
+    np.testing.assert_array_equal(s.coeffs, np.asarray(coeffs))
+    np.testing.assert_array_equal(s.amps, np.asarray(amps))
+
+
+def random_real_state(rng, max_terms=64, modes=3, max_amp=3.0):
+    t = int(rng.integers(1, max_terms + 1))
+    return CsState(rng.uniform(-1.0, 1.0, t),
+                   rng.uniform(-max_amp, max_amp, (t, modes)))
+
+
+def test_real_states_sum_as_their_complex_twins(rng):
+    for _ in range(50):
+        m = int(rng.integers(1, 5))
+        s = random_real_state(rng, modes=m)
+        other = random_real_state(rng, modes=m)
+        # repeated labels, so the factored path has structure to find
+        rows = rng.integers(0, 3, (300, m))
+        grid = CsState(rng.uniform(-1.0, 1.0, 300),
+                       np.array([-1.5, 0.0, 1.5])[rows])
+        for x in (s, other, grid):
+            assert x.coeffs.dtype == x.amps.dtype == np.float64
+            assert abs(state_norm(x) - state_norm(complex_twin(x))) <= (
+                1e-13 * state_norm(x))
+        scale = state_norm(s) * state_norm(other)
+        for a, b in ((s, other), (complex_twin(s), other),
+                     (s, complex_twin(other))):
+            assert abs(state_inner(a, b) - state_inner(
+                complex_twin(s), complex_twin(other))) <= 1e-13 * scale
+        assert isinstance(state_inner(s, other), complex)
+
+
+@pytest.mark.parametrize("call", [
+    lambda big: state_norm(big),
+    lambda big: normalize(big),
+    lambda big: state_inner(big, CsState([2e160], [[0.0]])),
+    lambda big: select_vacuum(
+        CsState([1e300, 1e300], [[0.0, 0.0], [0.0, 1.0]]), 0,
+        SelectionMode.exact()),
+], ids=["state_norm", "normalize", "state_inner", "select_vacuum"])
+def test_a_gram_sum_that_overflows_raises_domain_error(call):
+    # each Gram sum overflows to inf; unchecked, that gives a norm of inf,
+    # a state of zero coefficients or a kept_prob of 1
+    big = CsState([1e160], [[0.0]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match="not finite"):
+        call(big)
 
 
 def test_state_arrays_are_read_only():

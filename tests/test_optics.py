@@ -35,6 +35,7 @@ from cghzsim.optics import (
 )
 from conftest import (
     coherent_product,
+    complex_twin,
     hadamard_image,
     hadamard_matrix,
     hadamard_reference,
@@ -461,14 +462,18 @@ def test_record_takes_the_mode_name_it_is_given():
 # ------------------------------------------------------- owned outputs
 
 def _kernel_outputs(s):
-    """Every optics kernel applied to s, a 3-mode state whose mode 0 is
-    vacuum on some rows, mode 1 varies and mode 2 is 1.5 on every row."""
+    """Every optics kernel applied to s, a 4-mode state whose mode 0 is
+    vacuum on some rows, mode 1 varies, mode 2 is 1.5 on every row and
+    mode 3 is +-1.5 (``_kernel_input``)."""
     branch, exact = SelectionMode.branch(), SelectionMode.exact()
     return {
-        "add_mode": add_mode(s, 0.5 - 1j),
+        "add_mode": add_mode(s, 0.5),
         "apply_bs": apply_bs(s, 0, 1),
         "split_mode": split_mode(s, 1),
         "apply_hadamard uniform": apply_hadamard(s, 2, 1.5),
+        "apply_hadamard uniform, project": apply_hadamard(
+            s, 2, 1.5, off_basis="project"),
+        "apply_hadamard mixed": apply_hadamard(s, 3, 1.5),
         "apply_hadamard merging": apply_hadamard(s, 1, 1.5,
                                                  off_basis="project"),
         "select_vacuum exact": select_vacuum(s, 0, exact)[0],
@@ -478,14 +483,26 @@ def _kernel_outputs(s):
     }
 
 
+def _kernel_input(rng, real):
+    """Arrays (coeffs, amps) of a state that ``_kernel_outputs`` takes,
+    with real or complex coefficients and mode-1 labels."""
+    t = int(rng.integers(2, 9))
+    if real:
+        coeffs = rng.uniform(-1.0, 1.0, t)
+        amps = rng.uniform(-2.0, 2.0, (t, 4))
+    else:
+        coeffs = random_complex(rng, t, 1.0)
+        amps = random_complex(rng, 4 * t, 2.0).reshape(t, 4)
+    amps[rng.uniform(size=t) < 0.5, 0] = 0.0
+    amps[0, 0] = 0.0                        # at least one vacuum branch
+    amps[:, 2] = 1.5
+    amps[:, 3] = rng.choice([-1.5, 1.5], t)
+    return coeffs, amps
+
+
 def test_kernel_outputs_are_read_only_and_share_no_caller_array(rng):
     for _ in range(20):
-        t = int(rng.integers(2, 9))
-        coeffs = random_complex(rng, t, 1.0)
-        amps = random_complex(rng, 3 * t, 2.0).reshape(t, 3)
-        amps[rng.uniform(size=t) < 0.5, 0] = 0.0
-        amps[0, 0] = 0.0                    # at least one vacuum branch
-        amps[:, 2] = 1.5
+        coeffs, amps = _kernel_input(rng, real=False)
         s = CsState(coeffs, amps)
         before = (s.coeffs.tobytes(), s.amps.tobytes())
         for name, out in _kernel_outputs(s).items():
@@ -506,3 +523,66 @@ def test_kernel_arithmetic_that_overflows_raises_domain_error():
         apply_bs(s, 0, 1)
     with pytest.raises(DomainError):
         add_mode(s, complex(math.inf, 0.0))
+
+
+# ---------------------------------------------------------- dtype contract
+#
+# NumPy's ComplexWarning is a RuntimeWarning, which the suite turns into an
+# error (pyproject.toml), so a kernel that casts complex data into a real
+# array fails these tests rather than dropping imaginary parts.
+
+def test_the_suite_refuses_a_complex_to_real_cast():
+    with pytest.raises(RuntimeWarning, match="imaginary"):
+        np.zeros(1)[:] = np.array([1j])
+
+
+def test_kernels_keep_a_real_state_float64_as_its_complex_twin(rng):
+    for _ in range(20):
+        coeffs, amps = _kernel_input(rng, real=True)
+        s = normalize(CsState(coeffs, amps))
+        assert s.coeffs.dtype == s.amps.dtype == np.float64
+        want = _kernel_outputs(complex_twin(s))
+        for name, out in _kernel_outputs(s).items():
+            assert out.coeffs.dtype == out.amps.dtype == np.float64, name
+            assert out.amps.shape == want[name].amps.shape, name
+            np.testing.assert_allclose(out.coeffs, want[name].coeffs,
+                                       rtol=0, atol=1e-13, err_msg=name)
+            np.testing.assert_allclose(out.amps, want[name].amps,
+                                       rtol=0, atol=1e-13, err_msg=name)
+
+
+def test_a_complex_amplitude_or_label_promotes_a_real_state():
+    s = CsState([0.6, 0.8], [[1.5, 0.0], [-1.5, 1.0]])
+    assert add_mode(s, 2 + 0j).amps.dtype == np.float64
+    cplx = add_mode(s, 0.3 + 0.4j)
+    assert (cplx.coeffs.dtype, cplx.amps.dtype) == (np.float64,
+                                                    np.complex128)
+    # the Hadamard image of a complex label has complex coefficients
+    h = apply_hadamard(cplx, 2, 1.5, off_basis="project")
+    assert h.coeffs.dtype == h.amps.dtype == np.complex128
+    # once complex, a state stays complex, even when a selection removes
+    # its last complex label
+    kept, _ = select_vacuum(cplx, 2, SelectionMode.exact())
+    assert np.all(kept.amps.imag == 0)
+    assert kept.amps.dtype == np.complex128
+    # complex coefficients leave real labels real
+    phased = apply_bs(CsState([0.6j, 0.8], s.amps), 0, 1)
+    assert (phased.coeffs.dtype, phased.amps.dtype) == (np.complex128,
+                                                        np.float64)
+
+
+@pytest.mark.parametrize("index", [True, False, np.True_, 1.0,
+                                   np.float64(0.0), "1"])
+@pytest.mark.parametrize("kernel", [
+    lambda s, i: apply_bs(s, i, 2),
+    lambda s, i: apply_bs(s, 2, i),
+    lambda s, i: split_mode(s, i),
+    lambda s, i: apply_hadamard(s, i, 1.5),
+    lambda s, i: select_vacuum(s, i, SelectionMode.exact())[0],
+], ids=["bs first", "bs second", "split", "hadamard", "select"])
+def test_a_mode_index_must_be_an_integer_and_not_a_bool(kernel, index):
+    s = coherent_product([1.5, 1.5, 1.5])
+    with pytest.raises(ModeShapeError, match="not an integer"):
+        kernel(s, index)
+    # a NumPy integer is an integer
+    kernel(s, np.int64(1))

@@ -209,17 +209,30 @@ def test_build_1x1_is_single_prep():
         1.0, abs=1e-12)
 
 
+# every (n, m) with n*m <= 12
+SMALL_BUILDS = [(n, m) for n in range(1, 13) for m in range(1, 13)
+                if n * m <= 12]
+
+
 def test_every_build_validates_and_counts_selections():
-    for n in range(1, 13):
-        for m in range(1, 13):
-            if n * m > 12:
-                continue
-            for alpha in (1.0, 2.0, 3.0):
-                c = build_cghz_circuit(ProtocolParams(n, m, alpha))
-                assert validate(c) == []
-                sels = sum(isinstance(i, SelectVacuum)
-                           for i in c.instructions)
-                assert sels == n * m - 1
+    for n, m in SMALL_BUILDS:
+        for alpha in (1.0, 2.0, 3.0):
+            c = build_cghz_circuit(ProtocolParams(n, m, alpha))
+            assert validate(c) == []
+            sels = sum(isinstance(i, SelectVacuum) for i in c.instructions)
+            assert sels == n * m - 1
+
+
+@pytest.mark.parametrize("sel", [SelectionMode.exact(), BRANCH],
+                         ids=["exact", "branch"])
+def test_every_build_runs_in_float64(sel):
+    # no kernel demotes a state, so a float64 final state was float64
+    # after every instruction of the run
+    for n, m in SMALL_BUILDS:
+        for alpha in (1.0, 2.0, 3.0):
+            s = run(build_cghz_circuit(ProtocolParams(n, m, alpha)),
+                    sel).final_state
+            assert s.coeffs.dtype == s.amps.dtype == np.float64, (n, m)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3)])
