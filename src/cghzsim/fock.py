@@ -16,26 +16,34 @@ fastest), the layout the kernels leave, so the backend's final tensor is
 already Fortran order on every paper build and ``run_fock`` hands it
 over without a copy.  The backend holds the last prepared mode as a
 vector of its own until a gate entangles it: a Hadamard on that mode
-acts on the vector alone, and a beam splitter with it as the second
-mode writes its output once, with that mode leading the memory, then
-the first, then the others as they were.  Anything else multiplies the
-vector into the tensor first, the new axis leading the memory.  The
-beam-splitter blocks are real orthogonal matrices; on the tensor, each
-is applied in place by one matrix product on a strided slice of rows
-of the tensor viewed as float64, with no index gather or scatter, and
-the tensor is copied once only when the two modes do not already lead
-its memory.  Onto a held mode, each block's columns are scaled by the
-vector's entries and only those inside its nonzero support are used:
-one for the vacuum of a split, which so costs one pass over its
-output.  The Hadamard contracts one axis with its two dual vectors,
-normalizes the small coefficient tensor and expands it with the two cat
-vectors in place.  Heralding copies only the vacuum slice.  An analytic
-state is expanded by one matrix product of two tables of row-wise
-Kronecker products of coherent vectors, taken over the modes in reverse
-so that the product is the Fortran-order tensor.  Norms are single-pass
-dot products, and each tensor's squared norm is taken once: ``run_fock``
-and ``csstate_to_fock`` hand the one they computed to the
-``FockTensor`` they return.
+acts on the vector alone, and a beam splitter with it as the second mode
+is held, recorded but not applied.  A vacuum selection on the held beam
+splitter's first mode, the end of every growth step of the protocol,
+computes only the slice it keeps: one (d, d) by (d, cols) product of the
+blocks' first rows, scaled by the vector, with the input rows, and its
+input norm from their (d, d) Gram matrix, so the wider tensor is never
+formed.  Anything else writes the held beam splitter's output once, with
+that mode leading the memory, then the first, then the others as they
+were, or, with no beam splitter held, multiplies the vector into the
+tensor, the new axis leading the memory.  The beam-splitter blocks are
+real orthogonal matrices; on the tensor, each is applied in place by one
+matrix product on a strided slice of rows of the tensor viewed as
+float64, with no index gather or scatter, and the tensor is copied once
+only when the two modes do not already lead its memory.  Onto a held
+mode, each block's columns are scaled by the vector's entries and only
+those inside its nonzero support are used.  A split's vacuum leaves one
+per block, so its output is written as one contiguous scaled copy of the
+input rows per photon number on the new mode, one pass over the output.
+The Hadamard contracts one axis with its two dual vectors, normalizes
+the small coefficient tensor and expands it with the two cat vectors in
+place.  Heralding copies only the vacuum slice.  An analytic state is
+expanded by one matrix product of two tables of row-wise Kronecker
+products of coherent vectors, taken over the modes in reverse so that
+the product is the Fortran-order tensor.  Norms are single-pass dot
+products, but for the input of a selection after a held beam splitter,
+which comes from the Gram matrix; each tensor's squared norm is taken
+once: ``run_fock`` and ``csstate_to_fock`` hand the one they computed to
+the ``FockTensor`` they return.
 
 Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``csstate_to_fock`` expands an analytic state for comparison and
@@ -61,10 +69,12 @@ LOST_NORM_LIMIT (1e-6) of its norm, and a tensor whose squared norm has
 fallen by more than that since it was last renormalized, which beam
 splitters cause.  Every renormalization first refuses a loss above
 LOST_NORM_LIMIT: each vacuum selection and the final renormalization
-check the norm they take anyway, and a Hadamard on a mode already in
-the tensor, which renormalizes from its small coefficient tensor, takes
-one more pass over the tensor to check its input.  A Hadamard on a held
-mode normalizes only that mode's vector and leaves the tensor as it is.
+check the norm they take anyway (after a held beam splitter, the exact
+norm of the truncated output it never forms), and a Hadamard on a mode
+already in the tensor, which renormalizes from its small coefficient
+tensor, takes one more pass over the tensor to check its input.  A
+Hadamard on a held mode normalizes only that mode's vector and leaves
+the tensor as it is.
 """
 
 from __future__ import annotations
@@ -204,11 +214,13 @@ def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise DomainError("amplitude must be finite")
-    v = np.zeros(n_max + 1, dtype=np.complex128)
+    # v[n] = v[n-1] * alpha / sqrt(n), one cumulative product; starting
+    # from v[0] keeps every partial product within the norm
+    v = np.empty(n_max + 1, dtype=np.complex128)
     v[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, n_max + 1):
-        v[n] = v[n - 1] * alpha / math.sqrt(n)
-    lost = 1.0 - float(np.sum(np.abs(v) ** 2))
+    v[1:] = alpha / np.sqrt(np.arange(1, n_max + 1))
+    np.cumprod(v, out=v)
+    lost = 1.0 - float(np.vdot(v, v).real)
     if lost > LOST_NORM_LIMIT:
         raise FockTruncationError(
             f"cutoff {n_max} loses {lost:.3g} of the norm at |a|={abs(alpha)}")
@@ -307,6 +319,93 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int,
     return work.transpose(np.argsort(order))
 
 
+@lru_cache(maxsize=8)
+def _fresh_tables(n_max: int) -> tuple:
+    """Read-only tables (first, split, grams) of ``_bs_blocks`` for a
+    beam splitter onto a fresh mode; as there, photon numbers count on
+    the beam splitter's first mode.
+
+    ``first`` is (d, d), lower triangular: row n is the row of block n
+    for no photon on the first mode, defined for n <= n_max, which a
+    vacuum selection on that mode keeps.  ``split`` is (d, d): entry
+    [q, p] is the amplitude of p photons on the first mode and q on the
+    second in the image of |p+q> and the vacuum under block p+q, and zero
+    where p + q > n_max.  ``grams`` holds U^T U of each truncated block
+    n = n_max+1 .. 2*n_max, in order; on the full blocks n <= n_max,
+    U^T U is the identity.  Together they hold fewer entries than
+    ``_bs_blocks``.
+    """
+    d = n_max + 1
+    blocks = _bs_blocks(n_max)
+    first = np.zeros((d, d))
+    split = np.zeros((d, d))
+    for n in range(d):
+        u = blocks[n][2]
+        first[n, :n + 1] = u[0]
+        split[n - np.arange(n + 1), np.arange(n + 1)] = u[:, n]
+    grams = tuple(u.T @ u for _, _, u in blocks[d:])
+    for table in (first, split) + grams:
+        table.setflags(write=False)
+    return first, split, grams
+
+
+def _lead_rows(amps: np.ndarray, i: int) -> tuple:
+    """The axes of ``amps`` other than i, in memory order, and ``amps``
+    with axis i leading them as a C-contiguous (d, cols) matrix: a view
+    when axis i leads the memory, else one copy of the input."""
+    rest = tuple(ax for ax in _memory_order(amps) if ax != i)
+    src = np.ascontiguousarray(
+        amps.transpose((i,) + rest).reshape(amps.shape[i], -1))
+    return rest, src
+
+
+def _herald_bs_fresh(amps: np.ndarray, i: int, vec: np.ndarray,
+                     n_max: int) -> tuple[np.ndarray, float]:
+    """Vacuum selection on mode i right after a beam splitter on (i, j),
+    where mode j, axis ``amps.ndim``, is in the single-mode state ``vec``:
+    ``_vacuum_project(_bs_fresh(amps, i, vec, n_max), i)``, computing
+    only the kept slice and never the beam splitter's output.
+
+    With src the input with axis i leading (``_lead_rows``), block n
+    has input x_n[k] = vec[n-k] src[k], k photons on mode i.  The kept
+    slice holds n photons on mode j: row n is block n's first row
+    applied to x_n, so the slice is one (d, d) by (d, cols) product.
+    The input norm of the selection is that of the truncated output,
+    sum_n |U_n x_n|^2, which is taken from the Gram matrix S = src^H
+    src: block n contributes x_n^H (U_n^T U_n) x_n, so the full blocks
+    give the diagonal of S weighted by |vec|^2 and each truncated block
+    one small contraction with its ``_fresh_tables`` entry.  Like
+    ``_vacuum_project``, it refuses a leak past the cutoff
+    (_check_leak) and a vanishing probability.  The slice is laid out
+    with mode j leading its memory, then the other axes in the input's
+    memory order, as the selection after ``_bs_fresh`` leaves it;
+    ``amps`` is read, not written.
+    """
+    d = n_max + 1
+    rest, src = _lead_rows(amps, i)
+    first, _, grams = _fresh_tables(n_max)
+    # toeplitz[n, k] = vec[n - k], zero where k > n
+    padded = np.concatenate([np.zeros(n_max, dtype=vec.dtype), vec])
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, d)[:, ::-1]
+    kept = (first * toeplitz) @ src
+    # S[k, k'] = <src[k], src[k']>; conj() of a real array is the array
+    gram = src.conj() @ src.T
+    total = float(np.cumsum(np.abs(vec) ** 2)[::-1] @ gram.diagonal().real)
+    for lo, g in enumerate(grams, start=1):
+        # block n = n_max + lo takes k = lo .. n_max, so vec[n_max .. lo]
+        w = vec[lo:][::-1]
+        total += float((w.conj() @ (g * gram[lo:, lo:]) @ w).real)
+    _check_leak(total, n_max)
+    kept_sq = _sq_norm(kept)
+    prob = kept_sq / total
+    if prob <= ZERO_NORM ** 2:
+        raise ZeroProbabilityError(
+            f"vacuum heralding on mode {i} has vanishing probability")
+    kept /= math.sqrt(kept_sq)
+    kept = kept.reshape((d,) + tuple(amps.shape[ax] for ax in rest))
+    return kept.transpose(np.argsort((amps.ndim,) + rest)), prob
+
+
 def _bs_fresh(amps: np.ndarray, i: int, vec: np.ndarray,
               n_max: int) -> np.ndarray:
     """Beam splitter on (i, j) where mode j, axis ``amps.ndim``, is in
@@ -321,26 +420,33 @@ def _bs_fresh(amps: np.ndarray, i: int, vec: np.ndarray,
     taken reversed.  Its input is k photons on mode i, a row of ``amps``
     with axis i leading, times vec[n - k]: block n's column k scaled by
     vec[n - k].  Only the k with n - k inside vec's nonzero support are
-    taken, one for the vacuum of a split.  ``amps`` is read, not
-    written.
+    taken.  For the vacuum of a split that is k = n alone, so the rows
+    with q photons on j are src[q:] scaled by row q of the ``split``
+    table of ``_fresh_tables``, and each such group of rows is written
+    as one contiguous product.  ``amps`` is read, not written.
     """
     d = n_max + 1
-    rest = tuple(ax for ax in _memory_order(amps) if ax != i)
-    # a view when axis i leads the memory, else one copy of the input
-    src = np.ascontiguousarray(amps.transpose((i,) + rest).reshape(d, -1))
+    rest, src = _lead_rows(amps, i)
     out = np.empty((d, d) + tuple(amps.shape[ax] for ax in rest),
                    dtype=np.result_type(amps, vec))
     flat = out.reshape(d * d, -1)
     support = np.flatnonzero(vec)
     first, last = int(support[0]), int(support[-1])
-    for n, lo, hi, u, rows in _block_rows(n_max):
-        k_lo, k_hi = max(lo, n - last), min(hi, n - first)
-        if k_lo > k_hi:
-            flat[rows] = 0
-            continue
-        weights = vec[n - k_hi:n - k_lo + 1][::-1]
-        np.matmul(u[::-1, k_lo - lo:k_hi - lo + 1] * weights,
-                  src[k_lo:k_hi + 1], out=flat[rows])
+    if last == 0:
+        split = _fresh_tables(n_max)[1] * vec[0]
+        grid = flat.reshape(d, d, -1)
+        for q in range(d):
+            np.multiply(split[q, :d - q, None], src[q:], out=grid[q, :d - q])
+            grid[q, d - q:] = 0
+    else:
+        for n, lo, hi, u, rows in _block_rows(n_max):
+            k_lo, k_hi = max(lo, n - last), min(hi, n - first)
+            if k_lo > k_hi:
+                flat[rows] = 0
+                continue
+            weights = vec[n - k_hi:n - k_lo + 1][::-1]
+            np.matmul(u[::-1, k_lo - lo:k_hi - lo + 1] * weights,
+                      src[k_lo:k_hi + 1], out=flat[rows])
     return out.transpose(np.argsort((amps.ndim, i) + rest))
 
 
@@ -562,7 +668,9 @@ def _check_fits(circuit: Circuit, n_max: int):
 class _Fock:
     """Backend of ``run_fock``: the number-basis kernels on a dense tensor
     and, until a gate entangles it, the last prepared mode as a vector of
-    its own."""
+    its own; a beam splitter onto that mode is held until the next
+    instruction, which heralds it in one kernel when it selects the
+    beam splitter's first mode."""
 
     def __init__(self, n_max: int):
         self.n_max = n_max
@@ -572,16 +680,25 @@ class _Fock:
         # the state of mode amps.ndim, the last prepared one, while it is
         # still a product factor; None once it is multiplied in
         self.fresh: np.ndarray | None = None
+        # mode i of a beam splitter (i, amps.ndim) onto the fresh mode,
+        # recorded but not yet applied; None when there is none
+        self.held: int | None = None
         self.probs: list[float] = []
 
     def _is_fresh(self, i: int) -> bool:
-        return self.fresh is not None and i == self.amps.ndim
+        return (self.fresh is not None and self.held is None
+                and i == self.amps.ndim)
 
     def dense(self) -> np.ndarray:
-        """The whole state as one tensor: multiplies the fresh mode in."""
+        """The whole state as one tensor: applies a held beam splitter,
+        or else multiplies the fresh mode in."""
         if self.fresh is not None:
-            self.amps = _prep(self.amps, self.fresh)
-            self.fresh = None
+            if self.held is None:
+                self.amps = _prep(self.amps, self.fresh)
+            else:
+                self.amps = _bs_fresh(self.amps, self.held, self.fresh,
+                                      self.n_max)
+            self.fresh = self.held = None
         return self.amps
 
     def prep(self, amp: complex):
@@ -596,13 +713,14 @@ class _Fock:
             # refused at its next renormalization
             self.fresh = _hadamard(self.fresh, 0, *factors)
         else:
+            if self.held is not None:
+                self.dense()
             _check_leak(_sq_norm(self.amps), self.n_max)
             self.amps = _hadamard(self.amps, i, *factors)
 
     def bs(self, i: int, j: int):
         if self._is_fresh(j):
-            self.amps = _bs_fresh(self.amps, i, self.fresh, self.n_max)
-            self.fresh = None
+            self.held = i
         else:
             self.amps = _apply_two_mode(self.dense(), i, j, self.n_max)
 
@@ -611,7 +729,12 @@ class _Fock:
         self.bs(i, self.amps.ndim)
 
     def select(self, i: int, name: str):
-        self.amps, prob = _vacuum_project(self.dense(), i)
+        if self.held == i:
+            self.amps, prob = _herald_bs_fresh(self.amps, i, self.fresh,
+                                               self.n_max)
+            self.fresh = self.held = None
+        else:
+            self.amps, prob = _vacuum_project(self.dense(), i)
         self.probs.append(prob)
 
 

@@ -41,6 +41,7 @@ from cghzsim.fock import (
     _bs_fresh,
     _hadamard,
     _hadamard_factors,
+    _herald_bs_fresh,
     _memory_order,
     _prep,
     _vacuum_project,
@@ -208,11 +209,18 @@ def test_bs_kernel_matches_dense_reference_on_every_axis_pair(rng, modes):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_fresh_mode_beam_splitter_matches_prep_then_kernel(rng, kind):
+def test_fresh_mode_beam_splitter_matches_prep_then_kernel(rng, kind,
+                                                          monkeypatch):
     # the beam splitter onto a freshly prepared mode writes its output
     # once, with no product tensor; the result is that of multiplying the
-    # mode in first.  The odd cat's support starts at 1 and, at an even
-    # cutoff, ends at n_max - 1; the vacuum's is the one entry 0
+    # mode in first.  A selection on its first mode right after it
+    # computes only the slice it keeps, with the input norm from a Gram
+    # matrix; the result is that output heralded.  The odd cat's support
+    # starts at 1 and, at an even cutoff, ends at n_max - 1; the vacuum's
+    # is the one entry 0.  Random tensors leak far past the cutoff, which
+    # exercises the truncated blocks' share of the norm, so the leak
+    # check is switched off here and tested on circuits below
+    monkeypatch.setattr(fock, "_check_leak", lambda sq_norm, n_max: None)
     n_max = 6
     amps = random_tensor(rng, 3, n_max)
     if kind == "real":
@@ -232,6 +240,12 @@ def test_fresh_mode_beam_splitter_matches_prep_then_kernel(rng, kind):
                 # the new mode, then mode i, then the others as they were
                 rest = tuple(ax for ax in _memory_order(x) if ax != i)
                 assert _memory_order(got) == (3, i) + rest, (name, i)
+                kept, prob = _herald_bs_fresh(x, i, vec, n_max)
+                expect, want = _vacuum_project(got, i)
+                assert kept.dtype == expect.dtype
+                assert np.max(np.abs(kept - expect)) <= 1e-13, (name, i)
+                assert prob == pytest.approx(want, rel=1e-12), (name, i)
+                assert _memory_order(kept) == _memory_order(expect), (name, i)
                 assert x.tobytes(order="A") == before.tobytes(order="A")
 
 
@@ -601,6 +615,47 @@ def test_a_leak_before_a_hadamard_on_a_tensor_mode_is_refused(n_max, lost):
     assert abs(1.0 - overlap) <= 1e-6
 
 
+@pytest.mark.parametrize("n_max,lost", [(40, "0.0707"), (60, "3.31e-06")])
+def test_a_leak_before_a_herald_after_a_beam_splitter_is_refused(n_max,
+                                                                  lost):
+    # |4 sqrt2> after the splitter onto the fresh mode b does not fit below
+    # 70 photons; the selection on a takes its input norm from the Gram
+    # matrix of the tensor it never forms, and refuses the same loss
+    circuit = Circuit(4.0, (Prep("a", 4.0), Prep("b", 4.0),
+                            BeamSplitter("a", "b"), SelectVacuum("a")))
+    with pytest.raises(RunError, match=f"cutoff {n_max} loses {lost}") as exc:
+        run_fock(circuit, n_max=n_max)
+    assert exc.value.index == 3
+    assert isinstance(exc.value.__cause__, FockTruncationError)
+    analytic = run(circuit, SelectionMode.exact())
+    numeric = run_fock(circuit, n_max=70)
+    assert abs(numeric.p_success / analytic.p_success - 1.0) <= 1e-6
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, 70),
+                            numeric.final)
+    assert abs(1.0 - overlap) <= 1e-6
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 1), (1, 4)])
+def test_only_splits_write_a_beam_splitter_onto_a_fresh_mode(n, m,
+                                                             monkeypatch):
+    # on the benchmark's oracle builds every beam splitter onto an ancilla
+    # is heralded by the selection after it, so the one written out is a
+    # split's, onto the vacuum
+    vecs = []
+    bs_fresh = fock._bs_fresh
+
+    def recording(amps, i, vec, n_max):
+        vecs.append(vec)
+        return bs_fresh(amps, i, vec, n_max)
+
+    monkeypatch.setattr(fock, "_bs_fresh", recording)
+    for alpha in (1.0, 2.0):
+        run_fock(build_cghz_circuit(ProtocolParams(n, m, alpha)), n_max=40)
+    vacuum = coherent_fock(0.0, 40).real
+    assert len(vecs) == 2 * (n * m - 1)
+    assert all(np.array_equal(v, vacuum) for v in vecs)
+
+
 def test_selection_probability_matches_analytic_exact_mode():
     alpha = 1.0
     s = coherent_product([alpha, alpha])
@@ -711,11 +766,20 @@ def test_each_tensor_norm_is_taken_once(n, m, monkeypatch):
     # prepared one, which the backend holds as a vector: at (2,2) h s1
     # after prep s2, h s2 after its split and h c1
     tensor_hadamards = {(2, 2): 3, (2, 3): 3, (1, 4): 0}[n, m]
+    # every selection of a build heralds the first mode of the beam
+    # splitter onto the fresh mode just before it, so it takes its input
+    # norm from a Gram matrix and a pass only over its kept slice
+    assert all(kinds[k - 1] is BeamSplitter
+               for k, kind in enumerate(kinds) if kind is SelectVacuum)
     # one per Hadamard's coefficients, the input of each Hadamard on the
-    # tensor, the input and the kept slice of each selection, and the
-    # final tensor
+    # tensor, the kept slice of each selection, and the final tensor
     assert len(calls) == (1 + kinds.count(Hadamard) + tensor_hadamards
-                          + 2 * kinds.count(SelectVacuum))
+                          + kinds.count(SelectVacuum))
+    # a selection with no beam splitter before it takes two, its input
+    # and its kept slice, beside the final tensor's
+    calls.clear()
+    run_gates(1.0, Prep("a", 1.0), Prep("b", 0.5), SelectVacuum("a"))
+    assert len(calls) == 3
 
 
 def test_fock_fidelity_rejects_incomparable_tensors():
