@@ -17,25 +17,23 @@ already Fortran order on every paper build and ``run_fock`` hands it
 over without a copy.  The backend holds the last prepared mode as a
 vector of its own until a gate entangles it: a Hadamard on that mode
 acts on the vector alone, and a beam splitter with it as the second mode
-is held, recorded but not applied.  A vacuum selection on the held beam
+is held only to be heralded.  A vacuum selection on that beam
 splitter's first mode, the end of every growth step of the protocol,
 computes only the slice it keeps: one (d, d) by (d, cols) product of the
 blocks' first rows, scaled by the vector, with the input rows, and its
 input norm from their (d, d) Gram matrix, so the wider tensor is never
-formed.  Anything else writes the held beam splitter's output once, with
-that mode leading the memory, then the first, then the others as they
-were, or, with no beam splitter held, multiplies the vector into the
-tensor, the new axis leading the memory.  The beam-splitter blocks are
-real orthogonal matrices; on the tensor, each is applied in place by one
-matrix product on a strided slice of rows of the tensor viewed as
-float64, with no index gather or scatter, and the tensor is copied once
-only when the two modes do not already lead its memory.  Onto a held
-mode, each block's columns are scaled by the vector's entries and only
-those inside its nonzero support are used.  A split's vacuum leaves one
-per block, so its output is written as one contiguous scaled copy of the
-input rows per photon number on the new mode, one pass over the output.
-The Hadamard contracts one axis with its two dual vectors, normalizes
-the small coefficient tensor and expands it with the two cat vectors in
+formed.  Anything else multiplies the vector into the tensor, the new
+axis leading the memory, and applies a held beam splitter there.  The
+beam-splitter blocks are real orthogonal matrices; on the tensor, each
+is applied in place by one matrix product on a strided slice of rows of
+the tensor viewed as float64, with no index gather or scatter, and the
+tensor is copied once only when the two modes do not already lead its
+memory.  A split is one kernel, as on the analytic side: the vacuum
+leaves one column of each block, so the output is one contiguous scaled
+copy of the input rows per photon number on the new mode, which leads
+the memory, then the split mode, then the others as they were.  The
+Hadamard contracts one axis with its two dual vectors, normalizes the
+small coefficient tensor and expands it with the two cat vectors in
 place.  Heralding copies only the vacuum slice.  An analytic state is
 expanded by one matrix product of two tables of row-wise Kronecker
 products of coherent vectors, taken over the modes in reverse so that
@@ -271,29 +269,19 @@ def _memory_order(x: np.ndarray) -> tuple:
     return tuple(np.argsort([-st for st in x.strides], kind="stable"))
 
 
-def _block_rows(n_max: int):
-    """Yield (n, lo, hi, u, rows) for each block of ``_bs_blocks``: its
-    total photon number, its photon-number range on the first mode, its
-    matrix and the rows that hold it in a two-mode tensor flattened to
-    (d*d, cols).  Row k*d + l holds k and l photons on the two modes, so
-    the rows (k, n-k) for k = lo..hi are every (d-1)-th row."""
-    d = n_max + 1
-    for n, (lo, hi, u) in enumerate(_bs_blocks(n_max)):
-        yield n, lo, hi, u, slice(n + lo * (d - 1), n + hi * (d - 1) + 1,
-                                  d - 1)
-
-
 def _apply_two_mode(amps: np.ndarray, i: int, j: int,
                     n_max: int) -> np.ndarray:
     """Apply the cached beam-splitter blocks on axes (i, j).
 
     The tensor is laid out with axes i and j leading, then the others,
-    each group in memory order, and flattened to the rows of
-    ``_block_rows``, so each block is one real matrix product on a basic
-    strided slice of the tensor viewed as float64 (a complex tensor's
-    real and imaginary parts as adjacent columns; a real tensor is
-    float64 already), written back in place through a reused (d, cols)
-    scratch.  Every row belongs to exactly one block.  With j leading,
+    each group in memory order, and flattened to (d*d, cols): row k*d + l
+    holds k and l photons on the two leading modes, so the rows (k, n-k)
+    of block n, k = lo..hi, are every (d-1)-th row.  Each block is one
+    real matrix product on that basic strided slice of the tensor viewed
+    as float64 (a complex tensor's real and imaginary parts as adjacent
+    columns; a real tensor is float64 already), written back in place
+    through a reused (d, cols) scratch.  Every row belongs to exactly one
+    block.  With j leading,
     the slice holds the block's photon numbers on mode i in reverse, so
     the block is applied reversed in both indices.
 
@@ -310,9 +298,10 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int,
         work = work.copy()
     flat = work.reshape(d * d, -1).view(np.float64)
     scratch = np.empty((d, flat.shape[1]))
-    for n, lo, hi, u, rows in _block_rows(n_max):
+    for n, (lo, hi, u) in enumerate(_bs_blocks(n_max)):
         if lead[0] == j:
             u = u[::-1, ::-1]
+        rows = slice(n + lo * (d - 1), n + hi * (d - 1) + 1, d - 1)
         block = scratch[:hi - lo + 1]
         np.matmul(u, flat[rows], out=block)
         flat[rows] = block
@@ -322,7 +311,8 @@ def _apply_two_mode(amps: np.ndarray, i: int, j: int,
 @lru_cache(maxsize=8)
 def _fresh_tables(n_max: int) -> tuple:
     """Read-only tables (first, split, grams) of ``_bs_blocks`` for a
-    beam splitter onto a fresh mode; as there, photon numbers count on
+    beam splitter onto a fresh mode, ``split`` for ``_split`` and the
+    others for ``_herald_bs_fresh``; as there, photon numbers count on
     the beam splitter's first mode.
 
     ``first`` is (d, d), lower triangular: row n is the row of block n
@@ -363,8 +353,9 @@ def _herald_bs_fresh(amps: np.ndarray, i: int, vec: np.ndarray,
                      n_max: int) -> tuple[np.ndarray, float]:
     """Vacuum selection on mode i right after a beam splitter on (i, j),
     where mode j, axis ``amps.ndim``, is in the single-mode state ``vec``:
-    ``_vacuum_project(_bs_fresh(amps, i, vec, n_max), i)``, computing
-    only the kept slice and never the beam splitter's output.
+    ``_vacuum_project(_apply_two_mode(_prep(amps, vec), i, amps.ndim,
+    n_max), i)``, computing only the kept slice and never the beam
+    splitter's output.
 
     With src the input with axis i leading (``_lead_rows``), block n
     has input x_n[k] = vec[n-k] src[k], k photons on mode i.  The kept
@@ -374,12 +365,11 @@ def _herald_bs_fresh(amps: np.ndarray, i: int, vec: np.ndarray,
     sum_n |U_n x_n|^2, which is taken from the Gram matrix S = src^H
     src: block n contributes x_n^H (U_n^T U_n) x_n, so the full blocks
     give the diagonal of S weighted by |vec|^2 and each truncated block
-    one small contraction with its ``_fresh_tables`` entry.  Like
-    ``_vacuum_project``, it refuses a leak past the cutoff
-    (_check_leak) and a vanishing probability.  The slice is laid out
-    with mode j leading its memory, then the other axes in the input's
-    memory order, as the selection after ``_bs_fresh`` leaves it;
-    ``amps`` is read, not written.
+    one small contraction with its ``_fresh_tables`` entry.  It ends as
+    ``_vacuum_project`` does (``_renormalize_kept``).  The slice is laid
+    out with mode j leading its memory, then the other axes in the
+    input's memory order, as the selection on the written output leaves
+    it; ``amps`` is read, not written.
     """
     d = n_max + 1
     rest, src = _lead_rows(amps, i)
@@ -395,58 +385,32 @@ def _herald_bs_fresh(amps: np.ndarray, i: int, vec: np.ndarray,
         # block n = n_max + lo takes k = lo .. n_max, so vec[n_max .. lo]
         w = vec[lo:][::-1]
         total += float((w.conj() @ (g * gram[lo:, lo:]) @ w).real)
-    _check_leak(total, n_max)
-    kept_sq = _sq_norm(kept)
-    prob = kept_sq / total
-    if prob <= ZERO_NORM ** 2:
-        raise ZeroProbabilityError(
-            f"vacuum heralding on mode {i} has vanishing probability")
-    kept /= math.sqrt(kept_sq)
+    prob = _renormalize_kept(kept, total, i, n_max)
     kept = kept.reshape((d,) + tuple(amps.shape[ax] for ax in rest))
     return kept.transpose(np.argsort((amps.ndim,) + rest)), prob
 
 
-def _bs_fresh(amps: np.ndarray, i: int, vec: np.ndarray,
-              n_max: int) -> np.ndarray:
-    """Beam splitter on (i, j) where mode j, axis ``amps.ndim``, is in
-    the single-mode state ``vec`` and not yet multiplied into ``amps``:
-    ``_apply_two_mode(_prep(amps, vec), i, amps.ndim, n_max)``, with the
-    output written once and no product tensor formed.
+def _split(amps: np.ndarray, i: int, n_max: int) -> np.ndarray:
+    """Split mode i against a new vacuum mode j, axis ``amps.ndim``:
+    ``_apply_two_mode(_prep(amps, vacuum), i, amps.ndim, n_max)``, written
+    once with no product tensor formed.
 
-    The output is laid out with j leading its memory, then i, then the
-    other axes in the input's memory order, and flattened to the rows of
-    ``_block_rows`` with j as the first mode: block n's slice holds j's
-    photon numbers lo..hi, so i's in reverse, and the block's rows are
-    taken reversed.  Its input is k photons on mode i, a row of ``amps``
-    with axis i leading, times vec[n - k]: block n's column k scaled by
-    vec[n - k].  Only the k with n - k inside vec's nonzero support are
-    taken.  For the vacuum of a split that is k = n alone, so the rows
-    with q photons on j are src[q:] scaled by row q of the ``split``
-    table of ``_fresh_tables``, and each such group of rows is written
-    as one contiguous product.  ``amps`` is read, not written.
+    The vacuum leaves one column of each block, so the rows with q
+    photons on j are src[q:], the input with axis i leading
+    (``_lead_rows``), scaled by row q of the ``split`` table of
+    ``_fresh_tables``: one contiguous product per q.  The output is laid
+    out with j leading its memory, then i, then the other axes in the
+    input's memory order; ``amps`` is read, not written.
     """
     d = n_max + 1
     rest, src = _lead_rows(amps, i)
+    split = _fresh_tables(n_max)[1]
     out = np.empty((d, d) + tuple(amps.shape[ax] for ax in rest),
-                   dtype=np.result_type(amps, vec))
-    flat = out.reshape(d * d, -1)
-    support = np.flatnonzero(vec)
-    first, last = int(support[0]), int(support[-1])
-    if last == 0:
-        split = _fresh_tables(n_max)[1] * vec[0]
-        grid = flat.reshape(d, d, -1)
-        for q in range(d):
-            np.multiply(split[q, :d - q, None], src[q:], out=grid[q, :d - q])
-            grid[q, d - q:] = 0
-    else:
-        for n, lo, hi, u, rows in _block_rows(n_max):
-            k_lo, k_hi = max(lo, n - last), min(hi, n - first)
-            if k_lo > k_hi:
-                flat[rows] = 0
-                continue
-            weights = vec[n - k_hi:n - k_lo + 1][::-1]
-            np.matmul(u[::-1, k_lo - lo:k_hi - lo + 1] * weights,
-                      src[k_lo:k_hi + 1], out=flat[rows])
+                   dtype=amps.dtype)
+    grid = out.reshape(d, d, -1)
+    for q in range(d):
+        np.multiply(split[q, :d - q, None], src[q:], out=grid[q, :d - q])
+        grid[q, d - q:] = 0
     return out.transpose(np.argsort((amps.ndim, i) + rest))
 
 
@@ -505,25 +469,33 @@ def _check_leak(sq_norm: float, n_max: int):
             f"was last renormalized")
 
 
+def _renormalize_kept(kept: np.ndarray, total: float, i: int,
+                      n_max: int) -> float:
+    """The tail of a vacuum selection on mode i: refuse a leak in its
+    input's squared norm ``total`` (_check_leak) and a vanishing
+    probability, then renormalize the kept slice in place; returns the
+    heralding probability relative to ``total``."""
+    _check_leak(total, n_max)
+    kept_sq = _sq_norm(kept)
+    prob = kept_sq / total
+    if prob <= ZERO_NORM ** 2:
+        raise ZeroProbabilityError(
+            f"vacuum heralding on mode {i} has vanishing probability")
+    kept /= math.sqrt(kept_sq)
+    return prob
+
+
 def _vacuum_project(amps: np.ndarray, i: int) -> tuple[np.ndarray, float]:
     """Slice axis i at photon number zero; returns the renormalized slice
     and the heralding probability relative to the input norm.
 
     The input is a tensor renormalized to 1 before its last gates, so a
     squared norm lost past the cutoff is refused (_check_leak).  The slice
-    is a view; only it is copied, in the input's memory order.
+    is a view; only it is copied, in the input's memory order.  A 1-mode
+    input leaves a 0-d array, the zero-mode tensor.
     """
-    if amps.ndim == 1:
-        raise ModeShapeError("cannot remove the last fock mode")
-    total = _sq_norm(amps)
-    _check_leak(total, amps.shape[0] - 1)
-    sliced = amps[(slice(None),) * i + (0,)].copy(order="K")
-    kept = _sq_norm(sliced)
-    prob = kept / total
-    if prob <= ZERO_NORM ** 2:
-        raise ZeroProbabilityError(
-            f"vacuum heralding on mode {i} has vanishing probability")
-    sliced /= math.sqrt(kept)
+    sliced = amps[(slice(None),) * i + (0, ...)].copy(order="K")
+    prob = _renormalize_kept(sliced, _sq_norm(amps), i, amps.shape[0] - 1)
     return sliced, prob
 
 
@@ -652,9 +624,10 @@ _MODE_DELTA = {Prep: 1, Split: 1, SelectVacuum: -1}
 def _check_fits(circuit: Circuit, n_max: int):
     """Reject, before any tensor is allocated, a circuit the oracle cannot
     run: an invalid one (CircuitValidationError, checked first), one with
-    no instructions or a cutoff below 1 (DomainError), or one whose
-    widest tensor and its scratch copy at this cutoff exceed
-    MAX_FOCK_BYTES (ResourceLimitError)."""
+    no instructions or a cutoff below 1 (DomainError), one whose widest
+    tensor and its scratch copy at this cutoff exceed MAX_FOCK_BYTES
+    (ResourceLimitError), or one that ends with no live mode, which no
+    FockTensor holds (ModeShapeError)."""
     _check_valid(validate(circuit))
     if not circuit.instructions:
         raise DomainError("cannot run an empty circuit through the oracle")
@@ -663,14 +636,17 @@ def _check_fits(circuit: Circuit, n_max: int):
         live += _MODE_DELTA.get(type(ins), 0)
         peak = max(peak, live)
     _check_tensor_size(n_max, peak)
+    if live == 0:
+        raise ModeShapeError("the circuit ends with no live mode to return")
 
 
 class _Fock:
     """Backend of ``run_fock``: the number-basis kernels on a dense tensor
     and, until a gate entangles it, the last prepared mode as a vector of
-    its own; a beam splitter onto that mode is held until the next
-    instruction, which heralds it in one kernel when it selects the
-    beam splitter's first mode."""
+    its own.  A beam splitter onto that mode is held only to be heralded:
+    a selection of its first mode next runs both in one kernel, and any
+    other instruction first makes the state dense, which applies it.  A
+    split is one kernel on the dense tensor."""
 
     def __init__(self, n_max: int):
         self.n_max = n_max
@@ -690,14 +666,13 @@ class _Fock:
                 and i == self.amps.ndim)
 
     def dense(self) -> np.ndarray:
-        """The whole state as one tensor: applies a held beam splitter,
-        or else multiplies the fresh mode in."""
+        """The whole state as one tensor: multiplies the fresh mode in
+        and applies a held beam splitter onto it."""
         if self.fresh is not None:
-            if self.held is None:
-                self.amps = _prep(self.amps, self.fresh)
-            else:
-                self.amps = _bs_fresh(self.amps, self.held, self.fresh,
-                                      self.n_max)
+            self.amps = _prep(self.amps, self.fresh)
+            if self.held is not None:
+                self.amps = _apply_two_mode(self.amps, self.held,
+                                            self.amps.ndim - 1, self.n_max)
             self.fresh = self.held = None
         return self.amps
 
@@ -725,8 +700,7 @@ class _Fock:
             self.amps = _apply_two_mode(self.dense(), i, j, self.n_max)
 
     def split(self, i: int):
-        self.prep(0)
-        self.bs(i, self.amps.ndim)
+        self.amps = _split(self.dense(), i, self.n_max)
 
     def select(self, i: int, name: str):
         if self.held == i:

@@ -38,12 +38,12 @@ from cghzsim.fock import (
     FockTensor,
     _apply_two_mode,
     _bs_blocks,
-    _bs_fresh,
     _hadamard,
     _hadamard_factors,
     _herald_bs_fresh,
     _memory_order,
     _prep,
+    _split,
     _vacuum_project,
     coherent_fock,
 )
@@ -211,42 +211,44 @@ def test_bs_kernel_matches_dense_reference_on_every_axis_pair(rng, modes):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_fresh_mode_beam_splitter_matches_prep_then_kernel(rng, kind,
                                                           monkeypatch):
-    # the beam splitter onto a freshly prepared mode writes its output
-    # once, with no product tensor; the result is that of multiplying the
-    # mode in first.  A selection on its first mode right after it
+    # a split writes its output once, with no product tensor; the result
+    # is that of multiplying a vacuum mode in and beam-splitting onto it.
+    # A selection on the first mode of a beam splitter onto a fresh mode
     # computes only the slice it keeps, with the input norm from a Gram
-    # matrix; the result is that output heralded.  The odd cat's support
-    # starts at 1 and, at an even cutoff, ends at n_max - 1; the vacuum's
-    # is the one entry 0.  Random tensors leak far past the cutoff, which
-    # exercises the truncated blocks' share of the norm, so the leak
-    # check is switched off here and tested on circuits below
+    # matrix; the result is that of heralding the same product.  The odd
+    # cat's support starts at 1 and, at an even cutoff, ends at n_max - 1;
+    # the vacuum's is the one entry 0.  Random tensors leak far past the
+    # cutoff, which exercises the truncated blocks' share of the norm, so
+    # the leak check is switched off here and tested on circuits below
     monkeypatch.setattr(fock, "_check_leak", lambda sq_norm, n_max: None)
     n_max = 6
     amps = random_tensor(rng, 3, n_max)
     if kind == "real":
         amps = amps.real / np.linalg.norm(amps.real)
+    vacuum = coherent_fock(0.0, n_max).real
     vecs = {"coherent": coherent_fock(0.5, n_max).real,
             "complex coherent": coherent_fock(0.3 - 0.4j, n_max),
-            "vacuum": coherent_fock(0.0, n_max).real,
+            "vacuum": vacuum,
             "odd cat": _hadamard_factors(0.5, n_max)[0][:, 1]}
     for x in kernel_layouts(amps, n_max):
-        for name, vec in vecs.items():
-            for i in range(3):
-                before = x.copy(order="K")
-                got = _bs_fresh(x, i, vec, n_max)
-                expect = _apply_two_mode(_prep(x, vec), i, 3, n_max)
-                assert got.dtype == expect.dtype
-                assert np.max(np.abs(got - expect)) <= 1e-13, (name, i)
-                # the new mode, then mode i, then the others as they were
-                rest = tuple(ax for ax in _memory_order(x) if ax != i)
-                assert _memory_order(got) == (3, i) + rest, (name, i)
+        for i in range(3):
+            before = x.copy(order="K")
+            got = _split(x, i, n_max)
+            expect = _apply_two_mode(_prep(x, vacuum), i, 3, n_max)
+            assert got.dtype == expect.dtype == x.dtype
+            assert np.max(np.abs(got - expect)) <= 1e-13, i
+            # the new mode, then mode i, then the others as they were
+            rest = tuple(ax for ax in _memory_order(x) if ax != i)
+            assert _memory_order(got) == (3, i) + rest, i
+            for name, vec in vecs.items():
                 kept, prob = _herald_bs_fresh(x, i, vec, n_max)
-                expect, want = _vacuum_project(got, i)
+                expect, want = _vacuum_project(
+                    _apply_two_mode(_prep(x, vec), i, 3, n_max), i)
                 assert kept.dtype == expect.dtype
                 assert np.max(np.abs(kept - expect)) <= 1e-13, (name, i)
                 assert prob == pytest.approx(want, rel=1e-12), (name, i)
                 assert _memory_order(kept) == _memory_order(expect), (name, i)
-                assert x.tobytes(order="A") == before.tobytes(order="A")
+            assert x.tobytes(order="A") == before.tobytes(order="A")
 
 
 def test_bs_blocks_are_real_orthogonal():
@@ -397,6 +399,24 @@ def test_vacuum_project_zero_branch():
     amps[1, 1] = 1.0
     with pytest.raises(ZeroProbabilityError):
         _vacuum_project(amps, 0)
+
+
+def test_a_selection_of_the_only_live_mode_runs_in_both_pipelines():
+    # heralding the one mode of a tensor leaves the zero-mode tensor, a
+    # 0-d array, which the next prep grows again
+    kept, prob = _vacuum_project(coherent_fock(1.0, 40).real, 0)
+    assert kept.shape == () and kept == 1.0
+    assert prob == pytest.approx(math.exp(-1.0), rel=1e-14)
+    circuit = Circuit(1.0, (Prep("a", 1.0), SelectVacuum("a"),
+                            Prep("b", 1.0), Hadamard("b"), Prep("c", -1.0),
+                            BeamSplitter("b", "c")))
+    analytic = run(circuit, SelectionMode.exact())
+    numeric = run_fock(circuit, n_max=40)
+    assert numeric.mode_order == analytic.mode_order == ("b", "c")
+    assert abs(numeric.p_success - analytic.p_success) <= 1e-14
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, 40),
+                            numeric.final)
+    assert abs(1.0 - overlap) <= 1e-14
 
 
 # -------------------------------------------------------- state conversion
@@ -635,25 +655,37 @@ def test_a_leak_before_a_herald_after_a_beam_splitter_is_refused(n_max,
     assert abs(1.0 - overlap) <= 1e-6
 
 
-@pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 1), (1, 4)])
-def test_only_splits_write_a_beam_splitter_onto_a_fresh_mode(n, m,
-                                                             monkeypatch):
-    # on the benchmark's oracle builds every beam splitter onto an ancilla
-    # is heralded by the selection after it, so the one written out is a
-    # split's, onto the vacuum
-    vecs = []
-    bs_fresh = fock._bs_fresh
+# the benchmark's oracle builds at both of its amplitudes, and the 6-mode
+# builds at the cutoff that holds them
+@pytest.mark.parametrize("n,m,alphas,n_max", [
+    pytest.param(n, m, alphas, n_max, id=f"{n}-{m}")
+    for n, m, alphas, n_max in [
+        (3, 1, (1.0, 2.0), 40), (2, 2, (1.0, 2.0), 40),
+        (4, 1, (1.0, 2.0), 40), (1, 4, (1.0, 2.0), 40),
+        (2, 3, (1.0,), 14), (3, 2, (1.0,), 14), (1, 6, (1.0,), 14),
+        (6, 1, (1.0,), 14)]])
+def test_only_splits_write_a_beam_splitter_onto_a_fresh_mode(
+        n, m, alphas, n_max, monkeypatch):
+    # each split is one kernel, and every beam splitter onto an ancilla is
+    # heralded by the selection after it, so on these builds no beam
+    # splitter is written onto the tensor and no selection slices it
+    calls = []
 
-    def recording(amps, i, vec, n_max):
-        vecs.append(vec)
-        return bs_fresh(amps, i, vec, n_max)
+    def recording(name):
+        kernel = getattr(fock, name)
 
-    monkeypatch.setattr(fock, "_bs_fresh", recording)
-    for alpha in (1.0, 2.0):
-        run_fock(build_cghz_circuit(ProtocolParams(n, m, alpha)), n_max=40)
-    vacuum = coherent_fock(0.0, 40).real
-    assert len(vecs) == 2 * (n * m - 1)
-    assert all(np.array_equal(v, vacuum) for v in vecs)
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
+        return wrapper
+
+    for name in ("_split", "_apply_two_mode", "_vacuum_project"):
+        monkeypatch.setattr(fock, name, recording(name))
+    for alpha in alphas:
+        calls.clear()
+        run_fock(build_cghz_circuit(ProtocolParams(n, m, alpha)),
+                 n_max=n_max)
+        assert calls == ["_split"] * (n * m - 1), alpha
 
 
 def test_selection_probability_matches_analytic_exact_mode():
@@ -848,6 +880,19 @@ def test_oversized_tensors_are_refused_before_allocation(monkeypatch):
         run_fock(circuit, n_max=200)
     with pytest.raises(ResourceLimitError, match="GiB"):
         csstate_to_fock(target, 200)
+
+
+def test_a_circuit_that_ends_with_no_live_mode_is_refused_typed(
+        monkeypatch):
+    # a FockTensor holds at least one mode, so run_fock refuses such a
+    # circuit before the first prep, not with an empty mode order
+    def no_expansion(*args):
+        raise AssertionError("coherent_fock called before the mode check")
+
+    monkeypatch.setattr(fock, "coherent_fock", no_expansion)
+    circuit = Circuit(1.0, (Prep("a", 1.0), SelectVacuum("a")))
+    with pytest.raises(ModeShapeError, match="no live mode"):
+        run_fock(circuit, n_max=40)
 
 
 def test_tensor_size_limit_boundary():
