@@ -190,9 +190,10 @@ def _check_valid(diags: list[Diagnostic]):
         raise CircuitValidationError(diags)
 
 
-def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
+def _execute(circuit: Circuit, backend) -> tuple[tuple[str, ...], tuple]:
     """Apply a valid circuit's instructions in order to ``backend``;
-    return the final mode order.
+    return the final mode order and what each ``backend.select``
+    returned, in order.
 
     This is the one instruction loop of the package: ``run`` and
     ``fock.run_fock`` differ only in the backend they pass, and each
@@ -201,16 +202,18 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
     names: ``prep(amp)`` appends a mode in |amp>, ``hadamard(i,
     alpha_ref)`` applies the gate, ``bs(i, j)`` the beam splitter,
     ``split(i)`` appends a vacuum mode and beam-splits mode i against it,
-    and ``select(i, name)`` heralds vacuum on mode i and removes it.  Each
-    method leaves the working state at unit norm (the Hadamard and
-    selection kernels renormalize their output), so the loop runs each
-    instruction once and never renormalizes, and the coherent backend
-    meets ``select_vacuum``'s unit-norm precondition.
+    and ``select(i, name)`` heralds vacuum on mode i, removes it and
+    returns its outcome.  Each method leaves the working state at unit
+    norm (the Hadamard and selection kernels renormalize their output),
+    so the loop runs each instruction once and never renormalizes, and
+    the coherent backend meets ``select_vacuum``'s unit-norm
+    precondition.
 
     Raises RunError (with the instruction index) for any SimulationError
     the backend raises.
     """
     order: list[str] = []
+    outcomes = []
     for idx, ins in enumerate(circuit.instructions):
         try:
             if isinstance(ins, Prep):
@@ -226,11 +229,11 @@ def _execute(circuit: Circuit, backend) -> tuple[str, ...]:
                 order.append(ins.new_mode)
             elif isinstance(ins, SelectVacuum):
                 i = order.index(ins.mode)
-                backend.select(i, ins.mode)
+                outcomes.append(backend.select(i, ins.mode))
                 order.pop(i)
         except SimulationError as exc:
             raise RunError(idx, str(exc)) from exc
-    return tuple(order)
+    return tuple(order), tuple(outcomes)
 
 
 class _Coherent:
@@ -242,7 +245,6 @@ class _Coherent:
         self.off_basis = "project" if sel.kind == "exact" else "raise"
         # the empty tensor product: one term, zero modes, norm one
         self.state = CsState(np.ones(1), np.zeros((1, 0)))
-        self.selections: list[SelectionRecord] = []
         self.max_terms = 0
 
     def _keep(self, state: CsState):
@@ -262,11 +264,11 @@ class _Coherent:
     def split(self, i: int):
         self._keep(split_mode(self.state, i))
 
-    def select(self, i: int, name: str):
+    def select(self, i: int, name: str) -> SelectionRecord:
         state, record = select_vacuum(self.state, i, self.sel,
                                       mode_name=name)
-        self.selections.append(record)
         self._keep(state)
+        return record
 
 
 def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
@@ -289,8 +291,7 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     """
     _check_valid(validate(circuit))
     backend = _Coherent(sel)
-    order = _execute(circuit, backend)
-    records = tuple(backend.selections)
+    order, records = _execute(circuit, backend)
     return RunResult(final_state=backend.state,
                      mode_order=order,
                      selections=records,

@@ -47,7 +47,10 @@ Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``csstate_to_fock`` expands an analytic state for comparison and
 ``fock_fidelity`` compares two tensors.  ``FockTensor`` and
 ``coherent_fock`` are the building blocks they expose; the kernels
-themselves are private.
+themselves are private.  A tensor may hold zero modes: the 0-d array of
+the empty tensor product, which a circuit that ends with no live mode
+leaves and a zero-mode analytic state expands to, so the oracle runs
+every valid circuit that fits its limits.
 
 The representation is dense, (n_max+1)^modes amplitudes, whose dtype
 follows the data: a tensor is float64 while every amplitude that built
@@ -100,6 +103,7 @@ from .errors import (
     ModeShapeError,
     ResourceLimitError,
     ZeroProbabilityError,
+    ZeroStateError,
 )
 
 MAX_FOCK_BYTES = 2 * 1024 ** 3
@@ -111,10 +115,11 @@ LOST_NORM_LIMIT = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class FockTensor:
-    """Dense number-basis amplitudes on one or more modes.
+    """Dense number-basis amplitudes on zero or more modes.
 
-    ``amps`` has shape (n_max+1,) * mode_count and is a read-only array
-    in Fortran order (first mode varies fastest): float64 when the
+    ``amps`` has shape (n_max+1,) * mode_count, a 0-d array at zero
+    modes (the empty tensor product, one amplitude), and is a read-only
+    array in Fortran order (first mode varies fastest): float64 when the
     oracle computed it from real data, complex128 otherwise.  The
     constructor always copies the array it is given, as float64 if that
     array is real and as complex128 if it is complex, so the caller's
@@ -131,8 +136,6 @@ class FockTensor:
         amps = np.asarray(self.amps)
         amps = np.array(amps, dtype=np.result_type(amps.dtype, np.float64),
                         order="F", copy=True)
-        if amps.ndim < 1:
-            raise ModeShapeError("fock tensors need at least one mode")
         if any(d != self.n_max + 1 for d in amps.shape):
             raise ModeShapeError(
                 f"tensor shape {amps.shape} does not match n_max={self.n_max}")
@@ -449,7 +452,7 @@ def _hadamard(amps: np.ndarray, i: int, cats: np.ndarray,
         coef = np.matmul(duals, x)
     n = math.sqrt(_sq_norm(coef))
     if n <= ZERO_NORM:
-        raise ZeroProbabilityError("hadamard annihilated the state")
+        raise ZeroStateError(f"hadamard image has vanishing norm {n}")
     coef /= n
     if x.ndim == 2:
         np.matmul(coef, cats.T, out=x)
@@ -565,8 +568,6 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     the oracle's states fit one block.
     """
     modes = s.mode_count
-    if modes < 1:
-        raise ModeShapeError("fock conversion needs at least one mode")
     _check_tensor_size(n_max, modes)
     d = n_max + 1
     vecs, where = [], []
@@ -621,25 +622,6 @@ class FockRunResult:
 _MODE_DELTA = {Prep: 1, Split: 1, SelectVacuum: -1}
 
 
-def _check_fits(circuit: Circuit, n_max: int):
-    """Reject, before any tensor is allocated, a circuit the oracle cannot
-    run: an invalid one (CircuitValidationError, checked first), one with
-    no instructions or a cutoff below 1 (DomainError), one whose widest
-    tensor and its scratch copy at this cutoff exceed MAX_FOCK_BYTES
-    (ResourceLimitError), or one that ends with no live mode, which no
-    FockTensor holds (ModeShapeError)."""
-    _check_valid(validate(circuit))
-    if not circuit.instructions:
-        raise DomainError("cannot run an empty circuit through the oracle")
-    live = peak = 0
-    for ins in circuit.instructions:
-        live += _MODE_DELTA.get(type(ins), 0)
-        peak = max(peak, live)
-    _check_tensor_size(n_max, peak)
-    if live == 0:
-        raise ModeShapeError("the circuit ends with no live mode to return")
-
-
 class _Fock:
     """Backend of ``run_fock``: the number-basis kernels on a dense tensor
     and, until a gate entangles it, the last prepared mode as a vector of
@@ -659,7 +641,6 @@ class _Fock:
         # mode i of a beam splitter (i, amps.ndim) onto the fresh mode,
         # recorded but not yet applied; None when there is none
         self.held: int | None = None
-        self.probs: list[float] = []
 
     def _is_fresh(self, i: int) -> bool:
         return (self.fresh is not None and self.held is None
@@ -702,14 +683,14 @@ class _Fock:
     def split(self, i: int):
         self.amps = _split(self.dense(), i, self.n_max)
 
-    def select(self, i: int, name: str):
+    def select(self, i: int, name: str) -> float:
         if self.held == i:
             self.amps, prob = _herald_bs_fresh(self.amps, i, self.fresh,
                                                self.n_max)
             self.fresh = self.held = None
         else:
             self.amps, prob = _vacuum_project(self.dense(), i)
-        self.probs.append(prob)
+        return prob
 
 
 def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
@@ -718,23 +699,33 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     Runs through the analytic executor's instruction loop (same
     instruction semantics, probabilities relative to the pre-selection
     norm, state renormalized after Hadamards and selections) so the two
-    pipelines are comparable point by point.  Only circuits whose widest
-    tensor and its scratch copy fit MAX_FOCK_BYTES at this cutoff can
-    run; invalid, oversized or empty circuits raise before anything is
-    allocated.  A renormalization that finds more than LOST_NORM_LIMIT
-    of the norm leaked past the cutoff raises FockTruncationError,
-    wrapped in RunError at an instruction and bare at the end of the run.
+    pipelines are comparable point by point: ``run_fock`` runs every
+    circuit ``run`` runs whose widest tensor and its scratch copy fit
+    MAX_FOCK_BYTES at this cutoff.  A circuit with no instructions, or
+    one that ends with no live mode, returns the zero-mode tensor, a 0-d
+    array.  An invalid circuit (CircuitValidationError, checked first),
+    a cutoff that is not an integer >= 1 (DomainError) and an oversized
+    tensor (ResourceLimitError) raise before anything is allocated.  A
+    renormalization that finds more than LOST_NORM_LIMIT of the norm
+    leaked past the cutoff raises FockTruncationError, wrapped in
+    RunError at an instruction and bare at the end of the run.
     """
-    _check_fits(circuit, n_max)
+    _check_valid(validate(circuit))
+    live = peak = 0
+    for ins in circuit.instructions:
+        live += _MODE_DELTA.get(type(ins), 0)
+        peak = max(peak, live)
+    _check_tensor_size(n_max, peak)
     backend = _Fock(n_max)
-    order = _execute(circuit, backend)
+    order, probs = _execute(circuit, backend)
     # the backend owns its tensor, Fortran order on every paper build:
-    # normalized in place and handed over with its unit norm
-    amps = np.asfortranarray(backend.dense())
+    # normalized in place and handed over with its unit norm; unlike
+    # asfortranarray, require keeps a 0-d tensor 0-d
+    amps = np.require(backend.dense(), requirements="F")
     sq = _sq_norm(amps)
     _check_leak(sq, n_max)
     amps /= math.sqrt(sq)
     return FockRunResult(final=FockTensor._adopt(n_max, amps, 1.0),
                          mode_order=order,
-                         probabilities=tuple(backend.probs),
-                         p_success=math.prod(backend.probs, start=1.0))
+                         probabilities=probs,
+                         p_success=math.prod(probs, start=1.0))

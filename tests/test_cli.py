@@ -211,6 +211,19 @@ def test_oracle_reports_agreement(tmp_path, capsys):
     assert "agreement within 1e-6: yes" in out
 
 
+@pytest.mark.parametrize("text", ["alpha 1.0\n",
+                                  "alpha 1.0\nprep a +\nselect0 a\n"],
+                         ids=["empty", "select-only-mode"])
+def test_oracle_agrees_on_a_circuit_that_ends_with_no_mode(tmp_path, capsys,
+                                                          text):
+    path = tmp_path / "zero.cir"
+    path.write_text(text)
+    code, out, err = run_cli(["oracle", str(path)], capsys)
+    assert code == 0, err
+    assert "modes: \n" in out
+    assert "agreement within 1e-6: yes" in out
+
+
 def test_oracle_disagreement_exits_two(tmp_path, capsys):
     # |4 sqrt2> after the first splitter does not fit below 40 photons;
     # the Hadamard checks that leak before it renormalizes, so the oracle

@@ -343,19 +343,22 @@ class _Recorder:
 
     def select(self, i, name):
         self.calls.append(("select", i, name))
+        return f"outcome {name}"
 
 
 def test_executor_passes_mode_positions_to_the_backend():
     ins = (Prep("a", 2.0), Prep("b", -2.0), Split("a", "c"),
            SelectVacuum("b"), Hadamard("c", 1.5), Split("c", "d"),
-           BeamSplitter("d", "a"))
+           BeamSplitter("d", "a"), SelectVacuum("a"))
     backend = _Recorder()
-    order = _execute(Circuit(2.0, ins), backend)
-    assert order == ("a", "c", "d")
+    order, outcomes = _execute(Circuit(2.0, ins), backend)
+    assert order == ("c", "d")
+    # the executor keeps whatever each select returns, in circuit order
+    assert outcomes == ("outcome b", "outcome a")
     assert backend.calls == [
         ("prep", 2.0), ("prep", -2.0), ("split", 0),
         ("select", 1, "b"), ("hadamard", 1, 1.5), ("split", 1),
-        ("bs", 2, 0)]
+        ("bs", 2, 0), ("select", 0, "a")]
 
 
 @pytest.mark.parametrize("sel", [BRANCH, SelectionMode.exact()])

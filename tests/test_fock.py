@@ -23,6 +23,7 @@ from cghzsim import (
     SelectVacuum,
     Split,
     ZeroProbabilityError,
+    ZeroStateError,
     build_cghz_circuit,
     csstate_to_fock,
     fidelity,
@@ -265,6 +266,17 @@ def test_bs_blocks_are_real_orthogonal():
             assert np.linalg.norm(u, 2) <= 1.0 + 1e-12
 
 
+def test_fock_tensor_holds_zero_modes():
+    t = FockTensor(5, np.array(0.6 - 0.8j))
+    assert t.mode_count == 0 and t.amps.shape == ()
+    assert t.amps.dtype == np.complex128
+    assert t.squared_norm() == pytest.approx(1.0, abs=1e-15)
+    assert fock_fidelity(t, FockTensor(5, np.array(1.0))) == pytest.approx(
+        1.0, abs=1e-15)
+    with pytest.raises(DomainError):
+        FockTensor(5, np.array(1.1))
+
+
 def test_fock_tensor_rejects_norm_above_one():
     FockTensor(5, np.zeros((6, 6), dtype=complex))
     with pytest.raises(DomainError):
@@ -393,6 +405,20 @@ def test_both_pipelines_refuse_a_vanishing_vacuum_alike(execute):
     assert exc.value.index == 3
 
 
+@pytest.mark.parametrize("execute", [
+    lambda c: run(c, SelectionMode.exact()),
+    lambda c: run_fock(c, n_max=120),
+], ids=["run", "run_fock"])
+def test_both_pipelines_refuse_a_vanishing_hadamard_image_alike(execute):
+    # |8i> lies almost wholly outside span{|1>, |-1>}: its image has norm
+    # 1.25e-14, a vanishing state, not a post-selection branch
+    circuit = Circuit(1.0, (Prep("a", 8j), Hadamard("a"), Prep("b", 1.0)))
+    with pytest.raises(RunError) as exc:
+        execute(circuit)
+    assert exc.value.index == 1
+    assert type(exc.value.__cause__) is ZeroStateError
+
+
 def test_vacuum_project_zero_branch():
     d = 6
     amps = np.zeros((d, d), dtype=complex)
@@ -449,6 +475,15 @@ def test_csstate_to_fock_byte_budget():
     t = csstate_to_fock(s, 4)
     assert t.mode_count == 6
     assert t.squared_norm() == pytest.approx(1.0, abs=1e-8)
+
+
+def test_csstate_to_fock_of_a_zero_mode_state_is_the_sum_of_its_terms():
+    # a zero-mode term is the empty product, so the state is one number
+    s = CsState([0.6, 0.3 + 0.4j], np.zeros((2, 0)))
+    t = csstate_to_fock(s, 10)
+    assert t.amps.shape == () and t.mode_count == 0
+    assert t.amps == pytest.approx(0.9 + 0.4j, abs=1e-15)
+    assert t.squared_norm() == pytest.approx(abs(0.9 + 0.4j) ** 2, abs=1e-15)
 
 
 def test_csstate_to_fock_zero_terms_is_the_zero_tensor():
@@ -830,9 +865,6 @@ def test_run_fock_rejects_wide_circuits():
     with pytest.raises(ResourceLimitError,
                        match="largest n_max that fits 6 modes is 19"):
         run_fock(circuit, n_max=20)
-    # the same static pass rejects an empty circuit
-    with pytest.raises(DomainError):
-        run_fock(Circuit(alpha=1.0), n_max=10)
 
 
 @pytest.mark.parametrize("n_max", [0, -3])
@@ -882,17 +914,24 @@ def test_oversized_tensors_are_refused_before_allocation(monkeypatch):
         csstate_to_fock(target, 200)
 
 
-def test_a_circuit_that_ends_with_no_live_mode_is_refused_typed(
-        monkeypatch):
-    # a FockTensor holds at least one mode, so run_fock refuses such a
-    # circuit before the first prep, not with an empty mode order
-    def no_expansion(*args):
-        raise AssertionError("coherent_fock called before the mode check")
-
-    monkeypatch.setattr(fock, "coherent_fock", no_expansion)
-    circuit = Circuit(1.0, (Prep("a", 1.0), SelectVacuum("a")))
-    with pytest.raises(ModeShapeError, match="no live mode"):
-        run_fock(circuit, n_max=40)
+@pytest.mark.parametrize("ins", [
+    (), (Prep("a", 1.0), SelectVacuum("a")),
+    (Prep("a", 0.6 + 0.8j), Prep("b", 1.0), Hadamard("b"),
+     BeamSplitter("a", "b"), SelectVacuum("b"), SelectVacuum("a"))],
+    ids=["empty", "select-only-mode", "complex"])
+def test_a_circuit_that_ends_with_no_live_mode_runs_in_both_pipelines(ins):
+    # both end in the zero-mode state: a 0-d tensor of norm one
+    circuit = Circuit(1.0, ins)
+    analytic = run(circuit, SelectionMode.exact())
+    numeric = run_fock(circuit, n_max=40)
+    assert numeric.mode_order == analytic.mode_order == ()
+    assert numeric.final.amps.shape == ()
+    assert numeric.final.squared_norm() == 1.0
+    assert len(numeric.probabilities) == len(analytic.selections)
+    assert abs(numeric.p_success - analytic.p_success) <= 1e-14
+    overlap = fock_fidelity(csstate_to_fock(analytic.final_state, 40),
+                            numeric.final)
+    assert abs(1.0 - overlap) <= 1e-14
 
 
 def test_tensor_size_limit_boundary():
@@ -920,7 +959,7 @@ def test_run_fock_validates_once_before_the_width_check(monkeypatch):
     bad = Circuit(wide.alpha, wide.instructions + (Hadamard("nowhere"),))
     with pytest.raises(CircuitValidationError):
         run_fock(bad, n_max=20)
-    # an empty circuit with a bad alpha is invalid before it is empty
+    # an empty circuit with a bad alpha is invalid
     with pytest.raises(CircuitValidationError):
         run_fock(Circuit(alpha=-1.0), n_max=10)
     assert len(calls) == 2
@@ -1022,7 +1061,8 @@ def test_fock_tensor_keeps_a_real_array_real(given, kept):
 # Valid circuits of 3 to 9 instructions on at most 4 live modes, with
 # complex (or, drawn often, real) prep amplitudes and Hadamard references
 # off the circuit alpha: the complex Gram paths and both oracle dtypes,
-# which the protocol's real builds leave unexercised.
+# which the protocol's real builds leave unexercised.  Any live mode may
+# be selected, the only one too, so a circuit may end with none.
 
 REFS = st.floats(0.6, 1.4)
 PREP_AMPS = st.builds(complex, st.floats(-1.2, 1.2),
@@ -1038,9 +1078,9 @@ def random_circuits(draw):
     for _ in range(draw(st.integers(3, 9))):
         kinds = ["prep"] if len(live) < 4 else []
         if live:
-            kinds += ["h"] + (["split"] if len(live) < 4 else [])
+            kinds += ["h", "select"] + (["split"] if len(live) < 4 else [])
         if len(live) > 1:
-            kinds += ["bs", "select"]
+            kinds.append("bs")
         kind = draw(st.sampled_from(kinds))
         if kind == "prep":
             live.append(next(names))
@@ -1072,6 +1112,7 @@ def test_random_circuits_agree_with_the_oracle(circuit):
         with pytest.raises(RunError) as numeric_exc:
             run_fock(circuit, n_max=RANDOM_NMAX)
         assert numeric_exc.value.index == exc.index
+        assert type(numeric_exc.value.__cause__) is type(exc.__cause__)
         return
     numeric = run_fock(circuit, n_max=RANDOM_NMAX)
     real = all(ins.amp.imag == 0 for ins in circuit.instructions
