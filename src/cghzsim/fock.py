@@ -37,11 +37,13 @@ small coefficient tensor and expands it with the two cat vectors in
 place.  Heralding copies only the vacuum slice.  An analytic state is
 expanded by one matrix product of two tables of row-wise Kronecker
 products of coherent vectors, taken over the modes in reverse so that
-the product is the Fortran-order tensor.  Norms are single-pass dot
-products, but for the input of a selection after a held beam splitter,
-which comes from the Gram matrix; each tensor's squared norm is taken
-once: ``run_fock`` and ``csstate_to_fock`` hand the one they computed to
-the ``FockTensor`` they return.
+the product is the Fortran-order tensor; entries of the two tables below
+the smallest normal float64, which round-off labels such as 1e-16 leave,
+are flushed to zero first.  Norms are single-pass dot products, but for
+the input of a selection after a held beam splitter, which comes from
+the Gram matrix; each tensor's squared norm is taken once: ``run_fock``
+and ``csstate_to_fock`` hand the one they computed to the ``FockTensor``
+they return.
 
 Gates are applied only by running a circuit: ``run_fock`` executes it,
 ``csstate_to_fock`` expands an analytic state for comparison and
@@ -69,9 +71,10 @@ with FockTruncationError: a prep whose vector loses more than
 LOST_NORM_LIMIT (1e-6) of its norm, and a tensor whose squared norm has
 fallen by more than that since it was last renormalized, which beam
 splitters cause.  Every renormalization first refuses a loss above
-LOST_NORM_LIMIT: each vacuum selection and the final renormalization
-check the norm they take anyway (after a held beam splitter, the exact
-norm of the truncated output it never forms), and a Hadamard on a mode
+LOST_NORM_LIMIT: each vacuum selection and the end of ``run_fock`` check
+the norm they take anyway (after a held beam splitter, the exact norm of
+the truncated output it never forms; the final tensor is not rescaled
+but carries the squared norm measured), and a Hadamard on a mode
 already in the tensor, which renormalizes from its small coefficient
 tensor, takes one more pass over the tensor to check its input.  A
 Hadamard on a held mode normalizes only that mode's vector and leaves
@@ -548,6 +551,10 @@ def _expand_block(vecs: list, where: list, coeffs: np.ndarray,
     tables = [v[w[rows]] for v, w in zip(vecs, where)]
     left = _row_kron(tables[:half], coeffs[rows])
     right = _row_kron(tables[half:], np.ones(len(left)))
+    # subnormal operands slow the product twofold; left may be a
+    # read-only view of the coefficients, so both are flushed by copy
+    tiny = np.finfo(np.float64).tiny
+    left, right = (np.where(abs(x) < tiny, 0, x) for x in (left, right))
     return left.T @ right
 
 
@@ -705,10 +712,13 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     one that ends with no live mode, returns the zero-mode tensor, a 0-d
     array.  An invalid circuit (CircuitValidationError, checked first),
     a cutoff that is not an integer >= 1 (DomainError) and an oversized
-    tensor (ResourceLimitError) raise before anything is allocated.  A
-    renormalization that finds more than LOST_NORM_LIMIT of the norm
-    leaked past the cutoff raises FockTruncationError, wrapped in
-    RunError at an instruction and bare at the end of the run.
+    tensor (ResourceLimitError) raise before anything is allocated.  The
+    final tensor is not rescaled: it carries the squared norm measured at
+    the end of the run, which ``fock_fidelity`` divides out.  A
+    renormalization, or that end-of-run measure, that finds more than
+    LOST_NORM_LIMIT of the norm leaked past the cutoff raises
+    FockTruncationError, wrapped in RunError at an instruction and bare
+    at the end of the run.
     """
     _check_valid(validate(circuit))
     live = peak = 0
@@ -719,13 +729,12 @@ def run_fock(circuit: Circuit, n_max: int = DEFAULT_NMAX) -> FockRunResult:
     backend = _Fock(n_max)
     order, probs = _execute(circuit, backend)
     # the backend owns its tensor, Fortran order on every paper build:
-    # normalized in place and handed over with its unit norm; unlike
-    # asfortranarray, require keeps a 0-d tensor 0-d
+    # checked for a leak and handed over with the squared norm measured,
+    # not rescaled; unlike asfortranarray, require keeps a 0-d tensor 0-d
     amps = np.require(backend.dense(), requirements="F")
     sq = _sq_norm(amps)
     _check_leak(sq, n_max)
-    amps /= math.sqrt(sq)
-    return FockRunResult(final=FockTensor._adopt(n_max, amps, 1.0),
+    return FockRunResult(final=FockTensor._adopt(n_max, amps, sq),
                          mode_order=order,
                          probabilities=probs,
                          p_success=math.prod(probs, start=1.0))
