@@ -31,6 +31,15 @@ representation.  The sum is evaluated in one of two exact ways:
 ``state_norm`` takes whichever a cost estimate from T and the group
 sizes says is cheaper.
 
+The grouping and ``merge_terms`` share one private labelling of a
+state's labels: exact integer codes (the rank of each label among the
+distinct values of its component), the count of those values and the
+values themselves, from one sort per component.  A state whose norm
+would be grouped is labelled by the first of the two that needs it and
+keeps the labelling; a merge output keeps the codes of its rows,
+re-ranked over the values still present.  So a merge and the norm after
+it, in ``select_vacuum`` and ``apply_hadamard``, sort the labels once.
+
 Both ways compute in real arithmetic what is real.  For real labels
 conj(a) b - (|a|^2 + |b|^2)/2 = -|a - b|^2/2, so the overlaps are
 positive float64 values, and real coefficients are summed as float64.
@@ -47,18 +56,21 @@ nothing demotes one, so once complex an array stays complex128, even
 after a selection removes its last complex label.  The Gram, merge and
 grouping code reads realness from the dtype.
 
-All operations are pure; states are immutable after construction.  The
-public constructor copies its arguments into read-only arrays of the
-dtype their data needs.  Kernels build their output once, through
-``CsState._adopt``, which wraps arrays the kernel just built, or
-read-only arrays of its input state, without copying them; it keeps the
-constructor's finiteness checks and sets both arrays read-only.
+All operations are pure; states are immutable after construction (the
+labelling, a cache of what the labels already say, is set once, and its
+arrays are read-only too).  The public constructor copies its arguments
+into read-only arrays of the dtype their data needs.  Kernels build
+their output once, through ``CsState._adopt``, which wraps arrays the
+kernel just built, or read-only arrays of its input state, without
+copying them; it keeps the constructor's finiteness checks and sets both
+arrays read-only.  Only ``coherent`` sets a labelling.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,13 +99,17 @@ GRAM_BLOCK = 1 << 20
 
 # Cost model of state_norm, in dense Gram elements (one complex
 # exponential with its share of the label product, about 30 ns): the
-# grouping of the modes, per mode (about 20 NumPy calls, over the codes
-# of every group so far; the exact (2,4) to (2,6) states of 576 to 2304
-# terms measure 110 to 240 us, 3700 to 8000 elements, a mode, so this is
-# a floor); one group's table and contraction step, its fixed part
-# (about 16 calls); one multiply-add of the contraction; and one dense element on real labels
-# (a real exponential; a T = 256, M = 15 self-product takes 0.77 ms real
-# against 5.0 ms complex).
+# grouping of the modes, per mode (one sort of its labels, shared with a
+# merge before the norm, and about 20 NumPy calls over the codes of
+# every group so far; on the grouped states of exact (2,4) to (2,6), 576
+# to 2304 terms, the sort measures 10 to 27 us and the grouping 29 to 42
+# us a mode, 1300 to 2300 elements together, one BLAS thread; lowering
+# the constant to 2000, 1500 or 1000 made a pass of exact_large's runs
+# 1 %, 3 % and 6 % slower, so it stays); one group's table and
+# contraction step, its fixed part (about 16 calls); one multiply-add of
+# the contraction; and one dense element on real labels (a real
+# exponential; a T = 256, M = 15 self-product takes 0.77 ms real against
+# 5.0 ms complex).
 _GROUPING_COST = 3000
 _TABLE_COST = 1600
 _MAC_COST = 0.05
@@ -108,7 +124,7 @@ class CsState:
     entries has an imaginary part, and complex128 otherwise.
     """
 
-    __slots__ = ("coeffs", "amps")
+    __slots__ = ("coeffs", "amps", "_labels")
 
     def __init__(self, coeffs, amps):
         coeffs = _as_real(np.array(coeffs, dtype=np.complex128).reshape(-1))
@@ -149,6 +165,7 @@ class CsState:
                 x.setflags(write=False)
         self.coeffs = coeffs
         self.amps = amps
+        self._labels = None
 
     @property
     def mode_count(self) -> int:
@@ -279,12 +296,84 @@ def _recode(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
     return codes.reshape(-1), values.size
 
 
-def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
-    """Partition the modes into groups whose distinct label rows make a
-    cheap zero-padded product.
+class _Labels(NamedTuple):
+    """The exact coding of a state's labels, one row per label component:
+    the modes of real labels, or the real and imaginary parts of complex
+    ones (the columns of ``amps.view(np.float64)``)."""
 
-    Each mode gets integer codes of its labels; labels that differ at all
-    get different codes.  One pass then takes the modes in order.  With
+    codes: np.ndarray    # (C, T): rank of each label among its row's values
+    sizes: np.ndarray    # (C,): distinct values of each component
+    values: np.ndarray   # (sum(sizes),): those values, ascending, row by row
+
+    @classmethod
+    def _frozen(cls, codes, sizes, values) -> "_Labels":
+        """The labelling of these arrays, set read-only as a state's
+        arrays are."""
+        for x in (codes, sizes, values):
+            x.setflags(write=False)
+        return cls(codes, sizes, values)
+
+
+def _code_labels(amps: np.ndarray) -> _Labels:
+    """The labelling of label rows amps (T, M): one sort per component,
+    on the contiguous transpose.  Labels that differ at all get
+    different codes, so the codes are exact."""
+    x = amps if amps.dtype.kind == "f" else (
+        np.ascontiguousarray(amps).view(np.float64))
+    comps = np.ascontiguousarray(x.T)
+    srt = np.sort(comps, axis=1)
+    new = np.empty(srt.shape, dtype=bool)
+    new[:, :1] = True
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
+    sizes = np.count_nonzero(new, axis=1)
+    values = srt[new]
+    # the smallest unsigned dtype that holds every code
+    codes = np.empty(comps.shape,
+                     dtype=np.min_scalar_type(sizes.max(initial=1) - 1))
+    ends = np.cumsum(sizes).tolist()
+    for c, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        codes[c] = np.searchsorted(values[lo:hi], comps[c])
+    return _Labels._frozen(codes, sizes, values)
+
+
+def _labels(s: CsState) -> _Labels:
+    """The labelling of s, coded on first use and kept with s."""
+    if s._labels is None:
+        s._labels = _code_labels(s.amps)
+    return s._labels
+
+
+def _kept_labels(lab: _Labels, rows: np.ndarray) -> _Labels:
+    """The labelling of the label rows ``rows`` of a state labelled lab:
+    their codes, re-ranked over the values still present."""
+    codes = lab.codes[:, rows]
+    lo = np.cumsum(lab.sizes) - lab.sizes
+    flat = codes + lo[:, None]
+    present = np.bincount(flat.ravel(), minlength=lab.values.size) > 0
+    if present.all():
+        return _Labels._frozen(codes, lab.sizes, lab.values)
+    rank = np.cumsum(present)
+    before = rank[lo] - present[lo]           # present values of earlier rows
+    np.take(rank, flat, out=flat)
+    flat -= before[:, None] + 1
+    return _Labels._frozen(flat.astype(codes.dtype),
+                           np.add.reduceat(present, lo), lab.values[present])
+
+
+def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
+    """Partition the modes of label rows amps into groups whose distinct
+    label rows make a cheap zero-padded product (see _mode_groups)."""
+    return _mode_groups(_code_labels(amps), amps.dtype.kind == "c")
+
+
+def _mode_groups(lab: _Labels,
+                 complex_labels: bool) -> list[tuple[np.ndarray, int, list]]:
+    """Partition the modes into groups whose distinct label rows make a
+    cheap zero-padded product, from the labelling lab of their labels.
+
+    Each mode's labels get integer codes; labels that differ at all get
+    different codes (complex ones are coded by the pair of their parts'
+    codes).  One pass then takes the modes in order.  With
     L_k the number of distinct label rows of group k, S = sum(L) so far
     and l the mode's label count, the mode joins the group whose joint
     row count n gives the lowest ratio n (S - L_k + n) / (L_k l (S + l))
@@ -294,16 +383,16 @@ def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
     Returns (codes (T,), L, modes) per group; a mode with one label in
     every term is in no group.
     """
-    a = np.ascontiguousarray(amps.T)
-    # equal labels get one code whatever their order, so the sort need
-    # not be stable; complex labels sort by real, then imaginary part
-    order = np.argsort(a, axis=-1)
-    srt = np.take_along_axis(a, order, axis=-1)
-    ids = np.zeros(a.shape, dtype=np.intp)
-    np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=ids[:, 1:])
-    codes = np.empty_like(ids)
-    np.put_along_axis(codes, order, ids, axis=-1)
-    sizes = ids[:, -1] + 1
+    if complex_labels:
+        # (re, im) code pairs, ranked as the complex labels sort
+        re, im = lab.codes[0::2], lab.codes[1::2]
+        ls_re, ls_im = lab.sizes[0::2].tolist(), lab.sizes[1::2].tolist()
+        pairs = [_recode(r.astype(np.intp) * li + i, lr * li)
+                 for r, i, lr, li in zip(re, im, ls_re, ls_im)]
+        codes = [c for c, _ in pairs]
+        sizes = np.array([size for _, size in pairs], dtype=np.intp)
+    else:
+        codes, sizes = lab.codes, lab.sizes
     groups = []
     for x in np.flatnonzero(sizes > 1).tolist():
         lx = int(sizes[x])
@@ -318,7 +407,7 @@ def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
                 ck, lk, mk = groups[k]
                 groups[k] = (*_recode(ck * lx + codes[x], lk * lx), mk + [x])
                 continue
-        groups.append((codes[x], lx, [x]))
+        groups.append((codes[x].astype(np.intp), lx, [x]))
     return groups
 
 
@@ -351,6 +440,13 @@ def _factored_norm_sq(amps: np.ndarray, coeffs: np.ndarray,
     return float(np.vdot(c, x.reshape(-1)).real)
 
 
+def _dense_cost(amps: np.ndarray) -> float:
+    """The dense self-product's cost in Gram elements: T^2, weighted by
+    _REAL_DENSE_COST when the labels are real (float64)."""
+    t = len(amps)
+    return t * t * (_REAL_DENSE_COST if amps.dtype.kind == "f" else 1.0)
+
+
 def _norm_sq(s: CsState) -> float:
     """<s|s> by whichever of the factored and dense sums costs less.
 
@@ -363,10 +459,10 @@ def _norm_sq(s: CsState) -> float:
     fits in GRAM_BLOCK.
     """
     a, c = s.amps, s.coeffs
-    t, m = a.shape
-    dense = t * t * (_REAL_DENSE_COST if a.dtype.kind == "f" else 1.0)
-    if dense > _GROUPING_COST * m:
-        groups = _label_groups(a)
+    t = len(c)
+    dense = _dense_cost(a)
+    if dense > _GROUPING_COST * a.shape[1]:
+        groups = _mode_groups(_labels(s), a.dtype.kind == "c")
         sizes = [size for _, size, _ in groups]
         cells = math.prod(sizes)
         factored = (sum(size * size + t + _TABLE_COST for size in sizes)
@@ -402,52 +498,126 @@ def merge_terms(s: CsState) -> CsState:
     """Combine terms with coinciding amplitude labels.
 
     Each real and (for complex labels) imaginary component of the labels
-    is sorted on its own and cut into clusters wherever two neighbouring
-    values differ by more than tol = DEFAULT_MERGE_TOL (1e-12), so the
-    tolerance chains within a component.  Terms whose components all
-    fall in the same clusters are summed into the earliest of them, and
-    the merged terms keep the order of their earliest rows; afterwards
-    terms with |coeff| <= tol * max|coeff| are dropped.  Protocol
-    circuits produce exactly coinciding labels, so the tolerance is
-    lossless.  Cost: one sort per component, O(M T log T) for T terms on
-    M modes.
+    is cut into clusters wherever two neighbouring values differ by more
+    than tol = DEFAULT_MERGE_TOL (1e-12), so the tolerance chains within
+    a component.  Terms whose components all fall in the same clusters
+    are summed into the earliest of them, and the merged terms keep the
+    order of their earliest rows; afterwards terms with |coeff| <= tol *
+    max|coeff| are dropped.  Protocol circuits produce exactly coinciding
+    labels, so the tolerance is lossless.  A merge that joins and drops
+    nothing returns s, or s with its label array copied C-ordered.
+
+    The clusters come from one sort per component, O(M T log T) for T
+    terms on M modes, and the rows are grouped by a lexsort of their
+    cluster ids.  A state whose norm is grouped (see _norm_sq) takes
+    them from its labelling, sorted once for the merge and the norm
+    after it; the output keeps the labelling of its rows.  Smaller
+    states cluster the sorted components directly: labelling them costs
+    more than the sort it saves.  Labelling every state, the 207 merges
+    of a branch_sweep pass (median 8 terms) took 17.3 ms against 9.4 ms,
+    and the 55 of an exact_large pass 6.9 against 4.6 ms (one BLAS
+    thread).
     """
     t = s.term_count
     if t == 0:
         return s
-    # real labels, or the re, im columns of complex ones
-    comps = np.ascontiguousarray(s.amps).view(np.float64)
+    lab = s._labels
+    if lab is None and _dense_cost(s.amps) > _GROUPING_COST * s.mode_count:
+        lab = _labels(s)
+    keys = _float_clusters(s.amps) if lab is None else _label_clusters(lab)
     starts = np.zeros(t, dtype=bool)         # first row of a group in rows
     starts[0] = True
-    if comps.shape[1]:
-        # cluster id of every component: sort, cut at gaps above tol
-        order = np.argsort(comps, axis=0)
-        cols = np.arange(comps.shape[1])
-        ids = np.zeros(comps.shape, dtype=np.intp)
-        np.cumsum(np.diff(comps[order, cols], axis=0) > DEFAULT_MERGE_TOL,
-                  axis=0, out=ids[1:])
-        ids[order, cols] = ids.copy()
-        # rows with equal id vectors are adjacent after a stable lexsort,
-        # the earliest row first
-        rows = np.lexsort(ids.T)
-        srt = ids[rows]
-        np.any(srt[1:] != srt[:-1], axis=1, out=starts[1:])
+    if len(keys):
+        # rows with equal keys are adjacent after a stable lexsort, the
+        # earliest row first
+        rows = np.lexsort(keys)
+        srt = keys[:, rows]
+        np.any(srt[:, 1:] != srt[:, :-1], axis=0, out=starts[1:])
     else:
-        rows = np.arange(t)
-    lex_group = np.empty(t, dtype=np.intp)
-    lex_group[rows] = np.cumsum(starts) - 1
-    first = rows[starts]
-    is_rep = np.zeros(t, dtype=bool)
-    is_rep[first] = True
-    # renumber the groups in order of their earliest rows
-    group = (np.cumsum(is_rep) - 1)[first][lex_group]
-    g = first.size
-    coeffs = np.bincount(group, s.coeffs.real, g)
-    if s.coeffs.dtype.kind == "c":
-        coeffs = coeffs + 1j * np.bincount(group, s.coeffs.imag, g)
+        rows = np.arange(t)                  # one cluster holds every row
+    if starts.all():
+        coeffs, reps = s.coeffs, np.arange(t)
+    else:
+        lex_group = np.empty(t, dtype=np.intp)
+        lex_group[rows] = np.cumsum(starts) - 1
+        first = rows[starts]
+        is_rep = np.zeros(t, dtype=bool)
+        is_rep[first] = True
+        # renumber the groups in order of their earliest rows
+        group = (np.cumsum(is_rep) - 1)[first][lex_group]
+        g = first.size
+        coeffs = np.bincount(group, s.coeffs.real, g)
+        if s.coeffs.dtype.kind == "c":
+            coeffs = coeffs + 1j * np.bincount(group, s.coeffs.imag, g)
+        reps = np.flatnonzero(is_rep)
     mags = np.abs(coeffs)
     keep = mags > DEFAULT_MERGE_TOL * mags.max()
-    return CsState._adopt(coeffs[keep], s.amps[is_rep][keep])
+    if len(reps) == t and keep.all():        # joins and drops nothing
+        if not s.amps.flags.c_contiguous:
+            # C-ordered rows, as a merge that builds its output gives:
+            # BLAS rounds a dense Gram product of other layouts
+            # differently
+            s = CsState._adopt(s.coeffs, np.ascontiguousarray(s.amps))
+            s._labels = lab
+        return s
+    reps = reps[keep]
+    out = CsState._adopt(coeffs[keep], s.amps[reps])
+    if lab is not None:
+        out._labels = _kept_labels(lab, reps)
+    return out
+
+
+def _float_clusters(amps: np.ndarray) -> np.ndarray:
+    """Cluster ids (C, T) of the label components of amps (T, M): each
+    component sorted, and cut where neighbouring values differ by more
+    than the merge tolerance."""
+    x = amps if amps.dtype.kind == "f" else (
+        np.ascontiguousarray(amps).view(np.float64))
+    comps = np.ascontiguousarray(x.T)
+    order = np.argsort(comps, axis=1)
+    # fancy indexing: take_ and put_along_axis cost 15 to 25 us more
+    # per call on small states
+    row = np.arange(len(comps))[:, None]
+    ids = np.zeros(comps.shape, dtype=np.intp)
+    np.cumsum(np.diff(comps[row, order], axis=1) > DEFAULT_MERGE_TOL,
+              axis=1, out=ids[:, 1:])
+    ids[row, order] = ids.copy()
+    return ids
+
+
+def _label_clusters(lab: _Labels) -> np.ndarray:
+    """The rows' cluster ids from the labelling lab: each component's
+    distinct values cut where neighbours differ by more than the merge
+    tolerance.  Components with one cluster are left out, and the others
+    are packed, as digits, into as few int64 keys (K, T) as they fit."""
+    sizes = lab.sizes
+    lo = np.cumsum(sizes) - sizes
+    cut = np.empty(lab.values.size, dtype=bool)
+    np.greater(np.diff(lab.values), DEFAULT_MERGE_TOL, out=cut[1:])
+    cut[lo] = True
+    ids, counts = lab.codes, sizes
+    if not cut.all():
+        # values that chain: each one's cluster, counted from 0 in its
+        # component
+        cluster = np.cumsum(cut) - 1
+        counts = cluster[lo + sizes - 1] - cluster[lo] + 1
+        chained = np.flatnonzero(counts < sizes)
+        ids = ids.copy()
+        ids[chained] = (cluster - np.repeat(cluster[lo], sizes))[
+            ids[chained] + lo[chained, None]]
+    digits = []                              # (components, place values)
+    span = limit = (1 << 63) - 1
+    for c, n in enumerate(counts.tolist()):
+        if n > 1:
+            if span * n > limit:
+                digits.append(([], []))
+                span = 1
+            digits[-1][0].append(c)
+            digits[-1][1].append(span)
+            span *= n
+    keys = [np.array(place, dtype=np.int64) @ ids[comps]
+            for comps, place in digits]
+    return np.array(keys).reshape(len(keys), ids.shape[1])
 
 
 # -- closed-form normalization constants -------------------------------

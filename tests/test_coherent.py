@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -681,6 +682,125 @@ def test_merge_tolerance_chains_within_a_component():
     assert merge_terms(s).term_count == 1
     apart = CsState([1.0, 1.0], [[0.0], [1.6e-12]])
     assert merge_terms(apart).term_count == 2
+
+
+def above_the_gate(s):
+    """Whether state_norm groups the modes of s, so merge_terms labels
+    it."""
+    return (coherent._dense_cost(s.amps)
+            > coherent._GROUPING_COST * s.mode_count)
+
+
+def _gapped_state(seed, complex_labels=False):
+    """A state above the grouping gate: lattice rows of spacing 0.37,
+    with copies shifted by round-off (a 4e-16 label gap, as the exact
+    (2,6) build carries) and three planted rows whose labels in mode 0
+    chain within the merge tolerance: v, v + 0.8e-12 and v + 1.6e-12.
+    The middle row either merges into the first (its other labels equal
+    the first's) or carries a zero coefficient, so a merge drops it; the
+    last differs from both in mode 1.  So after the merge the clusters
+    of mode 0 are taken over the values still present."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    t = int(rng.integers(400, 700))
+    lattice = 0.37 * rng.integers(-3, 4, (t, m)).astype(complex)
+    if complex_labels:
+        lattice += 0.37j * rng.integers(-1, 2, (t, m))
+    gapped = lattice[rng.integers(0, t, int(rng.integers(1, t // 2)))]
+    gapped[rng.uniform(size=gapped.shape) < 0.5] += 4e-16
+    # off the lattice, so no other row shares the chain's clusters
+    chain = np.full((3, m), 2.3, dtype=complex)
+    chain[:, 0] = 1.9 + np.array([0.0, 0.8e-12, 1.6e-12])
+    chain[2, 1] += 0.37
+    coeffs = rng.uniform(-1.0, 1.0, t + len(gapped) + 3)
+    if complex_labels:
+        coeffs = coeffs + 1j * rng.uniform(-1.0, 1.0, coeffs.size)
+    if rng.integers(2):
+        chain[1, 1] -= 0.37                  # alone, and dropped
+        coeffs[-2] = 0.0
+    amps = np.concatenate([lattice, gapped, chain])
+    rows = rng.permutation(len(amps))
+    return CsState(coeffs[rows],
+                   amps[rows] if complex_labels else amps[rows].real)
+
+
+@contextlib.contextmanager
+def below_the_gate():
+    """No state is grouped or labelled while this holds."""
+    saved = coherent._GROUPING_COST
+    coherent._GROUPING_COST = math.inf
+    try:
+        yield
+    finally:
+        coherent._GROUPING_COST = saved
+
+
+def assert_fresh_labels(s):
+    """The labelling s carries equals one coded from its labels."""
+    fresh = coherent._code_labels(s.amps)
+    for got, want in zip(s._labels, fresh):
+        assert np.array_equal(got, want)
+    assert not s._labels.codes.flags.writeable
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_labelled_merge_matches_greedy_reference(seed, complex_labels):
+    s = _gapped_state(seed, complex_labels)
+    assert above_the_gate(s)
+    got, ref = merge_terms(s), _greedy_merge(s)
+    assert s._labels is not None
+    assert got.term_count == ref.term_count < s.term_count
+    assert np.array_equal(got.amps, ref.amps)   # same rows, same order
+    assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-14
+    # the carried labelling is re-ranked over the rows kept, and a second
+    # merge, which reads it, joins and drops nothing
+    assert_fresh_labels(got)
+    assert merge_terms(got) is got
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_labelled_merge_matches_the_float_clusters(seed, complex_labels):
+    # the same state merged with its labelling and without one, as a
+    # state below the gate is
+    s = _gapped_state(seed, complex_labels)
+    labelled = merge_terms(s)
+    with below_the_gate():
+        plain = merge_terms(CsState(s.coeffs, s.amps))
+    assert plain._labels is None
+    assert np.array_equal(labelled.amps, plain.amps)
+    assert labelled.coeffs.tobytes() == plain.coeffs.tobytes()
+
+
+def test_a_merge_that_joins_nothing_returns_its_input(monkeypatch):
+    final, _ = exact_final_state(2, 6)
+    s = CsState(final.coeffs, final.amps)
+    assert above_the_gate(s)
+    assert merge_terms(s) is s
+    assert_fresh_labels(s)
+    # the norm reads the labelling the merge coded
+    monkeypatch.setattr(coherent, "_code_labels", None)
+    assert abs(state_norm(s) - 1.0) <= 1e-12
+
+
+def test_kernels_never_write_a_labelling(rng):
+    from cghzsim.optics import (add_mode, apply_bs, apply_hadamard,
+                                select_vacuum, split_mode)
+    s = normalize(merge_terms(_gapped_state(int(rng.integers(2**32)))))
+    lab = coherent._labels(s)
+    before = [x.copy() for x in lab]
+    outs = [add_mode(s, 0.5), apply_bs(s, 0, 1), split_mode(s, 0),
+            apply_hadamard(s, 0, 1.0, "project"), normalize(s),
+            merge_terms(s), select_vacuum(s, 0, SelectionMode.exact())[0],
+            select_vacuum(s, 0, SelectionMode.branch())[0]]
+    state_norm(s)
+    assert s._labels is lab
+    for got, want in zip(lab, before):
+        assert np.array_equal(got, want) and not got.flags.writeable
+    for out in outs:
+        if out._labels is not None:
+            assert_fresh_labels(out)
 
 
 # -------------------------------------------------- normalization constants

@@ -667,6 +667,10 @@ def test_a_leak_past_the_cutoff_after_a_beam_splitter_is_refused():
 
 
 def test_a_leak_at_the_final_renormalization_is_refused():
+    """The end-of-run leak check on the final tensor's norm refuses a
+    leak that no selection or Hadamard after it checks: the run ends on
+    the beam splitter, and its final tensor is handed over unscaled, with
+    the squared norm that check measured."""
     circuit = Circuit(5.0, (Prep("a", 5.0), Prep("b", -5.0),
                             BeamSplitter("a", "b")))
     with pytest.raises(FockTruncationError, match="cutoff 60 loses"):
