@@ -505,7 +505,7 @@ def merge_terms(s: CsState) -> CsState:
     order of their earliest rows; afterwards terms with |coeff| <= tol *
     max|coeff| are dropped.  Protocol circuits produce exactly coinciding
     labels, so the tolerance is lossless.  A merge that joins and drops
-    nothing returns s, or s with its label array copied C-ordered.
+    nothing returns s.
 
     The clusters come from one sort per component, O(M T log T) for T
     terms on M modes, and the rows are grouped by a lexsort of their
@@ -553,12 +553,6 @@ def merge_terms(s: CsState) -> CsState:
     mags = np.abs(coeffs)
     keep = mags > DEFAULT_MERGE_TOL * mags.max()
     if len(reps) == t and keep.all():        # joins and drops nothing
-        if not s.amps.flags.c_contiguous:
-            # C-ordered rows, as a merge that builds its output gives:
-            # BLAS rounds a dense Gram product of other layouts
-            # differently
-            s = CsState._adopt(s.coeffs, np.ascontiguousarray(s.amps))
-            s._labels = lab
         return s
     reps = reps[keep]
     out = CsState._adopt(coeffs[keep], s.amps[reps])

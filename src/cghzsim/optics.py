@@ -312,8 +312,7 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
         raise ZeroProbabilityError(
             f"vacuum selection on mode {i} keeps no term")
 
-    kept = CsState._adopt(
-        coeffs, amps[:, [k for k in range(s.mode_count) if k != i]])
+    kept = CsState._adopt(coeffs, np.delete(amps, i, axis=1))
     # the kept mode-i labels' spread is only taken when they differ
     if np.count_nonzero(labels != labels[0]) and max(
             np.ptp(labels.real), np.ptp(labels.imag)) > DEFAULT_MERGE_TOL:

@@ -10,14 +10,17 @@ from cghzsim import (
     ProtocolParams,
     SelectionMode,
     build_cghz_circuit,
+    csstate_to_fock,
     evaluate_point,
     fidelity,
+    fock_fidelity,
     ideal_cghz_state,
     normalize,
     run,
     sweep,
     theoretical_p,
 )
+from cghzsim import analysis, protocol
 from cghzsim.coherent import cat_norm
 from conftest import coherent_product, false_vacuum_weights
 
@@ -152,6 +155,45 @@ def test_evaluate_point_respects_explicit_cap():
     assert point.term_count > 0
     with pytest.raises(DomainError):
         evaluate_point(5, 2, 1.0, BRANCH, cap=9)
+
+
+@pytest.mark.parametrize("sel", [BRANCH, EXACT], ids=["branch", "exact"])
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 13) for m in range(1, 13)
+             if n * m <= 12])
+def test_evaluate_point_scores_as_the_dense_target_overlap(n, m, sel):
+    # the product form against the Gram cross sum with the expanded
+    # 2^(n+1)-term target
+    for alpha in (1.0, 2.0, 3.0):
+        params = ProtocolParams(n, m, alpha)
+        dense = fidelity(run(build_cghz_circuit(params), sel).final_state,
+                         ideal_cghz_state(params))
+        got = evaluate_point(n, m, alpha, sel).fidelity
+        assert abs(got - dense) <= 1e-12, alpha
+
+
+@pytest.mark.parametrize("n, want", [(4, 0.4999608435),
+                                     (6, 0.4999228235)])
+def test_evaluate_point_agrees_with_the_number_basis_at_small_alpha(n, want):
+    # at alpha 0.1 a Gram sum over the target's alternating terms
+    # cancels terms up to c-^(2n) in size; the product form has none
+    params = ProtocolParams(n, 1, 0.1)
+    state = run(build_cghz_circuit(params), EXACT).final_state
+    oracle = fock_fidelity(csstate_to_fock(state, 12),
+                           csstate_to_fock(ideal_cghz_state(params), 12))
+    got = evaluate_point(n, 1, 0.1, EXACT).fidelity
+    assert abs(got - oracle) <= 1e-10
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_evaluate_point_never_expands_the_target(monkeypatch):
+    def expand(params):
+        raise AssertionError("ideal_cghz_state called")
+
+    monkeypatch.setattr(protocol, "ideal_cghz_state", expand)
+    monkeypatch.setattr(analysis, "ideal_cghz_state", expand, raising=False)
+    for sel in (BRANCH, EXACT):
+        assert 0.99 < evaluate_point(3, 2, 3.0, sel).fidelity <= 1.0
 
 
 def test_sweep_point_dict_schema():

@@ -13,6 +13,7 @@ from cghzsim import (
     SelectVacuum,
     SelectionMode,
     build_cghz_circuit,
+    csstate_to_fock,
     fidelity,
     ideal_cghz_state,
     normalize,
@@ -62,7 +63,7 @@ def test_ideal_ghz_degenerate_minus():
 
 def test_ideal_cghz_plus_minus_branches_are_orthogonal():
     # the two tensor-power branches cancel exactly in the cross Gram sum,
-    # so the computed overall constant coincides with 1/sqrt2
+    # so the closed-form overall constant 1/sqrt2 gives a unit norm
     for n, m, alpha in ((2, 2, 1.0), (2, 3, 0.8), (3, 2, 1.5)):
         plus = ideal_ghz_state(m, alpha, +1)
         cross = state_inner(plus, ideal_ghz_state(m, alpha, -1))
@@ -108,8 +109,9 @@ def test_ideal_cghz_2x3_matches_manual_branch_sum():
 
 
 def _term_by_term_cghz(params):
-    """The nested-loop expansion that ideal_cghz_state replaced: the
-    reference for its byte parity test."""
+    """The nested-loop expansion that ideal_cghz_state replaced, over its
+    closed-form constant 1/sqrt2: the reference for its byte parity
+    test."""
     n, m, alpha = params.n_logical, params.m_physical, params.alpha
     coeffs, amps = [], []
     for sign in (1, -1):
@@ -122,7 +124,8 @@ def _term_by_term_cghz(params):
                 row.extend(block.amps[b])
             coeffs.append(c)
             amps.append(row)
-    return normalize(CsState(np.asarray(coeffs), np.asarray(amps)))
+    state = CsState(np.asarray(coeffs), np.asarray(amps))
+    return CsState(state.coeffs / math.sqrt(2.0), state.amps)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -135,6 +138,24 @@ def test_ideal_cghz_matches_term_by_term_reference(n, m, alpha):
     assert got.amps.shape == want.amps.shape == (2 ** (n + 1), n * m)
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
     assert got.amps.tobytes() == want.amps.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in range(1, 13) for m in range(1, 13)
+             if n * m <= 12])
+def test_ideal_cghz_closed_form_has_unit_gram_norm(n, m, alpha):
+    target = ideal_cghz_state(ProtocolParams(n, m, alpha))
+    assert abs(state_norm(target) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_ideal_cghz_has_unit_norm_in_the_number_basis_at_small_alpha(n):
+    # a Gram norm of the alternating terms cancels terms up to c-^(2n)
+    # in size: normalizing by it would leave the squared norm 5.6e-10
+    # and 4.6e-6 above 1 here
+    target = ideal_cghz_state(ProtocolParams(n, 1, 0.1))
+    assert abs(csstate_to_fock(target, 12).squared_norm() - 1.0) <= 1e-10
 
 
 # ------------------------------------------------------------------- chain
