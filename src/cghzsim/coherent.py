@@ -360,12 +360,6 @@ def _kept_labels(lab: _Labels, rows: np.ndarray) -> _Labels:
                            np.add.reduceat(present, lo), lab.values[present])
 
 
-def _label_groups(amps: np.ndarray) -> list[tuple[np.ndarray, int, list]]:
-    """Partition the modes of label rows amps into groups whose distinct
-    label rows make a cheap zero-padded product (see _mode_groups)."""
-    return _mode_groups(_code_labels(amps), amps.dtype.kind == "c")
-
-
 def _mode_groups(lab: _Labels,
                  complex_labels: bool) -> list[tuple[np.ndarray, int, list]]:
     """Partition the modes into groups whose distinct label rows make a

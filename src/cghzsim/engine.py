@@ -210,7 +210,8 @@ def _execute(circuit: Circuit, backend) -> tuple[tuple[str, ...], tuple]:
     precondition.
 
     Raises RunError (with the instruction index) for any SimulationError
-    the backend raises.
+    the backend raises, and for a MemoryError, an allocation that does
+    not fit the address space.
     """
     order: list[str] = []
     outcomes = []
@@ -233,6 +234,8 @@ def _execute(circuit: Circuit, backend) -> tuple[tuple[str, ...], tuple]:
                 order.pop(i)
         except SimulationError as exc:
             raise RunError(idx, str(exc)) from exc
+        except MemoryError as exc:
+            raise RunError(idx, f"out of memory: {exc}") from exc
     return tuple(order), tuple(outcomes)
 
 

@@ -233,7 +233,8 @@ def apply_hadamard(s: CsState, i: int, alpha_ref: float,
         raise DomainError(f"unknown off-basis policy {off_basis!r}")
     t = s.term_count
     if t == 0:
-        return s
+        raise ZeroStateError("cannot normalize the Hadamard image of a "
+                             "zero-term state")
 
     beta = s.amps[:, i]
     uniform = not np.count_nonzero(beta != beta[0])

@@ -1,14 +1,15 @@
 """Builders for the concatenated-GHZ generation protocol and its targets.
 
-The construction repeats one growth step: Hadamard a fresh coherent
-ancilla, fuse it onto a block end on a beam splitter, herald vacuum on
-that end and split the ancilla.  Stage one applies the step across N
-input coherent states and grows an N-mode GHZ-type entangled coherent
-state; stage two applies it within each block, turning every surviving
-chain mode into an m-mode GHZ-type block, one logical qubit at a time,
-left to right.  Every selection heralds on "no photon", so each step
-succeeds with probability 1/2 asymptotically and a full (N, m) build
-carries N*m - 1 selections.
+The construction is one growth step applied twice, through one helper,
+``_grow``: Hadamard a block's leader, then for each new mode prepare a
+coherent ancilla, Hadamard it, fuse it onto the block end on a beam
+splitter, herald vacuum on that end and split the ancilla.  Stage one
+grows an n-mode GHZ-type entangled coherent state from the first of n
+input coherent states; stage two grows every chain mode into an m-mode
+GHZ-type block, one logical qubit at a time, in chain order.  Every
+selection heralds on "no photon", so each step succeeds with
+probability 1/2 asymptotically and a full (n, m) build carries n*m - 1
+selections.
 
 All intermediate states are regenerated from the primitive gate rules;
 nothing is transcribed from closed-form displays.  The ideal targets the
@@ -110,46 +111,56 @@ def ideal_cghz_state(params: ProtocolParams) -> CsState:
     return CsState._adopt(coeffs / math.sqrt(2.0), amps)
 
 
-def _fuse(end: str, anc: str, new: str) -> list[Instruction]:
-    """One growth step on a freshly prepared ancilla: Hadamard it, fuse
-    it onto the block end on a beam splitter, herald vacuum on the end
-    (which removes it) and split the ancilla onto ``new``.  The block
-    grows by one mode and ``new`` is its end."""
-    return [Hadamard(anc), BeamSplitter(end, anc), SelectVacuum(end),
-            Split(anc, new)]
+def _grow(leader: str, steps, amp: complex) -> list[Instruction]:
+    """One block's growth from ``leader``, a mode already in the state.
+
+    Hadamard the leader, then for each ``(ancilla, new)`` pair of mode
+    names in ``steps`` apply one growth step: prepare the ancilla at
+    ``amp``, Hadamard it, fuse it onto the block end on a beam splitter,
+    herald vacuum on the end (which removes it) and split the ancilla
+    onto ``new``, which becomes the block's end.  Each step grows the
+    block by one mode.
+    """
+    ins: list[Instruction] = [Hadamard(leader)]
+    end = leader
+    for anc, new in steps:
+        ins += [Prep(anc, amp), Hadamard(anc), BeamSplitter(end, anc),
+                SelectVacuum(end), Split(anc, new)]
+        end = new
+    return ins
 
 
 def build_cghz_circuit(params: ProtocolParams) -> Circuit:
     """Full two-stage generation circuit for the (n, m) target.
 
-    Stage one grows the n-mode chain s1 -> (s2, c1) -> (s2, s3, c2) ...
-    by fusing ancilla s{k} onto the chain end.  Stage two Hadamards each
-    surviving chain mode and grows it into the block q{i}_1 ... q{i}_m
-    the same way, with intermediate block ends x1, x2, ... numbered
-    across blocks.  The degenerate (1, 1) build is a single preparation.
-    The result always passes static validation and carries exactly
-    n*m - 1 vacuum selections.
+    Both stages are ``_grow`` calls.  Stage one grows the n-mode chain
+    from s1 over the steps (s2, c1), (s3, c2), ..., (sn, c{n-1}), which
+    leaves the chain s2, ..., sn, c{n-1}.  Stage two grows each chain
+    mode, in chain order, into block i over the steps (q{i}_1, x...),
+    ..., (q{i}_{m-1}, q{i}_m), with intermediate block ends x1, x2, ...
+    numbered across blocks.  Stage one runs only when n > 1 and stage
+    two only when m > 1, so the (1, 1) build is a single preparation.
+    These two guards are why the (n, 1) builds with n >= 3 and the
+    (1, m) builds with m >= 2 miss the target (README "Known
+    limitations").  The result always passes static validation and
+    carries exactly n*m - 1 vacuum selections.
     """
     n, m, alpha = params.n_logical, params.m_physical, params.alpha
     amp = complex(alpha)
     ins: list[Instruction] = [Prep("s1", amp)]
-    chain = ["s1"]
-    for k in range(2, n + 1):
-        ins.append(Prep(f"s{k}", amp))
-        if k == 2:
-            # s1 is an ancilla too: it gets the same Hadamard
-            ins.append(Hadamard("s1"))
-        ins += _fuse(chain[-1], f"s{k}", f"c{k - 1}")
-        # the heralded end is gone; the ancilla and its split copy remain
-        chain[-1:] = [f"s{k}", f"c{k - 1}"]
-    temps = count(1)
-    # m = 1 needs no stage two: each chain mode is its own block
-    for i, leader in enumerate(chain if m > 1 else [], start=1):
-        ins.append(Hadamard(leader))
-        end = leader
-        for j in range(1, m):
-            anc = f"q{i}_{j}"
-            new = f"q{i}_{m}" if j == m - 1 else f"x{next(temps)}"
-            ins += [Prep(anc, amp)] + _fuse(end, anc, new)
-            end = new
+    steps = [(f"s{k}", f"c{k - 1}") for k in range(2, n + 1)]
+    # README "Known limitations": at n = 1 the first guard leaves out
+    # stage one's Hadamard of s1, and at m = 1 the second leaves out each
+    # chain mode's Hadamard, so (n, 1) with n >= 3 and (1, m) with m >= 2
+    # miss the target.
+    if n > 1:
+        ins += _grow("s1", steps, amp)
+    # the heralded ends are gone; the ancillas and the last end remain
+    chain = [anc for anc, _ in steps] + [steps[-1][1] if steps else "s1"]
+    if m > 1:
+        temps = count(1)
+        for i, leader in enumerate(chain, start=1):
+            ancs = [f"q{i}_{j}" for j in range(1, m)]
+            ends = [f"x{next(temps)}" for _ in range(m - 2)] + [f"q{i}_{m}"]
+            ins += _grow(leader, zip(ancs, ends), amp)
     return Circuit(alpha=alpha, instructions=tuple(ins))

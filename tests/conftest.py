@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cghzsim import CsState, normalize, state_norm
-from cghzsim.coherent import ghz_norm, merge_terms
+from cghzsim.coherent import _code_labels, _mode_groups, ghz_norm, merge_terms
 from cghzsim.engine import BeamSplitter, Hadamard, Prep, SelectVacuum, Split
 from cghzsim.fock import _hadamard_factors, coherent_fock
 from cghzsim.optics import apply_bs, apply_hadamard, split_mode
@@ -16,6 +16,12 @@ def coherent_overlap(a, b):
     expo = -0.5 * (a.real * a.real + a.imag * a.imag
                    + b.real * b.real + b.imag * b.imag) + a.conjugate() * b
     return complex(np.exp(expo))
+
+
+def label_groups(amps):
+    """The mode groups of ``state_norm``'s factored sum over the label
+    rows amps, coded on their own (see ``coherent._mode_groups``)."""
+    return _mode_groups(_code_labels(amps), amps.dtype.kind == "c")
 
 
 def coherent_product(amps):

@@ -70,6 +70,11 @@ def test_fidelity_mode_mismatch():
         fidelity(coherent_product([1.0]), coherent_product([1.0, 1.0]))
 
 
+def test_fidelity_of_an_unnormalized_state_above_one_is_refused():
+    with pytest.raises(DomainError, match="exceeds 1"):
+        fidelity(CsState([2.0], [[0.0]]), CsState([1.0], [[0.0]]))
+
+
 # ------------------------------------------------------------ theoretical_p
 
 def test_theoretical_p_values():

@@ -143,6 +143,10 @@ def test_sweep_bad_range_is_usage_error(capsys):
                             "--alpha", "3:1:0.5"], capsys)
     assert code == 1
     assert "range" in err
+    code, _, err = run_cli(["sweep", "--n", "2", "--m", "2",
+                            "--alpha", "1:2"], capsys)
+    assert code == 1
+    assert "alpha range must be START:STOP:STEP" in err
 
 
 @pytest.mark.parametrize("spec", ["1:inf:1", "1:nan:1", "inf:1:0.5",
@@ -184,6 +188,42 @@ def test_huge_sweep_range_is_refused_before_it_is_built():
     assert proc.stdout == ""
     assert "alpha range '1:1e12:1' has 1000000000000 values" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# The child imports the package first and then caps its address space 64
+# MiB above what it already maps, so a run whose state outgrows that runs
+# out of memory partway, and not in the test process.
+OUT_OF_MEMORY_CHILD = """
+import re, resource, sys
+sys.path.insert(0, sys.argv[1])
+from cghzsim.cli import main
+with open("/proc/self/status") as f:
+    vm_kb = int(re.search(r"VmSize:\\s+(\\d+) kB", f.read()).group(1))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = (vm_kb << 10) + (64 << 20)
+cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(["run", sys.argv[2], "--mode", "exact"]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmSize from /proc/self/status")
+def test_running_out_of_memory_mid_run_exits_two(tmp_path):
+    # each Hadamard on a fresh mode doubles the terms: 2^24 rows of 24
+    # labels (3 GiB) by the end, past the cap from about 2^18 on
+    modes = [f"q{i}" for i in range(24)]
+    path = tmp_path / "wide.cir"
+    path.write_text("alpha 2.0\n" + "".join(f"prep {q} +\n" for q in modes)
+                    + "".join(f"h {q}\n" for q in modes))
+    src = str(Path(cghzsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD, src,
+                           str(path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "out of memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cghzsim run: error: instruction ")
 
 
 def test_target_json(capsys):
@@ -339,3 +379,8 @@ def test_nm_cap_env_override(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["build", "--n", "2", "--m", "2",
                             "--alpha", "2"], capsys)
     assert code == 2
+    monkeypatch.setenv("CGHZ_MAX_NM", "0")
+    code, _, err = run_cli(["build", "--n", "1", "--m", "1",
+                            "--alpha", "2"], capsys)
+    assert code == 2
+    assert err == "cghzsim build: error: CGHZ_MAX_NM=0 must be >= 1\n"

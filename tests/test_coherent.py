@@ -24,6 +24,7 @@ from conftest import (
     coherent_overlap,
     coherent_product,
     complex_twin,
+    label_groups,
     random_complex,
     random_state,
 )
@@ -123,6 +124,20 @@ def test_inner_mode_mismatch():
         state_inner(coherent_product([1.0]), coherent_product([1.0, 1.0]))
 
 
+def test_constructor_refuses_labels_for_another_term_count():
+    with pytest.raises(ModeShapeError, match="does not match 2 terms"):
+        CsState([1.0, 2.0], [[0.0]])
+
+
+def test_state_norm_clamps_round_off_and_refuses_beyond_it(monkeypatch):
+    s = coherent_product([1.0])
+    monkeypatch.setattr(coherent, "_norm_sq", lambda _: -1e-13)
+    assert state_norm(s) == 0.0
+    monkeypatch.setattr(coherent, "_norm_sq", lambda _: -1e-11)
+    with pytest.raises(DomainError, match="negative beyond round-off"):
+        state_norm(s)
+
+
 def test_norm_trivial_cases():
     assert state_norm(coherent_product([2.0])) == pytest.approx(1.0)
     assert state_norm(CsState([], np.zeros((0, 3)))) == 0.0
@@ -171,7 +186,7 @@ def dense_norm(s):
 
 def factored_norm(s):
     """The factored contraction alone, whatever state_norm would pick."""
-    groups = coherent._label_groups(s.amps)
+    groups = label_groups(s.amps)
     sq = coherent._factored_norm_sq(s.amps, s.coeffs, groups)
     return math.sqrt(max(sq, 0.0))
 
@@ -232,7 +247,7 @@ def test_factored_norm_matches_dense_on_product_states(seed, groups, keep,
 
 def test_factored_groups_recover_the_product_blocks(rng):
     s = product_state(rng, [(6, 2), (5, 3), (4, 1)])
-    sizes = sorted(size for _, size, _ in coherent._label_groups(s.amps))
+    sizes = sorted(size for _, size, _ in label_groups(s.amps))
     assert sizes == [4, 5, 6]
 
 
@@ -263,7 +278,7 @@ def test_a_mode_that_splits_the_terms_as_an_earlier_one_joins_its_group(
     amps = np.stack([first[a], random_complex(rng, 3, 2.0)[b],
                      random_complex(rng, 4, 2.0)[a]], axis=1)
     s = CsState(random_complex(rng, 12, 1.0), amps)
-    groups = coherent._label_groups(s.amps)
+    groups = label_groups(s.amps)
     assert sorted((modes, size) for _, size, modes in groups) == [
         ([0, 2], 4), ([1], 3)]
     assert_norm_parity(s)
@@ -283,7 +298,7 @@ def exact_final_state(n, m, alpha=2.0, extra=""):
                                          (4, 4, [12, 12, 12, 12])])
 def test_exact_final_states_group_into_their_blocks(paths, n, m, sizes):
     s, _ = exact_final_state(n, m)
-    assert sorted(size for _, size, _ in coherent._label_groups(s.amps)) \
+    assert sorted(size for _, size, _ in label_groups(s.amps)) \
         == sizes
     paths.update(factored=0, dense=0)
     got = state_norm(s)
@@ -328,7 +343,7 @@ def test_labels_1e_13_apart_get_distinct_codes():
     near = 1.0 + 1e-13
     s = CsState([1.0, 0.5, 0.25j, 2.0],
                 [[1.0, 0.5], [near, 0.5], [1.0, -0.5], [near, -0.5]])
-    groups = coherent._label_groups(s.amps)
+    groups = label_groups(s.amps)
     assert sorted(size for _, size, _ in groups) == [2, 2]
     assert_norm_parity(s)
 

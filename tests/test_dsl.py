@@ -159,6 +159,9 @@ def test_serialize_empty_circuit_is_header_only():
 def test_serialize_single_prep():
     text = serialize(Circuit(2.0, (Prep("a", complex(2.0)),)))
     assert text == "alpha 2.0\nprep a +\n"
+    c = Circuit(2.0, (Prep("a", complex(-2.0)),))
+    assert serialize(c) == "alpha 2.0\nprep a -\n"
+    assert parse(serialize(c)).circuit == c
 
 
 def test_serialize_uses_shorthand_only_for_exact_match():

@@ -283,6 +283,16 @@ def test_fock_tensor_rejects_norm_above_one():
         FockTensor(5, np.full((6, 6), 1.0, dtype=complex))
 
 
+def test_fock_tensor_rejects_a_shape_off_its_cutoff():
+    with pytest.raises(ModeShapeError, match="does not match n_max=3"):
+        FockTensor(3, np.zeros(5))
+
+
+def test_csstate_to_fock_refuses_an_unnormalized_state():
+    with pytest.raises(DomainError, match="convert normalized states only"):
+        csstate_to_fock(CsState([2.0], [[0.0]]), 5)
+
+
 def test_fock_tensor_copies_the_callers_array():
     a = np.zeros((3, 3), dtype=complex)
     t = FockTensor(2, a)
@@ -870,9 +880,9 @@ def test_each_tensor_norm_is_taken_once(n, m, monkeypatch):
     run_fock(circuit, n_max=12)
     kinds = [type(ins) for ins in circuit.instructions]
     # the Hadamards on a mode already in the tensor, not on the last
-    # prepared one, which the backend holds as a vector: at (2,2) h s1
-    # after prep s2, h s2 after its split and h c1
-    tensor_hadamards = {(2, 2): 3, (2, 3): 3, (1, 4): 0}[n, m]
+    # prepared one, which the backend holds as a vector: at (2,2) h s2
+    # after its split and h c1
+    tensor_hadamards = {(2, 2): 2, (2, 3): 2, (1, 4): 0}[n, m]
     # every selection of a build heralds the first mode of the beam
     # splitter onto the fresh mode just before it, so it takes its input
     # norm from a Gram matrix and a pass only over its kept slice
@@ -897,6 +907,9 @@ def test_fock_fidelity_rejects_incomparable_tensors():
         fock_fidelity(one, two)
     with pytest.raises(ModeShapeError):
         fock_fidelity(one, csstate_to_fock(coherent_product([1.0]), 30))
+    zero = FockTensor(20, np.zeros(21))
+    with pytest.raises(DomainError, match="zero tensor"):
+        fock_fidelity(zero, zero)
 
 
 def test_run_fock_rejects_wide_circuits():

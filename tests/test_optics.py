@@ -15,6 +15,7 @@ from cghzsim import (
     SelectionMode,
     SelectVacuum,
     ZeroProbabilityError,
+    ZeroStateError,
     csstate_to_fock,
     fock_fidelity,
     normalize,
@@ -217,12 +218,18 @@ def test_hadamard_norm_is_norm_of_gate_image(rng):
             assert np.array_equal(out.amps, image.amps)
             assert np.max(np.abs(out.coeffs * state_norm(image)
                                  - image.coeffs)) <= 1e-13
+    # the image of a zero-term state vanishes: no norm to divide by, as
+    # in normalize
+    with pytest.raises(ZeroStateError):
+        apply_hadamard(CsState(np.zeros(0), np.zeros((0, 1))), 0, 1.0)
 
 
 def test_hadamard_rejects_off_basis_label():
     s = coherent_product([SQRT2 * 2.0])
     with pytest.raises(GateBasisError):
         apply_hadamard(s, 0, 2.0)
+    with pytest.raises(DomainError, match="unknown off-basis policy"):
+        apply_hadamard(s, 0, 2.0, off_basis="clip")
 
 
 def test_hadamard_accepts_round_off_drift():

@@ -320,8 +320,8 @@ def test_m_one_chain_equals_concatenated_target_only_for_small_n():
 PINNED_2X3 = """\
 alpha 2.0
 prep s1 +
-prep s2 +
 h s1
+prep s2 +
 h s2
 bs s1 s2
 select0 s1
@@ -353,8 +353,8 @@ split q2_2 q2_3
 PINNED_3X2 = """\
 alpha 2.0
 prep s1 +
-prep s2 +
 h s1
+prep s2 +
 h s2
 bs s1 s2
 select0 s1
@@ -386,7 +386,8 @@ split q3_1 q3_2
 
 
 @pytest.mark.parametrize("n,m,text", [(2, 3, PINNED_2X3),
-                                      (3, 2, PINNED_3X2)])
+                                      (3, 2, PINNED_3X2)],
+                         ids=["2-3", "3-2"])
 def test_build_text_is_pinned(n, m, text):
     assert serialize(build_cghz_circuit(ProtocolParams(n, m, 2.0))) == text
 
@@ -398,7 +399,7 @@ def test_every_build_text_is_pinned_by_digest():
             h.update(serialize(build_cghz_circuit(
                 ProtocolParams(n, m, 2.0))).encode())
     assert h.hexdigest() == (
-        "d63d757fe5730f66bfa6b551ff892d9b24c087e0455de6114161aaf7dece9924")
+        "8462d3c89a3d3b85735138d19fedf575f8a212d60c55677738a2f34dbd6fcb48")
 
 
 def test_params_validation_and_cap():
