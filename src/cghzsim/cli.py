@@ -1,8 +1,9 @@
 """Command-line surface: build, run, sweep, target, oracle.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/domain error (or an
-oracle disagreement), 3 circuit validation (or parse) failure.  The N*m
-size cap honours the CGHZ_MAX_NM environment variable.
+oracle disagreement, or running out of memory), 3 circuit validation
+(or parse) failure.  The N*m size cap honours the CGHZ_MAX_NM
+environment variable.
 """
 
 from __future__ import annotations
@@ -303,6 +304,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, SimulationError) as exc:
         print(f"cghzsim {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        # NumPy names the allocation that failed; a bare one says nothing
+        detail = f": {exc}" if str(exc) else ""
+        print(f"cghzsim {args.command}: error: out of memory{detail}",
+              file=sys.stderr)
         return EXIT_RUNTIME
 
 

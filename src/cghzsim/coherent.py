@@ -34,11 +34,13 @@ sizes says is cheaper.
 The grouping and ``merge_terms`` share one private labelling of a
 state's labels: exact integer codes (the rank of each label among the
 distinct values of its component), the count of those values and the
-values themselves, from one sort per component.  A state whose norm
-would be grouped is labelled by the first of the two that needs it and
-keeps the labelling; a merge output keeps the codes of its rows,
-re-ranked over the values still present.  So a merge and the norm after
-it, in ``select_vacuum`` and ``apply_hadamard``, sort the labels once.
+values themselves, from one sort per component.  One rule says which
+states carry it: a state is labelled exactly when its norm groups it
+(``_grouped``).  Such a state is coded by whichever of the merge and the
+norm reads it first, and a merge whose output is grouped too hands it
+the codes of its rows, re-ranked over the values still present.  So a
+merge and the norm after it, in ``select_vacuum`` and
+``apply_hadamard``, sort the labels once.
 
 Both ways compute in real arithmetic what is real.  For real labels
 conj(a) b - (|a|^2 + |b|^2)/2 = -|a - b|^2/2, so the overlaps are
@@ -314,13 +316,20 @@ class _Labels(NamedTuple):
         return cls(codes, sizes, values)
 
 
-def _code_labels(amps: np.ndarray) -> _Labels:
-    """The labelling of label rows amps (T, M): one sort per component,
-    on the contiguous transpose.  Labels that differ at all get
-    different codes, so the codes are exact."""
+def _components(amps: np.ndarray) -> np.ndarray:
+    """The label components of label rows amps (T, M), one contiguous
+    row each (C, T): the modes of real labels, or the real and imaginary
+    parts of complex ones."""
     x = amps if amps.dtype.kind == "f" else (
         np.ascontiguousarray(amps).view(np.float64))
-    comps = np.ascontiguousarray(x.T)
+    return np.ascontiguousarray(x.T)
+
+
+def _code_labels(amps: np.ndarray) -> _Labels:
+    """The labelling of label rows amps (T, M): one sort per component.
+    Labels that differ at all get different codes, so the codes are
+    exact."""
+    comps = _components(amps)
     srt = np.sort(comps, axis=1)
     new = np.empty(srt.shape, dtype=bool)
     new[:, :1] = True
@@ -441,12 +450,20 @@ def _dense_cost(amps: np.ndarray) -> float:
     return t * t * (_REAL_DENSE_COST if amps.dtype.kind == "f" else 1.0)
 
 
+def _grouped(amps: np.ndarray) -> bool:
+    """Whether state_norm groups the modes of a state with label rows
+    amps (T, M): its dense sum costs more than grouping them.  Exactly
+    the states it holds for carry a labelling."""
+    return _dense_cost(amps) > _GROUPING_COST * amps.shape[1]
+
+
 def _norm_sq(s: CsState) -> float:
     """<s|s> by whichever of the factored and dense sums costs less.
 
     The dense sum costs T^2 Gram elements, each weighted by
     _REAL_DENSE_COST when the labels are real (float64).  Grouping the
-    modes is tried only when it costs less than the dense sum, and the
+    modes is tried only when it costs less than the dense sum
+    (_grouped), and the
     factored sum is taken when its tables (sum L^2 elements), its
     contraction (prod(L) * sum(L) multiply-adds) and its per-group
     overhead cost less too, and its zero-padded tensor (prod(L) entries)
@@ -454,14 +471,13 @@ def _norm_sq(s: CsState) -> float:
     """
     a, c = s.amps, s.coeffs
     t = len(c)
-    dense = _dense_cost(a)
-    if dense > _GROUPING_COST * a.shape[1]:
+    if _grouped(a):
         groups = _mode_groups(_labels(s), a.dtype.kind == "c")
         sizes = [size for _, size, _ in groups]
         cells = math.prod(sizes)
         factored = (sum(size * size + t + _TABLE_COST for size in sizes)
                     + cells * sum(sizes) * _MAC_COST)
-        if cells <= GRAM_BLOCK and factored < dense:
+        if cells <= GRAM_BLOCK and factored < _dense_cost(a):
             return _factored_norm_sq(a, c, groups)
     return _gram_sum(a, c, a, c).real
 
@@ -503,21 +519,19 @@ def merge_terms(s: CsState) -> CsState:
 
     The clusters come from one sort per component, O(M T log T) for T
     terms on M modes, and the rows are grouped by a lexsort of their
-    cluster ids.  A state whose norm is grouped (see _norm_sq) takes
-    them from its labelling, sorted once for the merge and the norm
-    after it; the output keeps the labelling of its rows.  Smaller
-    states cluster the sorted components directly: labelling them costs
-    more than the sort it saves.  Labelling every state, the 207 merges
-    of a branch_sweep pass (median 8 terms) took 17.3 ms against 9.4 ms,
-    and the 55 of an exact_large pass 6.9 against 4.6 ms (one BLAS
-    thread).
+    cluster ids.  A state whose norm is grouped (_grouped) takes them
+    from its labelling, sorted once for the merge and the norm after it,
+    and an output that is grouped too keeps the labelling of its rows.
+    Other states cluster the sorted components directly: labelling them
+    costs more than the sort it saves.  Labelling every state, the 207
+    merges of a branch_sweep pass (median 8 terms) took 17.3 ms against
+    9.4 ms, and the 55 of an exact_large pass 6.9 against 4.6 ms (one
+    BLAS thread).
     """
     t = s.term_count
     if t == 0:
         return s
-    lab = s._labels
-    if lab is None and _dense_cost(s.amps) > _GROUPING_COST * s.mode_count:
-        lab = _labels(s)
+    lab = _labels(s) if _grouped(s.amps) else None
     keys = _float_clusters(s.amps) if lab is None else _label_clusters(lab)
     starts = np.zeros(t, dtype=bool)         # first row of a group in rows
     starts[0] = True
@@ -550,7 +564,7 @@ def merge_terms(s: CsState) -> CsState:
         return s
     reps = reps[keep]
     out = CsState._adopt(coeffs[keep], s.amps[reps])
-    if lab is not None:
+    if _grouped(out.amps):                   # so s is grouped as well
         out._labels = _kept_labels(lab, reps)
     return out
 
@@ -559,9 +573,7 @@ def _float_clusters(amps: np.ndarray) -> np.ndarray:
     """Cluster ids (C, T) of the label components of amps (T, M): each
     component sorted, and cut where neighbouring values differ by more
     than the merge tolerance."""
-    x = amps if amps.dtype.kind == "f" else (
-        np.ascontiguousarray(amps).view(np.float64))
-    comps = np.ascontiguousarray(x.T)
+    comps = _components(amps)
     order = np.argsort(comps, axis=1)
     # fancy indexing: take_ and put_along_axis cost 15 to 25 us more
     # per call on small states
@@ -576,8 +588,8 @@ def _float_clusters(amps: np.ndarray) -> np.ndarray:
 def _label_clusters(lab: _Labels) -> np.ndarray:
     """The rows' cluster ids from the labelling lab: each component's
     distinct values cut where neighbours differ by more than the merge
-    tolerance.  Components with one cluster are left out, and the others
-    are packed, as digits, into as few int64 keys (K, T) as they fit."""
+    tolerance.  Returns the ids (K, T) of the K components with more
+    than one cluster, in component order."""
     sizes = lab.sizes
     lo = np.cumsum(sizes) - sizes
     cut = np.empty(lab.values.size, dtype=bool)
@@ -593,19 +605,7 @@ def _label_clusters(lab: _Labels) -> np.ndarray:
         ids = ids.copy()
         ids[chained] = (cluster - np.repeat(cluster[lo], sizes))[
             ids[chained] + lo[chained, None]]
-    digits = []                              # (components, place values)
-    span = limit = (1 << 63) - 1
-    for c, n in enumerate(counts.tolist()):
-        if n > 1:
-            if span * n > limit:
-                digits.append(([], []))
-                span = 1
-            digits[-1][0].append(c)
-            digits[-1][1].append(span)
-            span *= n
-    keys = [np.array(place, dtype=np.int64) @ ids[comps]
-            for comps, place in digits]
-    return np.array(keys).reshape(len(keys), ids.shape[1])
+    return ids[counts > 1]
 
 
 # -- closed-form normalization constants -------------------------------

@@ -510,16 +510,15 @@ def _hadamard_factors(alpha_ref: float, n_max: int) -> tuple:
     """Read-only factors (cats, duals) of the coherent-qubit Hadamard.
 
     Built purely from truncated coherent vectors, which are real since
-    alpha_ref is a positive real, so both factors are float64.  ``cats`` is
-    (n_max+1, 2): the even and odd cat outputs, normalized numerically.
+    alpha_ref is a positive real (``validate`` requires it), so both
+    factors are float64.  ``cats`` is (n_max+1, 2): the even and odd cat
+    outputs, normalized numerically.
     Since the |-a> expansion is the |a> one with odd entries negated,
     the even cat is exactly zero on odd photon numbers and the odd cat
     on even ones, so the columns are orthonormal up to round-off in
     their norms.  ``duals`` is (2, n_max+1): the input frame dual to
     {|a>, |-a>}, from the numerically inverted 2x2 Gram matrix.
     """
-    if not (math.isfinite(alpha_ref) and alpha_ref > 0):
-        raise DomainError(f"alpha_ref must be positive, got {alpha_ref}")
     va = coherent_fock(alpha_ref, n_max).real
     vm = coherent_fock(-alpha_ref, n_max).real
     gram = np.array([[va @ va, va @ vm],

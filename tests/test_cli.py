@@ -200,15 +200,33 @@ from cghzsim.cli import main
 with open("/proc/self/status") as f:
     vm_kb = int(re.search(r"VmSize:\\s+(\\d+) kB", f.read()).group(1))
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-cap = (vm_kb << 10) + (64 << 20)
+cap = (vm_kb << 10) + (int(sys.argv[2]) << 20)
 cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-sys.exit(main(["run", sys.argv[2], "--mode", "exact"]))
+sys.exit(main(sys.argv[3:]))
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                    reason="reads VmSize from /proc/self/status")
+def run_out_of_memory(headroom_mib, argv):
+    """Run the CLI on argv in a child process whose address space is
+    capped headroom_mib MiB above its size after import; the child must
+    exit 2 with an "out of memory" error and no traceback."""
+    src = str(Path(cghzsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD, src,
+                           str(headroom_mib), *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "out of memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+needs_vm_size = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(),
+    reason="reads VmSize from /proc/self/status")
+
+
+@needs_vm_size
 def test_running_out_of_memory_mid_run_exits_two(tmp_path):
     # each Hadamard on a fresh mode doubles the terms: 2^24 rows of 24
     # labels (3 GiB) by the end, past the cap from about 2^18 on
@@ -216,14 +234,19 @@ def test_running_out_of_memory_mid_run_exits_two(tmp_path):
     path = tmp_path / "wide.cir"
     path.write_text("alpha 2.0\n" + "".join(f"prep {q} +\n" for q in modes)
                     + "".join(f"h {q}\n" for q in modes))
-    src = str(Path(cghzsim.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD, src,
-                           str(path)],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 2, proc.stderr
-    assert "out of memory" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("cghzsim run: error: instruction ")
+    err = run_out_of_memory(64, ["run", str(path), "--mode", "exact"])
+    assert err.startswith("cghzsim run: error: instruction ")
+
+
+# 8 MiB fails in ideal_cghz_state's choice table, with NumPy's message;
+# 64 MiB fails later, in the JSON payload, with a bare MemoryError
+@needs_vm_size
+@pytest.mark.parametrize("headroom_mib", [8, 64])
+def test_running_out_of_memory_outside_a_run_exits_two(headroom_mib):
+    err = run_out_of_memory(headroom_mib, ["target", "--n", "16", "--m", "1",
+                                           "--alpha", "2", "--json"])
+    assert err.startswith("cghzsim target: error: out of memory")
+    assert err.count("\n") == 1
 
 
 def test_target_json(capsys):

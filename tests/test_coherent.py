@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cghzsim import (
@@ -702,8 +702,7 @@ def test_merge_tolerance_chains_within_a_component():
 def above_the_gate(s):
     """Whether state_norm groups the modes of s, so merge_terms labels
     it."""
-    return (coherent._dense_cost(s.amps)
-            > coherent._GROUPING_COST * s.mode_count)
+    return coherent._grouped(s.amps)
 
 
 def _gapped_state(seed, complex_labels=False):
@@ -768,18 +767,35 @@ def test_labelled_merge_matches_greedy_reference(seed, complex_labels):
     assert got.term_count == ref.term_count < s.term_count
     assert np.array_equal(got.amps, ref.amps)   # same rows, same order
     assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-14
-    # the carried labelling is re-ranked over the rows kept, and a second
-    # merge, which reads it, joins and drops nothing
-    assert_fresh_labels(got)
+    # an output above the gate carries its labelling, re-ranked over the
+    # rows kept, and one below it carries none; a second merge joins and
+    # drops nothing
+    if above_the_gate(got):
+        assert_fresh_labels(got)
+    else:
+        assert got._labels is None
     assert merge_terms(got) is got
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans())
+def _wide_state():
+    """A state above the gate on 24 modes: 1500 rows on the 0.37
+    lattice, some copied with 4e-16 shifts.  Its 24 components have 7
+    clusters each, 7^24 > 2^67 cluster rows in all."""
+    rng = np.random.default_rng(24)
+    lattice = 0.37 * rng.integers(-3, 4, (1500, 24)).astype(float)
+    shifted = lattice[rng.integers(0, 1500, 500)]
+    shifted[rng.uniform(size=shifted.shape) < 0.5] += 4e-16
+    amps = np.concatenate([lattice, shifted])
+    return CsState(rng.uniform(-1.0, 1.0, len(amps)), amps)
+
+
+@given(st.builds(_gapped_state, st.integers(0, 2**32 - 1), st.booleans()))
 @settings(max_examples=40, deadline=None)
-def test_labelled_merge_matches_the_float_clusters(seed, complex_labels):
+@example(_wide_state())
+def test_labelled_merge_matches_the_float_clusters(s):
     # the same state merged with its labelling and without one, as a
     # state below the gate is
-    s = _gapped_state(seed, complex_labels)
+    assert above_the_gate(s)
     labelled = merge_terms(s)
     with below_the_gate():
         plain = merge_terms(CsState(s.coeffs, s.amps))
@@ -799,10 +815,16 @@ def test_a_merge_that_joins_nothing_returns_its_input(monkeypatch):
     assert abs(state_norm(s) - 1.0) <= 1e-12
 
 
+def test_merge_returns_a_state_with_no_terms():
+    s = CsState(np.zeros(0), np.zeros((0, 3)))
+    assert merge_terms(s) is s
+
+
 def test_kernels_never_write_a_labelling(rng):
     from cghzsim.optics import (add_mode, apply_bs, apply_hadamard,
                                 select_vacuum, split_mode)
     s = normalize(merge_terms(_gapped_state(int(rng.integers(2**32)))))
+    assert above_the_gate(s)
     lab = coherent._labels(s)
     before = [x.copy() for x in lab]
     outs = [add_mode(s, 0.5), apply_bs(s, 0, 1), split_mode(s, 0),
@@ -815,6 +837,7 @@ def test_kernels_never_write_a_labelling(rng):
         assert np.array_equal(got, want) and not got.flags.writeable
     for out in outs:
         if out._labels is not None:
+            assert above_the_gate(out)
             assert_fresh_labels(out)
 
 
