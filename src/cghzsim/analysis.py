@@ -1,6 +1,7 @@
 """Fidelity and success-probability metrics, plus parameter sweeps over
-(alpha, n, m) whose points also carry each run's false-vacuum heralding
-error.
+(alpha, n, m) whose points also carry each run's false-vacuum weight, the
+per-term sum of ``SelectionRecord.false_vacuum_prob`` (a weight, not a
+probability).
 
 The asymptotic heralding success probability of a full (n, m) build is
 2^(1 - n*m): one factor 1/2 per vacuum selection.  Fidelities are always

@@ -130,8 +130,9 @@ def _cmd_build(args) -> int:
 
 def _read_circuit(path: str):
     """The circuit in a file, or None after printing its diagnostics to
-    stderr if it is not UTF-8 text or does not parse."""
-    with open(path, "r", encoding="utf-8") as fh:
+    stderr if it is not UTF-8 text or does not parse.  A leading UTF-8
+    byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

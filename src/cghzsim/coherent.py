@@ -35,12 +35,12 @@ The grouping and ``merge_terms`` share one private labelling of a
 state's labels: exact integer codes (the rank of each label among the
 distinct values of its component), the count of those values and the
 values themselves, from one sort per component.  One rule says which
-states carry it: a state is labelled exactly when its norm groups it
-(``_grouped``).  Such a state is coded by whichever of the merge and the
-norm reads it first, and a merge whose output is grouped too hands it
-the codes of its rows, re-ranked over the values still present.  So a
-merge and the norm after it, in ``select_vacuum`` and
-``apply_hadamard``, sort the labels once.
+states carry it: only a state whose norm groups it (``_grouped``), coded
+by ``_labels`` when the merge or the norm first reads it.  A merge that
+joins and drops nothing returns its input, and so its labelling: a merge
+and the norm after it, in ``select_vacuum`` and ``apply_hadamard``, sort
+the labels once.  A merge that changes the rows returns a state with no
+labelling.
 
 Both ways compute in real arithmetic what is real.  For real labels
 conj(a) b - (|a|^2 + |b|^2)/2 = -|a - b|^2/2, so the overlaps are
@@ -65,7 +65,7 @@ into read-only arrays of the dtype their data needs.  Kernels build
 their output once, through ``CsState._adopt``, which wraps arrays the
 kernel just built, or read-only arrays of its input state, without
 copying them; it keeps the constructor's finiteness checks and sets both
-arrays read-only.  Only ``coherent`` sets a labelling.
+arrays read-only.  Only ``_labels`` sets a labelling.
 """
 
 from __future__ import annotations
@@ -307,14 +307,6 @@ class _Labels(NamedTuple):
     sizes: np.ndarray    # (C,): distinct values of each component
     values: np.ndarray   # (sum(sizes),): those values, ascending, row by row
 
-    @classmethod
-    def _frozen(cls, codes, sizes, values) -> "_Labels":
-        """The labelling of these arrays, set read-only as a state's
-        arrays are."""
-        for x in (codes, sizes, values):
-            x.setflags(write=False)
-        return cls(codes, sizes, values)
-
 
 def _components(amps: np.ndarray) -> np.ndarray:
     """The label components of label rows amps (T, M), one contiguous
@@ -328,7 +320,7 @@ def _components(amps: np.ndarray) -> np.ndarray:
 def _code_labels(amps: np.ndarray) -> _Labels:
     """The labelling of label rows amps (T, M): one sort per component.
     Labels that differ at all get different codes, so the codes are
-    exact."""
+    exact.  Its arrays are set read-only, as a state's are."""
     comps = _components(amps)
     srt = np.sort(comps, axis=1)
     new = np.empty(srt.shape, dtype=bool)
@@ -342,7 +334,9 @@ def _code_labels(amps: np.ndarray) -> _Labels:
     ends = np.cumsum(sizes).tolist()
     for c, (lo, hi) in enumerate(zip([0] + ends, ends)):
         codes[c] = np.searchsorted(values[lo:hi], comps[c])
-    return _Labels._frozen(codes, sizes, values)
+    for x in (codes, sizes, values):
+        x.setflags(write=False)
+    return _Labels(codes, sizes, values)
 
 
 def _labels(s: CsState) -> _Labels:
@@ -350,23 +344,6 @@ def _labels(s: CsState) -> _Labels:
     if s._labels is None:
         s._labels = _code_labels(s.amps)
     return s._labels
-
-
-def _kept_labels(lab: _Labels, rows: np.ndarray) -> _Labels:
-    """The labelling of the label rows ``rows`` of a state labelled lab:
-    their codes, re-ranked over the values still present."""
-    codes = lab.codes[:, rows]
-    lo = np.cumsum(lab.sizes) - lab.sizes
-    flat = codes + lo[:, None]
-    present = np.bincount(flat.ravel(), minlength=lab.values.size) > 0
-    if present.all():
-        return _Labels._frozen(codes, lab.sizes, lab.values)
-    rank = np.cumsum(present)
-    before = rank[lo] - present[lo]           # present values of earlier rows
-    np.take(rank, flat, out=flat)
-    flat -= before[:, None] + 1
-    return _Labels._frozen(flat.astype(codes.dtype),
-                           np.add.reduceat(present, lo), lab.values[present])
 
 
 def _mode_groups(lab: _Labels,
@@ -452,8 +429,8 @@ def _dense_cost(amps: np.ndarray) -> float:
 
 def _grouped(amps: np.ndarray) -> bool:
     """Whether state_norm groups the modes of a state with label rows
-    amps (T, M): its dense sum costs more than grouping them.  Exactly
-    the states it holds for carry a labelling."""
+    amps (T, M): its dense sum costs more than grouping them.  Only the
+    states it holds for carry a labelling."""
     return _dense_cost(amps) > _GROUPING_COST * amps.shape[1]
 
 
@@ -520,19 +497,19 @@ def merge_terms(s: CsState) -> CsState:
     The clusters come from one sort per component, O(M T log T) for T
     terms on M modes, and the rows are grouped by a lexsort of their
     cluster ids.  A state whose norm is grouped (_grouped) takes them
-    from its labelling, sorted once for the merge and the norm after it,
-    and an output that is grouped too keeps the labelling of its rows.
-    Other states cluster the sorted components directly: labelling them
-    costs more than the sort it saves.  Labelling every state, the 207
-    merges of a branch_sweep pass (median 8 terms) took 17.3 ms against
-    9.4 ms, and the 55 of an exact_large pass 6.9 against 4.6 ms (one
-    BLAS thread).
+    from its labelling, sorted once for the merge and, when the merge
+    returns s, the norm after it; an output with other rows carries no
+    labelling.  Other states cluster the sorted components directly:
+    labelling them costs more than the sort it saves.  Labelling every
+    state, the 207 merges of a branch_sweep pass (median 8 terms) took
+    17.3 ms against 9.4 ms, and the 55 of an exact_large pass 6.9 against
+    4.6 ms (one BLAS thread).
     """
     t = s.term_count
     if t == 0:
         return s
-    lab = _labels(s) if _grouped(s.amps) else None
-    keys = _float_clusters(s.amps) if lab is None else _label_clusters(lab)
+    keys = (_label_clusters(_labels(s)) if _grouped(s.amps)
+            else _float_clusters(s.amps))
     starts = np.zeros(t, dtype=bool)         # first row of a group in rows
     starts[0] = True
     if len(keys):
@@ -562,11 +539,7 @@ def merge_terms(s: CsState) -> CsState:
     keep = mags > DEFAULT_MERGE_TOL * mags.max()
     if len(reps) == t and keep.all():        # joins and drops nothing
         return s
-    reps = reps[keep]
-    out = CsState._adopt(coeffs[keep], s.amps[reps])
-    if _grouped(out.amps):                   # so s is grouped as well
-        out._labels = _kept_labels(lab, reps)
-    return out
+    return CsState._adopt(coeffs[keep], s.amps[reps[keep]])
 
 
 def _float_clusters(amps: np.ndarray) -> np.ndarray:

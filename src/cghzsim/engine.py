@@ -17,7 +17,8 @@ from typing import Union
 import numpy as np
 
 from .coherent import CsState
-from .errors import CircuitValidationError, RunError, SimulationError
+from .errors import (CircuitValidationError, DomainError, RunError,
+                     SimulationError)
 from .optics import (
     SelectionMode,
     SelectionRecord,
@@ -289,9 +290,13 @@ def run(circuit: Circuit, sel: SelectionMode) -> RunResult:
     off-basis projection rule; under branch selection an off-basis
     amplitude aborts the run.
 
-    Raises CircuitValidationError if validate() reports anything, and
-    RunError (with the instruction index) if a branch dies at runtime.
+    Raises DomainError if sel is not a SelectionMode,
+    CircuitValidationError if validate() reports anything, and RunError
+    (with the instruction index) if a branch dies at runtime.
     """
+    if not isinstance(sel, SelectionMode):
+        raise DomainError(f"selection mode must be a SelectionMode, "
+                          f"got {sel!r}")
     _check_valid(validate(circuit))
     backend = _Coherent(sel)
     order, records = _execute(circuit, backend)

@@ -91,9 +91,11 @@ class SelectionRecord:
     ``kept_prob`` is the heralding probability of the kept branch,
     ``discarded_weight`` the squared norm of the dropped terms (0 under
     exact selection, which drops none), and ``false_vacuum_prob`` the
-    probability that a non-vacuum branch nevertheless leaves the
-    detector silent (weight |c <0|a>|^2 summed over non-vacuum labels).
-    All three are relative to the unit-norm input state.
+    false-vacuum weight: |c <0|a>|^2 summed term by term over the
+    non-vacuum labels.  All three are relative to the unit-norm input
+    state.  The false-vacuum weight leaves out the cross terms of those
+    nonorthogonal terms, so it is a weight, not the probability that
+    they leave the detector silent, and it can exceed 1 at small alpha.
 
     Nothing in a run reads ``discarded_weight``, so the record keeps the
     dropped terms, as the input state and the mask of its dropped rows,
@@ -283,14 +285,14 @@ def select_vacuum(s: CsState, i: int, mode: SelectionMode, *,
 
     kept_prob is the squared norm of the projected kept terms,
     discarded_weight that of the dropped terms (0 when none are), and
-    false_vacuum_prob the probability that the non-vacuum terms herald
-    silently anyway (the selection error of a no-click detector).  The
-    input must have unit norm, as ``run``'s working state does, so these
-    are probabilities as they stand; the input norm is not checked,
-    since that would cost a Gram sum over every input term.  The record
-    keeps the dropped terms and takes the Gram sum of discarded_weight
-    only when it is first read (see SelectionRecord); ``mode_name`` is
-    stored in it as given.
+    false_vacuum_prob the false-vacuum weight of the non-vacuum terms,
+    |c <0|a_i>|^2 summed term by term (a weight, not a probability: see
+    SelectionRecord).  The input must have unit norm, as ``run``'s
+    working state does, so the first two are probabilities as they
+    stand; the input norm is not checked, since that would cost a Gram
+    sum over every input term.  The record keeps the dropped terms and
+    takes the Gram sum of discarded_weight only when it is first read
+    (see SelectionRecord); ``mode_name`` is stored in it as given.
 
     The returned state is the kept portion divided by its norm.  Kept
     rows are merged first, so the norm is a Gram sum over the merged

@@ -155,6 +155,15 @@ def test_sweep_turns_a_non_integer_cap_into_diagnostics():
             f"cap must be an integer, got {cap!r}"] * 2
 
 
+def test_sweep_turns_a_selection_mode_given_by_name_into_diagnostics():
+    with pytest.raises(DomainError):
+        evaluate_point(2, 2, 2.0, "branch")
+    points, diags = sweep([1.0, 2.0], [(2, 2)], "branch")
+    assert points == []
+    assert [d.message for d in diags] == [
+        "selection mode must be a SelectionMode, got 'branch'"] * 2
+
+
 def test_evaluate_point_respects_explicit_cap():
     point = evaluate_point(5, 2, 1.0, BRANCH, cap=10)
     assert point.term_count > 0

@@ -78,6 +78,18 @@ def test_non_utf8_circuit_file_exits_three(tmp_path, capsys, command):
     assert "not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_circuit_file_with_a_byte_order_mark_reads_as_without(
+        tmp_path, capsys, command):
+    plain, marked = tmp_path / "c.cir", tmp_path / "bom.cir"
+    run_cli(["build", "--n", "2", "--m", "2", "--alpha", "2", "-o",
+             str(plain)], capsys)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = run_cli([command, str(plain)], capsys)
+    assert want[0] == 0
+    assert run_cli([command, str(marked)], capsys) == want
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing file argument

@@ -767,14 +767,13 @@ def test_labelled_merge_matches_greedy_reference(seed, complex_labels):
     assert got.term_count == ref.term_count < s.term_count
     assert np.array_equal(got.amps, ref.amps)   # same rows, same order
     assert np.max(np.abs(got.coeffs - ref.coeffs), initial=0.0) <= 1e-14
-    # an output above the gate carries its labelling, re-ranked over the
-    # rows kept, and one below it carries none; a second merge joins and
-    # drops nothing
+    # an output with other rows than s carries no labelling; a second
+    # merge joins and drops nothing, and codes one if the output is above
+    # the gate
+    assert got._labels is None
+    assert merge_terms(got) is got
     if above_the_gate(got):
         assert_fresh_labels(got)
-    else:
-        assert got._labels is None
-    assert merge_terms(got) is got
 
 
 def _wide_state():
@@ -792,6 +791,11 @@ def _wide_state():
 @given(st.builds(_gapped_state, st.integers(0, 2**32 - 1), st.booleans()))
 @settings(max_examples=40, deadline=None)
 @example(_wide_state())
+# a product state whose norm takes the factored sum, with 200 rows
+# repeated, so the merge joins them
+@example(real_product_state(np.random.default_rng(7),
+                            [(12, 3), (12, 3), (12, 2)], keep=0.5,
+                            repeat=200))
 def test_labelled_merge_matches_the_float_clusters(s):
     # the same state merged with its labelling and without one, as a
     # state below the gate is
@@ -802,6 +806,12 @@ def test_labelled_merge_matches_the_float_clusters(s):
     assert plain._labels is None
     assert np.array_equal(labelled.amps, plain.amps)
     assert labelled.coeffs.tobytes() == plain.coeffs.tobytes()
+    # the merge joins rows and hands its output no labelling; the norm
+    # codes the output's own rows
+    assert labelled is not s and labelled._labels is None
+    a, c = labelled.amps, labelled.coeffs
+    want = math.sqrt(coherent._gram_sum(a, c, a, c).real)
+    assert abs(state_norm(labelled) - want) <= 1e-14 * want
 
 
 def test_a_merge_that_joins_nothing_returns_its_input(monkeypatch):
@@ -835,10 +845,9 @@ def test_kernels_never_write_a_labelling(rng):
     assert s._labels is lab
     for got, want in zip(lab, before):
         assert np.array_equal(got, want) and not got.flags.writeable
+    # every output but s itself carries no labelling
     for out in outs:
-        if out._labels is not None:
-            assert above_the_gate(out)
-            assert_fresh_labels(out)
+        assert out is s or out._labels is None
 
 
 # -------------------------------------------------- normalization constants

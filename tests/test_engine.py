@@ -8,6 +8,7 @@ from cghzsim import (
     Circuit,
     CircuitValidationError,
     CsState,
+    DomainError,
     Hadamard,
     Prep,
     ProtocolParams,
@@ -129,6 +130,12 @@ def test_run_single_prep():
 def test_run_rejects_invalid_circuit():
     with pytest.raises(CircuitValidationError):
         run(Circuit(2.0, (Hadamard("nope"),)), BRANCH)
+
+
+def test_run_refuses_a_selection_mode_given_by_name():
+    c = build_cghz_circuit(ProtocolParams(2, 2, 2.0))
+    with pytest.raises(DomainError, match="got 'exact'"):
+        run(c, "exact")
 
 
 def test_run_is_deterministic():
