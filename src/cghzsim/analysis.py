@@ -36,19 +36,21 @@ import numpy as np
 
 from .coherent import CsState, ghz_norm, state_inner
 from .engine import _is_int, run
-from .errors import DomainError, SimulationError
+from .errors import DomainError, SimulationError, _out_of_memory_typed
 from .optics import SelectionMode
 from .protocol import DEFAULT_NM_CAP, ProtocolParams, build_cghz_circuit
 
 FIDELITY_SLACK = 1e-10
 
 
+@_out_of_memory_typed
 def fidelity(s: CsState, target: CsState) -> float:
     """Squared overlap |<target|s>|^2 for normalized states.
 
     Clamped into [0, 1]; an excursion beyond the 1e-10 round-off slack
     means a caller handed in unnormalized states.  States on different
-    mode counts raise ModeShapeError, from ``state_inner``.
+    mode counts raise ModeShapeError, from ``state_inner``, and a Gram
+    block that does not fit the address space ResourceLimitError.
     """
     return _clamped_fidelity(abs(state_inner(target, s)) ** 2)
 

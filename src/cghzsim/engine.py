@@ -124,8 +124,14 @@ def validate(circuit: Circuit) -> list[Diagnostic]:
     """Statically check a circuit; an empty list means it can run.
 
     Every mode name must be bound by Prep before use, used only while
-    live, and never rebound; SelectVacuum consumes its mode.
+    live, and never rebound; SelectVacuum consumes its mode.  Anything
+    that is not a Circuit, such as circuit text not yet parsed, gets one
+    circuit-level diagnostic.
     """
+    if not isinstance(circuit, Circuit):
+        return [Diagnostic(None, f"expected a Circuit, got "
+                                 f"{type(circuit).__name__}; parse circuit "
+                                 f"text with parse() first")]
     out: list[Diagnostic] = []
     if not _positive_real(circuit.alpha):
         out.append(Diagnostic(None, f"declared alpha must be a positive "

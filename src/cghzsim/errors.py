@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all simulator modules."""
 
+import functools
+
 
 class SimulationError(Exception):
     """Base class for every error raised by this package."""
@@ -35,8 +37,10 @@ class FockTruncationError(SimulationError):
 
 
 class ResourceLimitError(SimulationError):
-    """A computation would need more memory than the package's fixed
-    limit allows; raised before anything is allocated."""
+    """A computation needs more memory than it may or can have: more than
+    the package's fixed limit allows, raised before anything is
+    allocated, or more than the address space holds, raised as "out of
+    memory" when an allocation fails."""
 
 
 class CircuitValidationError(SimulationError):
@@ -54,3 +58,15 @@ class RunError(SimulationError):
     def __init__(self, index: int, message: str):
         self.index = index
         super().__init__(f"instruction {index}: {message}")
+
+
+def _out_of_memory_typed(fn):
+    """Wrap ``fn`` so that a MemoryError it raises, an allocation that
+    does not fit the address space, is raised as ResourceLimitError."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except MemoryError as exc:
+            raise ResourceLimitError(f"out of memory: {exc}") from exc
+    return wrapper

@@ -66,6 +66,18 @@ turn complex: n_max <= 89, 35 and 19 at 4, 5 and 6 modes.  A build's
 widest tensor has n*m modes.  A larger tensor raises ResourceLimitError
 before it is allocated.
 
+Tensor memory is reused across calls.  The output of a split and the
+product ``csstate_to_fock`` expands into, when at least _REUSE_BYTES (4
+MiB), are written into a buffer kept from an earlier call if one has
+their byte size and no array refers to it: a held ``FockTensor``, its
+``amps`` alone or any view of them keeps a buffer from reuse.  So a
+process that runs the oracle repeatedly at one cutoff and width reuses
+that memory instead of handing it back to the system and having fresh
+pages zeroed for the next call.  At most two buffers, a tensor each,
+stay allocated between calls, within what MAX_FOCK_BYTES prices; a call
+that finds no kept buffer of its size first releases every kept one
+nothing refers to.  The arithmetic is the same as into fresh memory.
+
 The cutoff leaks norm, and the oracle refuses a run it makes inaccurate
 with FockTruncationError: a prep whose vector loses more than
 LOST_NORM_LIMIT (1e-6) of its norm, and a tensor whose squared norm has
@@ -84,6 +96,8 @@ the tensor as it is.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -107,11 +121,20 @@ from .errors import (
     ResourceLimitError,
     ZeroProbabilityError,
     ZeroStateError,
+    _out_of_memory_typed,
 )
 
 MAX_FOCK_BYTES = 2 * 1024 ** 3
 # amplitudes held by the two Kronecker factors of one block of terms
 EXPAND_BLOCK = 2 ** 20
+# _empty reuses buffers of at least this many bytes.  At n_max 40 a
+# 4-mode float64 tensor is 22.6 MB and a 3-mode one 0.55 MB.  With this
+# floor one pass over the oracle benchmark's points (shuffled, one BLAS
+# thread) took about 2,200 minor page faults; floors of 0, 64 KiB and
+# 512 KiB, which let 3-mode tensors take the kept slots and so release
+# the 4-mode buffers, left 7,000 to 8,900, against 6,600 to 9,900 with no
+# reuse
+_REUSE_BYTES = 4 * 2 ** 20
 DEFAULT_NMAX = 40
 LOST_NORM_LIMIT = 1e-6
 
@@ -205,6 +228,51 @@ def _check_tensor_size(n_max: int, modes: int):
             f"need {nbytes / 2 ** 30:.3g} GiB, over the oracle's limit of "
             f"{MAX_FOCK_BYTES / 2 ** 30:g} GiB; the largest n_max that "
             f"fits {modes} modes is {d - 1}")
+
+
+def _refcounts(bufs: list) -> list:
+    """``sys.getrefcount`` of each buffer in ``bufs``."""
+    return [sys.getrefcount(buf) for buf in bufs]
+
+
+# what _refcounts reads for a buffer that nothing but its list refers to,
+# measured the same way on every interpreter
+_UNHELD = _refcounts([np.empty(0)])[0]
+# the buffers _empty keeps, at most two: a tensor and the one scratch copy
+# MAX_FOCK_BYTES prices beside it
+_kept: list = []
+_kept_lock = threading.Lock()
+
+
+def _empty(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized C-order array for a kernel to write.
+
+    One of at least _REUSE_BYTES is a view of a buffer kept from an
+    earlier call when a kept buffer has its byte size and no array
+    refers to it, so a process that runs the oracle repeatedly at one
+    size does not hand the memory back to the system after each call and
+    fault it in again for the next.  An array a caller still holds, or
+    any view of it, refers to its buffer, whose reference count then
+    reads above _UNHELD.  When no kept buffer fits, every kept buffer
+    nothing refers to is released before a new one is allocated and
+    kept.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _REUSE_BYTES:
+        return np.empty(shape, dtype)
+    with _kept_lock:
+        free = [c == _UNHELD for c in _refcounts(_kept)]
+        for buf, is_free in zip(_kept, free):
+            if is_free and buf.nbytes == nbytes:
+                break
+        else:
+            _kept[:] = [b for b, f in zip(_kept, free) if not f]
+            # float64 words: every tensor dtype is a whole number of them
+            buf = np.empty(nbytes // 8)
+            _kept.append(buf)
+            del _kept[:-2]
+        return buf.view(dtype).reshape(shape)
 
 
 def coherent_fock(alpha: complex, n_max: int) -> np.ndarray:
@@ -411,8 +479,7 @@ def _split(amps: np.ndarray, i: int, n_max: int) -> np.ndarray:
     d = n_max + 1
     rest, src = _lead_rows(amps, i)
     split = _fresh_tables(n_max)[1]
-    out = np.empty((d, d) + tuple(amps.shape[ax] for ax in rest),
-                   dtype=amps.dtype)
+    out = _empty((d, d) + tuple(amps.shape[ax] for ax in rest), amps.dtype)
     grid = out.reshape(d, d, -1)
     for q in range(d):
         np.multiply(split[q, :d - q, None], src[q:], out=grid[q, :d - q])
@@ -554,9 +621,11 @@ def _expand_block(vecs: list, where: list, coeffs: np.ndarray,
     # read-only view of the coefficients, so both are flushed by copy
     tiny = np.finfo(np.float64).tiny
     left, right = (np.where(abs(x) < tiny, 0, x) for x in (left, right))
-    return left.T @ right
+    out = _empty((left.shape[1], right.shape[1]), np.result_type(left, right))
+    return np.matmul(left.T, right, out=out)
 
 
+@_out_of_memory_typed
 def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     """Expand a coherent superposition in the truncated number basis.
 
@@ -571,7 +640,9 @@ def csstate_to_fock(s: CsState, n_max: int = DEFAULT_NMAX) -> FockTensor:
     state expands as a float64 product into a float64 tensor.
     Terms are taken in blocks whose two factors hold at most
     EXPAND_BLOCK amplitudes, so memory beyond the tensor stays bounded;
-    the oracle's states fit one block.
+    the oracle's states fit one block.  A tensor over MAX_FOCK_BYTES
+    raises ResourceLimitError before it is allocated, and so does, once
+    it fails, an allocation that does not fit the address space.
     """
     modes = s.mode_count
     _check_tensor_size(n_max, modes)

@@ -36,7 +36,7 @@ from .engine import (
     _is_int,
     _positive_real,
 )
-from .errors import DomainError
+from .errors import DomainError, _out_of_memory_typed
 
 DEFAULT_NM_CAP = 16
 
@@ -84,6 +84,7 @@ def ideal_ghz_state(k: int, alpha: float, sign: int) -> CsState:
     return CsState([c, sign * c], [[alpha] * k, [-alpha] * k])
 
 
+@_out_of_memory_typed
 def ideal_cghz_state(params: ProtocolParams) -> CsState:
     """Ideal concatenated target (|GHZ+>^n + |GHZ->^n)/sqrt2 over the
     normalized m-mode GHZ states.
@@ -101,6 +102,8 @@ def ideal_cghz_state(params: ProtocolParams) -> CsState:
     c-^(2n) in size: normalizing by it leaves the squared norm, taken in
     the number basis, at 1 + 4.6e-6 at (6,1), alpha 0.1, where this
     constant leaves it within 2e-12 of 1.
+
+    Arrays that do not fit the address space raise ResourceLimitError.
     """
     n, m, alpha = params.n_logical, params.m_physical, params.alpha
     choice = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1

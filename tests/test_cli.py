@@ -202,19 +202,23 @@ def test_huge_sweep_range_is_refused_before_it_is_built():
     assert "Traceback" not in proc.stderr
 
 
-# The child imports the package first and then caps its address space 64
-# MiB above what it already maps, so a run whose state outgrows that runs
-# out of memory partway, and not in the test process.
-OUT_OF_MEMORY_CHILD = """
-import re, resource, sys
-sys.path.insert(0, sys.argv[1])
-from cghzsim.cli import main
+# Caps the child's address space argv[2] MiB above what it maps when this
+# runs.  The child imports the package from argv[1] first, so a run whose
+# state outgrows the cap runs out of memory partway, and not in the test
+# process.
+CAP_ADDRESS_SPACE = """
 with open("/proc/self/status") as f:
     vm_kb = int(re.search(r"VmSize:\\s+(\\d+) kB", f.read()).group(1))
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 cap = (vm_kb << 10) + (int(sys.argv[2]) << 20)
 cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+"""
+OUT_OF_MEMORY_CHILD = """
+import re, resource, sys
+sys.path.insert(0, sys.argv[1])
+from cghzsim.cli import main
+""" + CAP_ADDRESS_SPACE + """
 sys.exit(main(sys.argv[3:]))
 """
 
@@ -259,6 +263,49 @@ def test_running_out_of_memory_outside_a_run_exits_two(headroom_mib):
                                            "--alpha", "2", "--json"])
     assert err.startswith("cghzsim target: error: out of memory")
     assert err.count("\n") == 1
+
+
+# Calls the library function named by argv[3] on a small input, which
+# leaves lazy set-up such as BLAS buffers done, then caps the address
+# space and calls it on an input whose arrays outgrow the cap; prints the
+# ResourceLimitError it must raise.
+LIBRARY_OUT_OF_MEMORY_CHILD = """
+import re, resource, sys
+sys.path.insert(0, sys.argv[1])
+import cghzsim as cg
+P = cg.ProtocolParams
+small = cg.ideal_cghz_state(P(2, 2, 2.0))
+wide = cg.ideal_cghz_state(P(14, 1, 2.0))
+call = {
+    "ideal_cghz_state": lambda big: cg.ideal_cghz_state(P(16 if big else 2,
+                                                          1, 2.0)),
+    "fidelity": lambda big: cg.fidelity(*[wide if big else small] * 2),
+    "csstate_to_fock": lambda big: cg.csstate_to_fock(small,
+                                                      60 if big else 20),
+}[sys.argv[3]]
+call(False)
+""" + CAP_ADDRESS_SPACE + """
+try:
+    call(True)
+except cg.ResourceLimitError as exc:
+    print(exc)
+"""
+
+
+# ideal (16,1) needs an 8 MiB choice table, fidelity of the 32768-term
+# (14,1) target with itself 8 MiB Gram blocks, and a 4-mode tensor at
+# n_max 60 106 MiB
+@needs_vm_size
+@pytest.mark.parametrize("name", ["ideal_cghz_state", "fidelity",
+                                  "csstate_to_fock"])
+def test_running_out_of_memory_in_the_library_is_a_resource_limit(name):
+    src = str(Path(cghzsim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_OUT_OF_MEMORY_CHILD,
+                           src, "8", name],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("out of memory: ")
+    assert proc.stderr == ""
 
 
 def test_target_json(capsys):

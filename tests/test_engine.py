@@ -112,6 +112,20 @@ def test_validate_same_mode_bs_and_bad_name():
     assert any("not a valid mode name" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("circuit", ["alpha 2\nprep a +\n", None,
+                                     (Prep("a", 2.0),)],
+                         ids=["text", "none", "instructions"])
+def test_anything_but_a_circuit_is_one_circuit_level_diagnostic(circuit):
+    (diag,) = validate(circuit)
+    assert diag.index is None
+    assert type(circuit).__name__ in diag.message
+    assert "parse()" in diag.message
+    for execute in (lambda: run(circuit, EXACT),
+                    lambda: run_fock(circuit, 20)):
+        with pytest.raises(CircuitValidationError, match="got "):
+            execute()
+
+
 def test_builder_output_validates():
     c = build_cghz_circuit(ProtocolParams(2, 2, 2.0))
     assert validate(c) == []

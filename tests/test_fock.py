@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import weakref
 from itertools import count
 
 import numpy as np
@@ -897,6 +900,106 @@ def test_each_tensor_norm_is_taken_once(n, m, monkeypatch):
     calls.clear()
     run_gates(1.0, Prep("a", 1.0), Prep("b", 0.5), SelectVacuum("a"))
     assert len(calls) == 3
+
+
+# Buffer reuse: 4-mode tensors at n_max 30 (7.4 MB) are over the size
+# from which the oracle reuses buffers, and 3-mode ones (0.24 MB) under it.
+REUSE_NMAX = 30
+
+
+def snapshot(a):
+    """Bytes, strides and dtype of an array or a FockTensor's amps."""
+    a = a.amps if isinstance(a, FockTensor) else a
+    return a.tobytes(order="A"), a.strides, a.dtype
+
+
+def oracle_comparison(n, m):
+    """The bytes of run_fock's final tensor, of csstate_to_fock of the
+    analytic final state for build (n, m) at alpha 2 and of their
+    overlap, taken while both tensors are held."""
+    circuit = build_cghz_circuit(ProtocolParams(n, m, 2.0))
+    state = run(circuit, SelectionMode.exact()).final_state
+    final = run_fock(circuit, REUSE_NMAX).final
+    converted = csstate_to_fock(state, REUSE_NMAX)
+    return (snapshot(final.amps), snapshot(converted.amps),
+            fock_fidelity(converted, final))
+
+
+def test_held_results_are_never_overwritten_by_later_calls():
+    # each result is kept only as the tensor, a bare .amps, a transposed
+    # view or a slice, and every later call writes different bytes
+    holds = [lambda t: t, lambda t: t.amps, lambda t: t.amps.T,
+             lambda t: t.amps[1:3, ::2]]
+    held = []
+    for k, alpha in enumerate((2.0, 1.7, 1.4, 1.1)):
+        circuit = build_cghz_circuit(ProtocolParams(2, 2, alpha))
+        state = run(circuit, SelectionMode.exact()).final_state
+        results = (run_fock(circuit, REUSE_NMAX).final,
+                   csstate_to_fock(state, REUSE_NMAX))
+        for j, result in enumerate(results):
+            kept = holds[(k + j) % 4](result)
+            held.append((kept, snapshot(kept)))
+        del results, result
+    for kept, first in held:
+        assert snapshot(kept) == first
+
+
+@pytest.mark.parametrize("convert", [
+    lambda s, c: csstate_to_fock(s, REUSE_NMAX),
+    lambda s, c: run_fock(c, REUSE_NMAX).final],
+    ids=["csstate_to_fock", "run_fock"])
+def test_a_result_dropped_before_the_next_call_lends_it_its_buffer(convert):
+    circuit = build_cghz_circuit(ProtocolParams(2, 2, 2.0))
+    state = run(circuit, SelectionMode.exact()).final_state
+    first = convert(state, circuit)
+    expect = snapshot(first.amps)
+    buffer = weakref.ref(first.amps.base)
+    del first
+    again = convert(state, circuit)
+    assert buffer() is not None
+    assert np.shares_memory(again.amps, buffer())
+    assert snapshot(again.amps) == expect
+
+
+def test_threads_running_the_oracle_get_the_serial_bytes():
+    builds = [(2, 2), (1, 4)]
+    serial = [oracle_comparison(n, m) for n, m in builds]
+    failures = []
+
+    def compare(k):
+        try:
+            for rep in range(3):
+                # the threads start on different builds
+                for j in ((k + rep) % 2, (k + rep + 1) % 2):
+                    if oracle_comparison(*builds[j]) != serial[j]:
+                        failures.append((k, rep, builds[j]))
+        except Exception as exc:  # reported below, with the thread's index
+            failures.append((k, exc))
+
+    threads = [threading.Thread(target=compare, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_a_call_at_another_size_keeps_no_free_buffer_of_the_first():
+    state = ideal_cghz_state(ProtocolParams(2, 2, 2.0))
+    held = csstate_to_fock(state, REUSE_NMAX)
+    dropped = csstate_to_fock(state, REUSE_NMAX)
+    nbytes = dropped.amps.nbytes
+    del dropped
+    csstate_to_fock(state, REUSE_NMAX + 2)
+    # only the buffer of the result still held is kept at the first size
+    (kept,) = [buf for buf in fock._kept if buf.nbytes == nbytes]
+    assert np.shares_memory(kept, held.amps)
 
 
 def test_fock_fidelity_rejects_incomparable_tensors():
